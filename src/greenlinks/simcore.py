@@ -160,8 +160,9 @@ def evaluate_dual(trace: RunTrace) -> MetricsLedger:
     """Score one fault timeline under both architectures.
 
     Replays the trace with its own link-state sweep (independent of the
-    live topology object), labels connected components after every link
-    transition, and buckets drops per interval.
+    live topology object), relabels connected components over the
+    replayed state after every link transition, and buckets drops per
+    interval.
     """
     topo = trace.topology
     up = dict(trace.initial_links)
@@ -171,27 +172,6 @@ def evaluate_dual(trace: RunTrace) -> MetricsLedger:
     ]
     violations = 0
     comp: dict[int, int] | None = None
-
-    def components() -> dict[int, int]:
-        label: dict[int, int] = {}
-        mark = 0
-        for start in topo.nodes:
-            if start in label:
-                continue
-            label[start] = mark
-            frontier = [start]
-            while frontier:
-                node = frontier.pop()
-                for link in topo._adj[node]:
-                    if not up[link.link_id]:
-                        continue
-                    nxt = link.other(node)
-                    if nxt not in label:
-                        label[nxt] = mark
-                        frontier.append(nxt)
-            mark += 1
-        return label
-
     for event in trace.events:
         kind = event[0]
         if kind == "link":
@@ -201,7 +181,7 @@ def evaluate_dual(trace: RunTrace) -> MetricsLedger:
         elif kind == "attempt":
             _, at, src, dst, service = event
             if comp is None:
-                comp = components()
+                comp = topo.components(up)
             cloud = comp[trace.cloud_id]
             vc_ok = comp[src] == comp[dst]
             cell_ok = comp[src] == cloud and comp[dst] == cloud
@@ -305,12 +285,45 @@ class Simulation:
         self._initial_links = {
             lid: link.up for lid, link in self.topology.links.items()
         }
+        self._build_draw_pools()
         e = self.engine
         e.on("attempt", self._on_attempt)
         e.on("traffic_interval", self._on_traffic_interval)
         e.on("failure_draw", self._on_failure_draw)
         e.on("link_restore", self._on_link_restore)
         e.on("queue_eta", self._on_queue_eta)
+
+    def _build_draw_pools(self) -> None:
+        """Precompute the node and link lists the traffic and failure
+        draws index into.  The graph is static after build_topology, so
+        the lists equal what filtering it at draw time would give, in the
+        same order; link state is still read when a draw lands."""
+        topo = self.topology
+        self._role_pool = {
+            role: tuple(
+                sorted(n.node_id for n in topo.nodes.values() if n.role is role)
+            )
+            for role in Role
+        }
+        links = [topo.links[lid] for lid in sorted(topo.links)]
+        self._failure_pool = {
+            side: tuple(
+                l for l in links if (topo.cloud_id in (l.a, l.b)) == side
+            )
+            for side in (True, False)
+        }
+        # Zone mates per source in Zone.node_ids order; nodes outside each
+        # zone in sorted(identity.caches) order.
+        self._mates = {
+            src: tuple(n for n in zone.node_ids if n != src)
+            for zone in topo.zones.values()
+            for src in zone.node_ids
+        }
+        cached = sorted(self.identity.caches)
+        self._outside = {
+            zid: tuple(n for n in cached if topo.nodes[n].zone != zid)
+            for zid in topo.zones
+        }
 
     # ------------------------------------------------------------ wiring
 
@@ -414,15 +427,8 @@ class Simulation:
 
     # ----------------------------------------------------------- failures
 
-    def _failure_candidates(self, cloud_side: bool) -> list:
-        cloud = self.topology.cloud_id
-        links = []
-        for lid in sorted(self.topology.links):
-            link = self.topology.links[lid]
-            touches_cloud = cloud in (link.a, link.b)
-            if touches_cloud == cloud_side:
-                links.append(link)
-        return links
+    def _failure_candidates(self, cloud_side: bool) -> tuple:
+        return self._failure_pool[cloud_side]
 
     def set_link(self, link_id: str, state: LinkState | str) -> None:
         """Toggle a link with correct accounting: lazy queues are advanced
@@ -462,10 +468,8 @@ class Simulation:
 
     # ------------------------------------------------------------ traffic
 
-    def _nodes_by_role(self, role: Role) -> list[int]:
-        return sorted(
-            n.node_id for n in self.topology.nodes.values() if n.role is role
-        )
+    def _nodes_by_role(self, role: Role) -> tuple[int, ...]:
+        return self._role_pool[role]
 
     def _on_traffic_interval(self, index: int, config: dict) -> None:
         rng = self.engine.rng
@@ -478,7 +482,7 @@ class Simulation:
         for service in SERVICES:
             for _ in range(int(config["attempts"].get(service, 0))):
                 src = self._draw_node(rng, level2, level3, share2)
-                dst = self._draw_dest(rng, src, level2, level3, share2, mix)
+                dst = self._draw_dest(rng, src, mix)
                 at = start + rng.uniform(0.0, interval)
                 self.engine.schedule(at, "attempt", src=src, dst=dst, service=service)
 
@@ -486,19 +490,14 @@ class Simulation:
         pool = level2 if (rng.random() < share2 or not level3) else level3
         return pool[rng.randrange(len(pool))]
 
-    def _draw_dest(self, rng, src, level2, level3, share2, mix) -> int:
+    def _draw_dest(self, rng, src, mix) -> int:
         roll = rng.random()
         if roll < mix["local"]:
             return src
-        zone = self.topology.nodes[src].zone
-        mates = [n for n in self.topology.zones[zone].node_ids if n != src]
+        mates = self._mates[src]
         if roll < mix["local"] + mix["zone"] and mates:
             return mates[rng.randrange(len(mates))]
-        outside = [
-            n
-            for n in sorted(self.identity.caches)
-            if self.topology.nodes[n].zone != zone
-        ]
+        outside = self._outside[self.topology.nodes[src].zone]
         if outside:
             return outside[rng.randrange(len(outside))]
         if mates:

@@ -139,9 +139,13 @@ class Topology:
         )
         self.epoch = 0
         self._adj: dict[int, list[Link]] = {nid: [] for nid in nodes}
+        # (link id, far end) per node, in _adj order, for labelling.
+        self._nbrs: dict[int, list[tuple[str, int]]] = {nid: [] for nid in nodes}
         for link in links.values():
             self._adj[link.a].append(link)
             self._adj[link.b].append(link)
+            self._nbrs[link.a].append((link.link_id, link.b))
+            self._nbrs[link.b].append((link.link_id, link.a))
 
     # ------------------------------------------------------------ queries
 
@@ -203,22 +207,29 @@ class Topology:
         latency = sum(link.latency_ms for link in path) / 1000.0
         return (bw, latency)
 
-    def components(self) -> dict[int, int]:
-        """Connected-component label per node over live links."""
+    def components(self, up: dict[str, bool] | None = None) -> dict[int, int]:
+        """Connected-component label per node.
+
+        With ``up`` None the live link state decides which links carry;
+        otherwise ``up`` maps every link id to whether it is up, and the
+        live state is not read (evaluate_dual passes its replayed state).
+        Components are numbered in the order ``self.nodes`` first reaches
+        them; callers only compare labels for equality.
+        """
+        if up is None:
+            up = {lid: link.up for lid, link in self.links.items()}
+        nbrs = self._nbrs
         label: dict[int, int] = {}
         mark = 0
         for start in self.nodes:
             if start in label:
                 continue
             label[start] = mark
-            frontier = deque([start])
+            frontier = [start]
             while frontier:
-                node = frontier.popleft()
-                for link in self._adj[node]:
-                    if not link.up:
-                        continue
-                    nxt = link.other(node)
-                    if nxt not in label:
+                node = frontier.pop()
+                for lid, nxt in nbrs[node]:
+                    if up[lid] and nxt not in label:
                         label[nxt] = mark
                         frontier.append(nxt)
             mark += 1
@@ -331,15 +342,14 @@ def build_topology(config: dict) -> Topology:
         )
 
     level2_ids = {n.node_id for n in nodes.values() if n.role is Role.LEVEL2}
+    has_level2_neighbour = set()
+    for link in links.values():
+        if link.a in level2_ids:
+            has_level2_neighbour.add(link.b)
+        if link.b in level2_ids:
+            has_level2_neighbour.add(link.a)
     for node in nodes.values():
-        if node.role is not Role.LEVEL3:
-            continue
-        parents = [
-            l
-            for l in links.values()
-            if node.node_id in (l.a, l.b) and l.other(node.node_id) in level2_ids
-        ]
-        if not parents:
+        if node.role is Role.LEVEL3 and node.node_id not in has_level2_neighbour:
             raise ScenarioError(
                 f"level3 node {node.node_id} has no link to a level2 parent"
             )

@@ -1,0 +1,86 @@
+"""Hash gate: `simulate` artifacts are pinned byte for byte.
+
+A change that claims to keep behaviour (a refactor or a speed-up) must
+leave these digests alone.  A change that alters the model on purpose
+updates them and says which artifacts moved and why.
+
+The generated tree runs every draw branch of the availability study:
+node-local, zone-mate and cross-zone destinations, both failure sides,
+and the marketplace workload's sync queue on node 1.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from greenlinks import cli
+from greenlinks.scenario import generate_tree
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+ARTIFACTS = ("metrics.csv", "latency.csv", "summary.csv")
+
+
+def tree_scenario():
+    scenario = generate_tree(5, 3)
+    scenario["traffic"] = {
+        "interval_s": 60.0,
+        "attempts": {"call": 20, "sms": 20, "data": 20},
+    }
+    scenario["failures"] = {
+        "interval_s": 30.0,
+        "outage_mean_s": 300.0,
+        "target_mix": {"cloud": 0.5, "zone": 0.5},
+    }
+    scenario["workload"] = {
+        "node": 1,
+        "sellers": 4,
+        "buyers": 3,
+        "file_count": 0,
+        "until_s": 1800.0,
+    }
+    return scenario
+
+
+EXPECTED = {
+    "village": {
+        "metrics.csv": "cb942f11cbde16c5c65c3a378004309636bd55874eb36d88eccfa374c6075ad5",
+        "latency.csv": "591b217ec16ef6bc5b9844e1d7311e3a575aaeaaaba2292702c6b61e9776b71c",
+        "summary.csv": "5ba8616ac6965a0d5d27239f54b3081406f00458dd10093dd5713688faafed28",
+    },
+    "market_edge": {
+        "metrics.csv": "90d8cca03b1beac708d254c1c9b5ccf7acbe5cfefcd49f526607400cb851f085",
+        "latency.csv": "d0fcb60271f0f29b66c27873b08a3f4aeeec86bd3d14ffa50d091ea8dad38b64",
+        "summary.csv": "195267f656394d2d87d331be9017441056fe4154168a976dec19042172b5a37d",
+    },
+    "tree_5_3": {
+        "metrics.csv": "db699d2ce09997f4411db2941545b3043baf766b424996a487b4ff248ff4204a",
+        "latency.csv": "89f4b26808d59286b6eb31bb85b14068998a60d2027f8bcb593c9fa8ad26648d",
+        "summary.csv": "fb7f96b98fa4e7d04addc2ad702cc836d52827bd7aea59115c5ba75973b73231",
+    },
+}
+
+
+def run_case(case, tmp_path):
+    if case == "tree_5_3":
+        scenario = tmp_path / "tree.json"
+        scenario.write_text(json.dumps(tree_scenario()))
+        extra = ["--runs", "2", "--horizon", "1800", "--seed", "7"]
+    else:
+        scenario = SCENARIOS / f"{case}.json"
+        extra = ["--runs", "2", "--seed", "3"]
+    out = tmp_path / "out"
+    code = cli.main(
+        ["simulate", "--scenario", str(scenario), "--out", str(out), *extra]
+    )
+    assert code == 0
+    return {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ARTIFACTS
+    }
+
+
+@pytest.mark.parametrize("case", sorted(EXPECTED))
+def test_simulate_artifacts_match_pinned_hashes(case, tmp_path, capsys):
+    assert run_case(case, tmp_path) == EXPECTED[case]

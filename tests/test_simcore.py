@@ -167,6 +167,91 @@ def test_runs_are_reproducible_per_seed():
     assert c.trace.events != a.trace.events
 
 
+class ReferenceDraws(Simulation):
+    """The draw helpers without precomputed pools: every call filters the
+    graph again, as the simulator originally did.  The pooled helpers
+    must make the same RNG calls with the same pool lengths."""
+
+    def _nodes_by_role(self, role):
+        return sorted(
+            n.node_id for n in self.topology.nodes.values() if n.role is role
+        )
+
+    def _failure_candidates(self, cloud_side):
+        cloud = self.topology.cloud_id
+        links = []
+        for lid in sorted(self.topology.links):
+            link = self.topology.links[lid]
+            touches_cloud = cloud in (link.a, link.b)
+            if touches_cloud == cloud_side:
+                links.append(link)
+        return links
+
+    def _draw_dest(self, rng, src, mix):
+        roll = rng.random()
+        if roll < mix["local"]:
+            return src
+        zone = self.topology.nodes[src].zone
+        mates = [n for n in self.topology.zones[zone].node_ids if n != src]
+        if roll < mix["local"] + mix["zone"] and mates:
+            return mates[rng.randrange(len(mates))]
+        outside = [
+            n
+            for n in sorted(self.identity.caches)
+            if self.topology.nodes[n].zone != zone
+        ]
+        if outside:
+            return outside[rng.randrange(len(outside))]
+        if mates:
+            return mates[rng.randrange(len(mates))]
+        return src
+
+
+def lone_gateway_zone():
+    # z1 holds only its gateway 4, so node 4 has no zone mates.
+    scenario = generate_tree(1, 2)
+    scenario["nodes"].append({"id": 4, "role": "level2"})
+    scenario["zones"].append(
+        {"id": "z1", "nodes": [4], "gateway": 4, "prefix": "10.1"}
+    )
+    scenario["links"].append({"id": "b1", "a": 0, "b": 4, "profile": "hsdpa"})
+    return scenario
+
+
+def islanded_cloud():
+    # No link touches the cloud, so cloud-side failure draws fall back.
+    scenario = generate_tree(1, 2)
+    scenario["links"] = [l for l in scenario["links"] if l["a"] != 0]
+    return scenario
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: generate_tree(4, 3),
+        lambda: generate_tree(1, 3),  # one zone: nothing outside it
+        lambda: generate_tree(1, 0),  # one node: no mates, nothing outside
+        lone_gateway_zone,
+        islanded_cloud,
+    ],
+    ids=["tree", "single_zone", "single_node", "lone_gateway", "islanded_cloud"],
+)
+def test_pooled_draws_match_the_filtering_reference(build):
+    scenario = build()
+    scenario["traffic"] = {
+        "interval_s": 60.0,
+        "attempts": {"call": 6, "sms": 6, "data": 6},
+        "dest_mix": {"local": 0.2, "zone": 0.3, "cross": 0.5},
+    }
+    scenario["failures"] = {"interval_s": 45.0, "outage_mean_s": 120.0}
+    for seed in range(4):
+        pooled = Simulation(scenario, seed=seed)
+        reference = ReferenceDraws(scenario, seed=seed)
+        pooled.run(900.0)
+        reference.run(900.0)
+        assert pooled.engine.trace == reference.engine.trace
+
+
 # ------------------------------------------------------------------ uplink
 
 

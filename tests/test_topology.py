@@ -46,14 +46,15 @@ def diamond():
 
 
 # Independent reachability oracle: boolean Floyd-Warshall closure over the
-# live links, nothing shared with the BFS in the implementation.
-def closure(topo):
+# live links (or over an explicit link-id -> up map), nothing shared with
+# the graph search in the implementation.
+def closure(topo, up=None):
     ids = sorted(topo.nodes)
     idx = {n: i for i, n in enumerate(ids)}
     n = len(ids)
     reach = [[i == j for j in range(n)] for i in range(n)]
     for link in topo.links.values():
-        if link.up:
+        if link.up if up is None else up[link.link_id]:
             reach[idx[link.a]][idx[link.b]] = True
             reach[idx[link.b]][idx[link.a]] = True
     for k in range(n):
@@ -122,6 +123,15 @@ def test_build_rejects_orphan_level3():
     cfg["links"].append({"id": "x", "a": 3, "b": 4, "bandwidth_kbps": 100})
     with pytest.raises(ScenarioError, match="level2 parent"):
         build_topology(cfg)
+
+
+def test_build_accepts_level3_parent_link_in_either_direction():
+    for a, b in ((1, 4), (4, 1)):
+        cfg = diamond()
+        cfg["nodes"].append({"id": 4, "role": "level3"})
+        cfg["zones"][0]["nodes"].append(4)
+        cfg["links"].append({"id": "x", "a": a, "b": b, "bandwidth_kbps": 100})
+        build_topology(cfg)  # must not raise
 
 
 def test_build_rejects_cloud_inside_zone_and_bad_link_params():
@@ -205,6 +215,16 @@ def test_reachability_matches_closure_oracle_under_random_outages():
                 expect = reach[idx[a]][idx[b]]
                 assert topo.reachable(a, b) is expect
                 assert (comp[a] == comp[b]) is expect
+        # A replayed state that differs from the live one: the labels
+        # must follow the map alone.
+        up = {lid: rng.random() < 0.6 for lid in link_ids}
+        flip = rng.choice(link_ids)
+        up[flip] = not topo.links[flip].up
+        _, _, replayed = closure(topo, up)
+        comp = topo.components(up)
+        for a in ids:
+            for b in ids:
+                assert (comp[a] == comp[b]) is replayed[idx[a]][idx[b]]
 
 
 # ----------------------------------------------------------------- bonding
