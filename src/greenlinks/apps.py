@@ -31,6 +31,7 @@ from .errors import (
     SoldOut,
     UnknownIdentity,
 )
+from .scenario import section
 from .sync import LocalServer
 
 SMS_LIMIT = 140
@@ -103,7 +104,8 @@ class Listing:
 
 
 def market_handler(store, app_type, key, payload, request_id, at):
-    """Cloud-side marketplace logic, run under the key's write lock."""
+    """Cloud-side marketplace logic; a buy reads and rewrites the listing
+    in one apply, so no other write interleaves."""
     body = json.loads(payload.decode())
     op = body["op"]
     if op == "sell":
@@ -358,20 +360,6 @@ class FarmMapper:
 # --------------------------------------------------------------- workload
 
 
-WORKLOAD_DEFAULTS = {
-    "sellers": 4,
-    "buyers": 3,
-    "sell_period_s": 10.0,
-    "buy_period_s": 10.0,
-    "until_s": 600.0,
-    "file_bytes": 1000000,
-    "file_count": 0,
-    "file_period_s": 30.0,
-    "items": ["maize", "cassava", "yam", "rice"],
-    "node": None,
-}
-
-
 class Workload:
     """Scripted marketplace load for latency experiments.
 
@@ -382,10 +370,8 @@ class Workload:
 
     def __init__(self, sim, config: dict | None = None):
         self.sim = sim
-        cfg = dict(WORKLOAD_DEFAULTS)
-        cfg.update(config or {})
-        self.cfg = cfg
-        node = cfg["node"]
+        self.cfg = section("workload", config)
+        node = self.cfg["node"]
         if node is None:
             node = min(
                 n for n in sim.topology.nodes if n != sim.topology.cloud_id

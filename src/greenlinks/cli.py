@@ -25,14 +25,20 @@ import csv
 import math
 import os
 import random
-import statistics
 import sys
 from pathlib import Path
 
 from . import apps as apps_mod
 from .errors import GreenLinksError, ScenarioError
-from .scenario import load_scenario
-from .simcore import METRICS, MonteCarloResult, Simulation, identity_latency_bench
+from .scenario import generate_tree, load_scenario, section
+from .simcore import (
+    METRICS,
+    Simulation,
+    aggregate,
+    identity_latency_bench,
+    interval_means,
+    replicate,
+)
 from .whitespace import (
     Detector,
     DetectorConfig,
@@ -41,7 +47,7 @@ from .whitespace import (
     make_phones,
     organic_traffic,
     run_detection,
-    volunteer_traffic,
+    with_volunteers,
 )
 
 DEFAULT_HORIZON = 3600.0
@@ -91,32 +97,16 @@ def cmd_simulate(args) -> int:
     horizon = args.horizon
     if horizon is None:
         horizon = DEFAULT_HORIZON if "traffic" in scenario else None
+
+    results = replicate(
+        scenario, runs, horizon, base_seed=seed, priority_queue=args.priority_queue
+    )
     outdir = out_dir(args)
-
-    results = []
-    for i in range(runs):
-        sim = Simulation(scenario, seed=seed + i, priority_queue=args.priority_queue)
-        if "workload" in scenario:
-            workload = apps_mod.Workload(sim, scenario["workload"])
-            workload.schedule()
-        results.append(sim.run(horizon, drain=True))
-
-    metric_rows = []
     ledgers = [r.ledger for r in results if r.ledger is not None]
-    if len(ledgers) == 1:
-        metric_rows = ledgers[0].csv_rows()
-    elif ledgers:
-        n_intervals = len(ledgers[0].intervals)
-        for idx in range(n_intervals):
-            means = []
-            for metric in METRICS:
-                vals = [lg.intervals[idx].rate(*METRICS[metric]) for lg in ledgers]
-                means.append(statistics.fmean(vals))
-            metric_rows.append((idx, *means))
     write_csv(
         outdir / "metrics.csv",
         ["interval", *METRICS.keys()],
-        metric_rows,
+        interval_means(ledgers),
     )
 
     latency_rows = []
@@ -139,20 +129,12 @@ def cmd_simulate(args) -> int:
         latency_rows,
     )
 
-    summary_rows = []
-    violations = 0
-    if ledgers:
-        per_run = {m: [lg.overall(m) for lg in ledgers] for m in METRICS}
-        mc = MonteCarloResult(
-            runs=len(ledgers),
-            per_run=per_run,
-            containment_violations=sum(lg.containment_violations for lg in ledgers),
-        )
-        violations = mc.containment_violations
-        for metric in METRICS:
-            summary_rows.append(
-                (metric, mc.mean(metric), mc.stdev(metric), mc.ci95(metric))
-            )
+    mc = aggregate(ledgers)
+    violations = mc.containment_violations
+    summary_rows = [
+        (metric, mc.mean(metric), mc.stdev(metric), mc.ci95(metric))
+        for metric in (METRICS if ledgers else ())
+    ]
     summary_rows.append(("containment_violations", float(violations), 0.0, 0.0))
     write_csv(outdir / "summary.csv", ["metric", "mean", "stdev", "ci95"], summary_rows)
 
@@ -166,13 +148,8 @@ def cmd_simulate(args) -> int:
                     _, at, src, dst, service = event
                     fh.write(f"{at:.6f} ATTEMPT {src} {dst} {service}\n")
 
-    for result in results:
-        if result.ledger is not None:
-            lg = result.ledger
-            print(
-                "run: "
-                + " ".join(f"{m}={lg.overall(m):.6g}" for m in METRICS)
-            )
+    for lg in ledgers:
+        print("run: " + " ".join(f"{m}={lg.overall(m):.6g}" for m in METRICS))
     if violations:
         print(
             f"containment violated on {violations} attempts", file=sys.stderr
@@ -184,35 +161,9 @@ def cmd_simulate(args) -> int:
 # ------------------------------------------------------------- whitespace
 
 
-WHITESPACE_DEFAULTS = {
-    "users": 25,
-    "volunteers": 5,
-    "volunteer_period_s": 60.0,
-    "organic_period_s": 300.0,
-    "band": {"first": 1, "last": 124},
-    "truth_occupied": [3, 17, 29, 41, 58, 66, 82, 97, 110],
-    "n_free": 40,
-    "t_free_s": 600.0,
-    "evidence_ttl_s": 86400.0,
-    "radius": 0.25,
-    "ngsm": {
-        "user_counts": [10, 20, 30, 40, 50, 60, 70, 80, 90, 100],
-        "ratios": [0.1, 0.2],
-    },
-}
-
-
 def cmd_whitespace(args) -> int:
     scenario = load_scenario(args.scenario) if args.scenario else {}
-    cfg = dict(WHITESPACE_DEFAULTS)
-    section = scenario.get("whitespace", {})
-    for key, value in section.items():
-        if isinstance(value, dict) and isinstance(cfg.get(key), dict):
-            merged = dict(cfg[key])
-            merged.update(value)
-            cfg[key] = merged
-        else:
-            cfg[key] = value
+    cfg = section("whitespace", scenario.get("whitespace"))
     seed = resolve_seed(args)
     outdir = out_dir(args)
 
@@ -245,12 +196,11 @@ def cmd_whitespace(args) -> int:
         organic_n = int(batches * (users / cfg["organic_period_s"]) / rate) + 50 if users else 0
         organic = organic_traffic(users, cfg["organic_period_s"], organic_n, rng) if users else []
         horizon = organic[-1][0] if organic else batches / rate
-        extra = volunteer_traffic(volunteers, cfg["volunteer_period_s"], horizon)
-        merged_traffic = sorted(
-            organic + [(at, users + v) for at, v in extra], key=lambda e: (e[0], e[1])
+        traffic = with_volunteers(
+            organic, users, volunteers, cfg["volunteer_period_s"], horizon
         )
         run = run_detection(
-            merged_traffic,
+            traffic,
             detector,
             field_model,
             phones,
@@ -300,22 +250,9 @@ def cmd_whitespace(args) -> int:
 # ---------------------------------------------------------------- idbench
 
 
-IDBENCH_DEFAULTS = {
-    "models": [
-        {"model": "central", "servers": 1},
-        {"model": "dht", "servers": 10},
-    ],
-    "load_rps": 150.0,
-    "duration_s": 60.0,
-    "service_s": 0.01,
-    "latency_s": 0.1,
-}
-
-
 def cmd_idbench(args) -> int:
     scenario = load_scenario(args.scenario) if args.scenario else {}
-    cfg = dict(IDBENCH_DEFAULTS)
-    cfg.update(scenario.get("identity_bench", {}))
+    cfg = section("identity_bench", scenario.get("identity_bench"))
     seed = resolve_seed(args)
     outdir = out_dir(args)
     sample_rows = []
@@ -342,7 +279,7 @@ def cmd_idbench(args) -> int:
                 len(sojourns),
                 bench.quantile(0.5),
                 bench.quantile(0.95),
-                statistics.fmean(sojourns) if sojourns else 0.0,
+                bench.mean(),
             )
         )
         print(
@@ -367,15 +304,7 @@ def cmd_idbench(args) -> int:
 
 def cmd_apps(args) -> int:
     command = apps_mod.parse_command(args.command)
-    scenario = (
-        load_scenario(args.scenario)
-        if args.scenario
-        else {
-            "nodes": [{"id": 0, "role": "cloud"}, {"id": 1, "role": "level2"}],
-            "zones": [{"id": "z0", "nodes": [1], "gateway": 1, "prefix": "10.0"}],
-            "links": [{"id": "b0", "a": 0, "b": 1, "profile": "hsdpa"}],
-        }
-    )
+    scenario = load_scenario(args.scenario) if args.scenario else generate_tree(1, 0)
     seed = resolve_seed(args)
     sim = Simulation(scenario, seed=seed)
     node = min(n for n in sim.topology.nodes if n != sim.topology.cloud_id)

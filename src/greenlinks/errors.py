@@ -87,10 +87,6 @@ class SyncTimeout(GreenLinksError):
     """An immediate operation would exceed its response deadline."""
 
 
-class Expired(GreenLinksError):
-    pass
-
-
 # ---------------------------------------------------------------- whitespace
 
 

@@ -78,17 +78,6 @@ class NetworkAddress:
     local_addr: str
 
 
-@dataclass(frozen=True)
-class ApplicationIdentity:
-    app_type: str
-    key: str
-    owners: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.owners:
-            raise ValueError("application identity needs at least one owner")
-
-
 @dataclass
 class CacheEntry:
     identity: UserIdentity
@@ -328,9 +317,7 @@ class IdentityService:
         self.caches: dict[int, IdentityCache] = {}
         for node in topology.nodes.values():
             if node.node_id != topology.cloud_id:
-                cache = IdentityCache()
-                self.caches[node.node_id] = cache
-                node.local_cache = cache
+                self.caches[node.node_id] = IdentityCache()
 
     # ------------------------------------------------------------ helpers
 

@@ -1,66 +1,174 @@
-"""Scenario files: loading, defaults and a generator for tree deployments.
+"""Scenario files: loading, defaults, validation and a tree generator.
 
 A scenario is a JSON mapping.  ``nodes``/``zones``/``links``/``bonded``
 describe the world graph (see topology.build_topology); the optional
-``traffic``, ``failures``, ``sync``, ``workload``, ``whitespace`` and
-``identity_bench`` sections parameterize the runtime.  Missing keys fall
-back to the defaults below, so a scenario only states what it changes.
+sections in SECTIONS parameterize the runtime.  Missing keys fall back to
+the section's defaults, so a scenario only states what it changes.  The
+defaults are also the schema: an unknown section or key, or a value whose
+JSON type differs from its default's, is a ScenarioError.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import math
 from pathlib import Path
 
 from .errors import ScenarioError
 
-TRAFFIC_DEFAULTS = {
-    "interval_s": 60.0,
-    "attempts": {"call": 10, "sms": 10, "data": 10},
-    "dest_mix": {"local": 0.3, "zone": 0.4, "cross": 0.3},
-    "level_share": {"level2": 0.6, "level3": 0.4},
+SECTIONS = {
+    "traffic": {
+        "interval_s": 60.0,
+        "attempts": {"call": 10, "sms": 10, "data": 10},
+        "dest_mix": {"local": 0.3, "zone": 0.4, "cross": 0.3},
+        "level_share": {"level2": 0.6, "level3": 0.4},
+    },
+    "failures": {
+        "interval_s": 300.0,
+        "outage_mean_s": 600.0,
+        "target_mix": {"cloud": 0.5, "zone": 0.5},
+        "start_s": 0.0,
+    },
+    "sync": {
+        "fastget_timeout_s": 30.0,
+        "service_s": 0.01,
+        "service_jitter": 0.5,
+        "queue_capacity": None,
+        "message_ttl_s": None,
+    },
+    "workload": {
+        "sellers": 4,
+        "buyers": 3,
+        "sell_period_s": 10.0,
+        "buy_period_s": 10.0,
+        "until_s": 600.0,
+        "file_bytes": 1000000,
+        "file_count": 0,
+        "file_period_s": 30.0,
+        "items": ["maize", "cassava", "yam", "rice"],
+        "node": None,
+    },
+    "whitespace": {
+        "users": 25,
+        "volunteers": 5,
+        "volunteer_period_s": 60.0,
+        "organic_period_s": 300.0,
+        "band": {"first": 1, "last": 124},
+        "truth_occupied": [3, 17, 29, 41, 58, 66, 82, 97, 110],
+        "n_free": 40,
+        "t_free_s": 600.0,
+        "evidence_ttl_s": 86400.0,
+        "radius": 0.25,
+        "ngsm": {
+            "user_counts": [10, 20, 30, 40, 50, 60, 70, 80, 90, 100],
+            "ratios": [0.1, 0.2],
+        },
+    },
+    "identity_bench": {
+        "models": [
+            {"model": "central", "servers": 1},
+            {"model": "dht", "servers": 10},
+        ],
+        "load_rps": 150.0,
+        "duration_s": 60.0,
+        "service_s": 0.01,
+        "latency_s": 0.1,
+    },
 }
 
-FAILURE_DEFAULTS = {
-    "interval_s": 300.0,
-    "outage_mean_s": 600.0,
-    "target_mix": {"cloud": 0.5, "zone": 0.5},
-    "start_s": 0.0,
+# Range rules.  Every number in a section is finite and not negative, and
+# these must also be nonzero: the runtime steps a clock by them (an
+# unbounded loop at 0) or divides by them.
+POSITIVE = {
+    "traffic.interval_s",
+    "failures.interval_s",
+    "failures.outage_mean_s",
+    "workload.sell_period_s",
+    "workload.buy_period_s",
+    "whitespace.organic_period_s",
+    "whitespace.volunteer_period_s",
+    "identity_bench.load_rps",
+}
+# Mapping-valued keys that null switches off.
+NULLABLE = {"whitespace.ngsm"}
+# Topology lists and the keys each of their entries must have;
+# build_topology checks the values.
+TOPOLOGY = {
+    "nodes": ["id", "role"],
+    "zones": ["id", "nodes", "prefix"],
+    "links": ["a", "b"],
+    "bonded": [],
 }
 
-SYNC_DEFAULTS = {
-    "sync_interval_s": 10.0,
-    "fastget_timeout_s": 30.0,
-    "service_s": 0.01,
-    "service_jitter": 0.5,
-    "queue_capacity": None,
-    "message_ttl_s": None,
-}
+
+def _check(where: str, default, value) -> None:
+    """Raise ScenarioError unless value fits the shape of default."""
+    if value is None and (default is None or where in NULLABLE):
+        return
+    if isinstance(default, dict):
+        if not isinstance(value, dict):
+            raise ScenarioError(f"{where} must be an object")
+        for key, item in value.items():
+            if key not in default:
+                raise ScenarioError(f"{where}: unknown key {key!r}")
+            _check(f"{where}.{key}", default[key], item)
+    elif isinstance(default, list):
+        if not isinstance(value, list):
+            raise ScenarioError(f"{where} must be a list")
+        template = default[0]
+        for i, item in enumerate(value):
+            _check(f"{where}[{i}]", template, item)
+            if isinstance(template, dict) and item.keys() != template.keys():
+                raise ScenarioError(f"{where}[{i}] needs the keys {sorted(template)}")
+    elif isinstance(default, str):
+        if not isinstance(value, str):
+            raise ScenarioError(f"{where} must be a string")
+    else:
+        kind = int if isinstance(default, int) else (int, float)
+        if isinstance(value, bool) or not isinstance(value, kind):
+            noun = "an integer" if kind is int else "a number"
+            raise ScenarioError(f"{where} must be {noun}")
+        if not math.isfinite(value) or value < 0:
+            raise ScenarioError(f"{where} must be a finite number >= 0")
+        if where in POSITIVE and value == 0:
+            raise ScenarioError(f"{where} must be > 0")
 
 
-def _merged(defaults: dict, override: dict | None) -> dict:
-    out = copy.deepcopy(defaults)
-    for key, value in (override or {}).items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
+def section(name: str, override: dict | None = None) -> dict:
+    """Section ``name``: its defaults with ``override`` (the scenario's
+    section, None when absent) merged in, one level deep, after checking
+    it against them."""
+    override = {} if override is None else override
+    _check(name, SECTIONS[name], override)
+    out = copy.deepcopy(SECTIONS[name])
+    for key, value in override.items():
+        if isinstance(value, dict) and isinstance(out[key], dict):
             out[key].update(value)
         else:
             out[key] = value
     return out
 
 
-def traffic_config(scenario: dict) -> dict:
-    return _merged(TRAFFIC_DEFAULTS, scenario.get("traffic"))
-
-def failure_config(scenario: dict) -> dict:
-    return _merged(FAILURE_DEFAULTS, scenario.get("failures"))
-
-def sync_config(scenario: dict) -> dict:
-    return _merged(SYNC_DEFAULTS, scenario.get("sync"))
+def check_scenario(scenario: dict) -> None:
+    """Raise ScenarioError for an unknown section, a malformed topology
+    list or a section that does not fit its defaults."""
+    for key, value in scenario.items():
+        if key in SECTIONS:
+            section(key, value)
+        elif key in TOPOLOGY:
+            if not isinstance(value, list):
+                raise ScenarioError(f"{key} must be a list")
+            for i, entry in enumerate(value):
+                if not isinstance(entry, dict) or not entry.keys() >= set(TOPOLOGY[key]):
+                    raise ScenarioError(f"{key}[{i}] must be an object with {TOPOLOGY[key]}")
+        else:
+            raise ScenarioError(f"unknown section {key!r}")
 
 
 def load_scenario(path: str | Path) -> dict:
-    """Parse a scenario file, raising ScenarioError with a file:line anchor."""
+    """Parse and check a scenario file, raising ScenarioError with a file
+    (and, for JSON syntax, line) anchor."""
     path = Path(path)
     try:
         text = path.read_text()
@@ -72,6 +180,10 @@ def load_scenario(path: str | Path) -> dict:
         raise ScenarioError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
     if not isinstance(scenario, dict):
         raise ScenarioError(f"{path}:1:1: scenario must be a JSON object")
+    try:
+        check_scenario(scenario)
+    except ScenarioError as exc:
+        raise ScenarioError(f"{path}: {exc}") from None
     return scenario
 
 

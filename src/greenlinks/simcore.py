@@ -24,14 +24,14 @@ them away.
 from __future__ import annotations
 
 import heapq
-import logging
 import random
 import statistics
 from dataclasses import dataclass, field
 
+from .apps import Workload
 from .errors import ScenarioError
 from .identity import IdentityService, ResolverRing, resolver_for
-from .scenario import failure_config, sync_config, traffic_config
+from .scenario import SECTIONS, section
 from .sync import (
     CloudStore,
     LatencyRecord,
@@ -40,8 +40,6 @@ from .sync import (
     SyncConfig,
 )
 from .topology import BYTES_PER_KBPS, LinkState, Role, Topology, build_topology
-
-log = logging.getLogger("greenlinks")
 
 SERVICES = ("call", "sms", "data")
 METRICS = {
@@ -147,13 +145,21 @@ class MetricsLedger:
             return 0.0
         return dropped.get((service, arch), 0) / n
 
-    def csv_rows(self) -> list[tuple]:
-        rows = []
-        for iv in self.intervals:
-            rows.append(
-                (iv.index,) + tuple(iv.rate(*METRICS[m]) for m in METRICS)
-            )
-        return rows
+
+def interval_means(ledgers: list[MetricsLedger]) -> list[tuple]:
+    """Per-interval drop rates averaged over replications: one
+    (index, *rates in METRICS order) row per interval."""
+    rows = []
+    for idx in range(len(ledgers[0].intervals) if ledgers else 0):
+        rates = [[lg.intervals[idx].rate(*METRICS[m]) for lg in ledgers] for m in METRICS]
+        rows.append((idx, *map(statistics.fmean, rates)))
+    return rows
+
+
+def interval_count(horizon: float, interval_s: float) -> int:
+    """Whole traffic intervals in a horizon: run() schedules this many and
+    evaluate_dual() scores this many buckets."""
+    return int(horizon / interval_s)
 
 
 def evaluate_dual(trace: RunTrace) -> MetricsLedger:
@@ -166,7 +172,7 @@ def evaluate_dual(trace: RunTrace) -> MetricsLedger:
     """
     topo = trace.topology
     up = dict(trace.initial_links)
-    intervals = max(1, int(round(trace.horizon / trace.interval_s)))
+    intervals = max(1, interval_count(trace.horizon, trace.interval_s))
     counts = [
         IntervalCounts(index=i, attempted={}, dropped={}) for i in range(intervals)
     ]
@@ -268,14 +274,7 @@ class Simulation:
         self.topology = build_topology(scenario)
         self.engine = Engine(seed)
         self.priority_queue = priority_queue
-        cfg = sync_config(scenario)
-        self.sync_config = SyncConfig(
-            fastget_timeout_s=cfg["fastget_timeout_s"],
-            service_s=cfg["service_s"],
-            queue_capacity=cfg["queue_capacity"],
-            message_ttl_s=cfg["message_ttl_s"],
-        )
-        self._service_jitter = cfg["service_jitter"]
+        self.sync_config = SyncConfig(**section("sync", scenario.get("sync")))
         self.store = CloudStore()
         self.board = MessageBoard()
         self.store.register_handler("__msg__", self.board.handler)
@@ -329,7 +328,7 @@ class Simulation:
 
     def _service_time(self) -> float:
         base = self.sync_config.service_s
-        j = self._service_jitter
+        j = self.sync_config.service_jitter
         if j <= 0:
             return base
         return base * (1.0 + j * (2.0 * self.engine.rng.random() - 1.0))
@@ -338,9 +337,9 @@ class Simulation:
         """The node's sync endpoint (created on first use)."""
         server = self.locals.get(node_id)
         if server is None:
-            if node_id == self.topology.cloud_id:
-                raise ScenarioError("the cloud node has no local server")
-            cache = self.identity.caches[node_id]
+            cache = self.identity.caches.get(node_id)
+            if cache is None:  # the cloud, or no such node
+                raise ScenarioError(f"node {node_id} has no local server")
 
             def resolve_local(name, _cache=cache, _nid=node_id):
                 entry = _cache.get(name)
@@ -517,13 +516,14 @@ class Simulation:
         backlog left after a finite horizon: queued transfers, restores
         and deliveries run to completion, new traffic does not start.
         """
-        tcfg = traffic_config(self.scenario) if "traffic" in self.scenario else None
-        fcfg = failure_config(self.scenario) if "failures" in self.scenario else None
+        sc = self.scenario
+        tcfg = section("traffic", sc["traffic"]) if "traffic" in sc else None
+        fcfg = section("failures", sc["failures"]) if "failures" in sc else None
         if (tcfg or fcfg) and horizon is None:
             raise ScenarioError("traffic and failure sections need a finite horizon")
         if tcfg:
             interval = tcfg["interval_s"]
-            for i in range(int(horizon / interval)):
+            for i in range(interval_count(horizon, interval)):
                 self.engine.schedule(i * interval, "traffic_interval", index=i, config=tcfg)
         if fcfg:
             t = fcfg["start_s"]
@@ -542,7 +542,7 @@ class Simulation:
         trace = RunTrace(
             topology=self.topology,
             cloud_id=self.topology.cloud_id,
-            interval_s=(tcfg or {"interval_s": 60.0})["interval_s"],
+            interval_s=(tcfg or SECTIONS["traffic"])["interval_s"],
             horizon=effective,
             initial_links=self._initial_links,
             events=list(self.engine.trace),
@@ -558,6 +558,26 @@ class Simulation:
 
 
 # ----------------------------------------------------------- monte carlo
+
+
+def replicate(
+    scenario: dict,
+    runs: int,
+    horizon: float | None,
+    *,
+    base_seed: int = 0,
+    priority_queue: bool = False,
+) -> list[RunResult]:
+    """Independent replications; run i uses seed base_seed + i.  A
+    ``workload`` section is scheduled before the run schedules its
+    traffic and failures, and every run drains its backlog."""
+    results = []
+    for i in range(runs):
+        sim = Simulation(scenario, seed=base_seed + i, priority_queue=priority_queue)
+        if "workload" in scenario:
+            Workload(sim, scenario["workload"]).schedule()
+        results.append(sim.run(horizon, drain=True))
+    return results
 
 
 @dataclass
@@ -578,6 +598,15 @@ class MonteCarloResult:
         return 1.96 * self.stdev(metric) / (n ** 0.5) if n > 1 else 0.0
 
 
+def aggregate(ledgers: list[MetricsLedger]) -> MonteCarloResult:
+    """Overall drop rates per run and the summed containment violations."""
+    return MonteCarloResult(
+        runs=len(ledgers),
+        per_run={m: [lg.overall(m) for lg in ledgers] for m in METRICS},
+        containment_violations=sum(lg.containment_violations for lg in ledgers),
+    )
+
+
 def monte_carlo(
     scenario: dict,
     runs: int,
@@ -585,20 +614,11 @@ def monte_carlo(
     *,
     base_seed: int = 0,
 ) -> MonteCarloResult:
-    """Independent replications; run i uses seed base_seed + i."""
-    per_run: dict[str, list[float]] = {m: [] for m in METRICS}
-    violations = 0
-    for i in range(runs):
-        sim = Simulation(scenario, seed=base_seed + i)
-        result = sim.run(horizon)
-        if result.ledger is None:
-            raise ScenarioError("monte_carlo needs a traffic section")
-        for metric in METRICS:
-            per_run[metric].append(result.ledger.overall(metric))
-        violations += result.ledger.containment_violations
-    return MonteCarloResult(
-        runs=runs, per_run=per_run, containment_violations=violations
-    )
+    """replicate() summarized; every run must score attempts."""
+    results = replicate(scenario, runs, horizon, base_seed=base_seed)
+    if any(r.ledger is None for r in results):
+        raise ScenarioError("monte_carlo needs a traffic section")
+    return aggregate([r.ledger for r in results])
 
 
 # ------------------------------------------------------- identity bench
@@ -619,6 +639,10 @@ class BenchResult:
 
     def sojourns(self) -> list[float]:
         return [s.sojourn for s in self.samples]
+
+    def mean(self) -> float:
+        vals = self.sojourns()
+        return statistics.fmean(vals) if vals else 0.0
 
     def quantile(self, q: float) -> float:
         vals = sorted(self.sojourns())

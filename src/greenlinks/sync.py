@@ -11,9 +11,10 @@ Three data operations with different urgency and consistency needs:
                BackhaulDown when the uplink is down and SyncTimeout when
                the predicted sojourn exceeds the deadline; it never
                pretends a local result is a cloud result.
-* fastsearch - immediate read-only query over committed state.  A write
-               lock held by a fastget never blocks it; it simply reads
-               the last committed version of locked keys.
+* fastsearch - immediate read-only query over committed state.  Every
+               store write (a slowput's apply or a fastget's
+               read-modify-write) lands whole at one simulated instant,
+               so a search never sees a partial write.
 
 Transmission is modeled as a fluid queue: the head request drains at the
 uplink's byte rate, completions land mid-interval at exact times, and a
@@ -36,6 +37,7 @@ from .errors import (
     QueueFull,
     SyncTimeout,
 )
+from .scenario import SECTIONS
 from .topology import BYTES_PER_KBPS
 
 SMS_PRIORITY_MAX_BYTES = 1024
@@ -233,7 +235,7 @@ class LazyQueue:
 
 
 class CloudStore:
-    """Cloud-side versioned store with per-key write locks.
+    """Cloud-side versioned store.
 
     apply() is idempotent per request id: a duplicate transmission
     returns the recorded response without re-running the handler.
@@ -250,9 +252,6 @@ class CloudStore:
         self.apply_log: list[tuple[float, str, str, str, int]] = []
         self.apply_attempts: dict[str, int] = {}
         self._responses: dict[str, object] = {}
-        self._locks: set[tuple[str, str]] = set()
-        self._staged: dict[tuple[str, str], bytes] = {}
-        self._blocked: dict[tuple[str, str], list] = {}
 
     def register_handler(self, app_type: str, handler) -> None:
         self.handlers[app_type] = handler
@@ -263,50 +262,13 @@ class CloudStore:
         return self.records.get((app_type, key))
 
     def search(self, app_type: str, match) -> list[tuple[str, Record]]:
-        """Committed snapshot query; locked keys show their last committed
-        version, never staged bytes."""
+        """Committed snapshot query, sorted by key."""
         out = []
         for (t, key), rec in self.records.items():
             if t == app_type and match(key, rec):
                 out.append((key, rec))
         out.sort(key=lambda kv: kv[0])
         return out
-
-    # ----------------------------------------------------------- locking
-
-    def locked(self, app_type: str, key: str) -> bool:
-        return (app_type, key) in self._locks
-
-    def begin_write(self, app_type: str, key: str, payload: bytes) -> None:
-        slot = (app_type, key)
-        if slot in self._locks:
-            raise RuntimeError(f"write lock already held on {slot}")
-        self._locks.add(slot)
-        self._staged[slot] = payload
-
-    def commit_write(self, app_type: str, key: str, at: float) -> Record:
-        slot = (app_type, key)
-        staged = self._staged.pop(slot)
-        old = self.records.get(slot)
-        rec = Record(
-            payload=staged,
-            version=(old.version + 1) if old else 1,
-            updated_at=at,
-        )
-        self.records[slot] = rec
-        self._locks.discard(slot)
-        self._drain_blocked(slot)
-        return rec
-
-    def abort_write(self, app_type: str, key: str) -> None:
-        slot = (app_type, key)
-        self._staged.pop(slot, None)
-        self._locks.discard(slot)
-        self._drain_blocked(slot)
-
-    def _drain_blocked(self, slot) -> None:
-        for args in self._blocked.pop(slot, []):
-            self.apply(*args)
 
     # ----------------------------------------------------------- applying
 
@@ -321,13 +283,6 @@ class CloudStore:
         self.apply_attempts[request_id] = self.apply_attempts.get(request_id, 0) + 1
         if request_id in self._responses:
             return self._responses[request_id]
-        slot = (app_type, key)
-        if key is not None and slot in self._locks:
-            # Queued write waits for the lock holder; it applies on release.
-            self._blocked.setdefault(slot, []).append(
-                (app_type, key, payload, request_id, at)
-            )
-            return None
         handler = self.handlers.get(app_type, CloudStore._upsert)
         self.handler_runs.append((at, app_type, key or "", request_id))
         response = handler(self, app_type, key, payload, request_id, at)
@@ -403,12 +358,18 @@ class MessageBoard:
         return out
 
 
+_SYNC = SECTIONS["sync"]
+
+
 @dataclass
 class SyncConfig:
-    fastget_timeout_s: float = 30.0
-    service_s: float = 0.01
-    queue_capacity: int | None = None
-    message_ttl_s: float | None = None
+    """The ``sync`` scenario section; its defaults are that section's."""
+
+    fastget_timeout_s: float = _SYNC["fastget_timeout_s"]
+    service_s: float = _SYNC["service_s"]
+    service_jitter: float = _SYNC["service_jitter"]
+    queue_capacity: int | None = _SYNC["queue_capacity"]
+    message_ttl_s: float | None = _SYNC["message_ttl_s"]
 
 
 class LocalServer:
@@ -569,7 +530,7 @@ class LocalServer:
         return FastResponse(value=value, at=now + sojourn)
 
     def fastsearch(self, identity: str, app_type: str, match) -> FastResponse:
-        """Immediate committed-snapshot query; write locks never block it."""
+        """Immediate committed-snapshot query."""
         if not self.uplink.is_up():
             raise BackhaulDown(f"node {self.node_id}: uplink is down")
         self.counters["fastsearch"] += 1

@@ -60,9 +60,6 @@ class Node:
     role: Role
     zone: str | None = None
     tx_power_dbm: float = 30.0
-    # Attached by the identity layer at runtime; the graph itself does not
-    # depend on it.
-    local_cache: object | None = None
 
 
 @dataclass(frozen=True)
@@ -148,10 +145,6 @@ class Topology:
             self._nbrs[link.b].append((link.link_id, link.a))
 
     # ------------------------------------------------------------ queries
-
-    def zone_of(self, node_id: int) -> Zone | None:
-        zid = self.nodes[node_id].zone
-        return self.zones[zid] if zid is not None else None
 
     def set_link_state(self, link_id: str, state: LinkState | str) -> None:
         link = self.links.get(link_id)

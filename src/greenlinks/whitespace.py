@@ -394,6 +394,19 @@ def organic_traffic(
     return out
 
 
+def with_volunteers(
+    organic: list[tuple[float, int]],
+    users: int,
+    volunteers: int,
+    period_s: float,
+    until_s: float,
+) -> list[tuple[float, int]]:
+    """The organic trace of ``users`` phones plus the volunteer schedule
+    up to until_s, volunteer v sending as phone users + v, in time order."""
+    extra = volunteer_traffic(volunteers, period_s, until_s)
+    return sorted(organic + [(at, users + v) for at, v in extra])
+
+
 @dataclass
 class DetectionRun:
     detector: Detector
@@ -490,9 +503,7 @@ def compare_ngsm(
     need = groups * (per_group + 10) + 400
     rng = random.Random(seed)
     organic = organic_traffic(users, organic_period_s, need, rng)
-    horizon = organic[-1][0]
     volunteers = round(volunteer_ratio * users)
-    extra = volunteer_traffic(volunteers, volunteer_period_s, horizon)
 
     def classify(trace: list[tuple[float, int]]) -> float:
         det = Detector(config)
@@ -513,9 +524,8 @@ def compare_ngsm(
     t_ngsm = classify(organic)
     if volunteers == 0:
         return t_ngsm, t_ngsm
-    merged = sorted(
-        organic + [(at, users + v) for at, v in extra], key=lambda e: (e[0], e[1])
-    )
+    until_s = organic[-1][0]
+    merged = with_volunteers(organic, users, volunteers, volunteer_period_s, until_s)
     return t_ngsm, classify(merged)
 
 

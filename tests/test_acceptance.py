@@ -15,7 +15,7 @@ from greenlinks import cli
 from greenlinks.apps import Marketplace, Workload
 from greenlinks.errors import GreenLinksError
 from greenlinks.identity import ResolverRing, hash32, resolver_for
-from greenlinks.scenario import generate_tree
+from greenlinks.scenario import SECTIONS, generate_tree
 from greenlinks.simcore import Simulation, identity_latency_bench, monte_carlo
 from greenlinks.whitespace import (
     Detector,
@@ -25,7 +25,7 @@ from greenlinks.whitespace import (
     make_phones,
     organic_traffic,
     run_detection,
-    volunteer_traffic,
+    with_volunteers,
 )
 
 
@@ -165,7 +165,7 @@ def test_criterion_04_queue_interaction():
 
 
 def test_criterion_05_whitespace_detection():
-    defaults = cli.WHITESPACE_DEFAULTS
+    defaults = SECTIONS["whitespace"]
     config = DetectorConfig(
         first_arfcn=1,
         last_arfcn=124,
@@ -182,9 +182,8 @@ def test_criterion_05_whitespace_detection():
     organic_n = int(batches * (users / defaults["organic_period_s"]) / rate) + 50
     organic = organic_traffic(users, defaults["organic_period_s"], organic_n, rng)
     horizon = organic[-1][0]
-    extra = volunteer_traffic(volunteers, defaults["volunteer_period_s"], horizon)
-    merged = sorted(
-        organic + [(at, users + v) for at, v in extra], key=lambda e: (e[0], e[1])
+    merged = with_volunteers(
+        organic, users, volunteers, defaults["volunteer_period_s"], horizon
     )
     detector = Detector(config)
     run = run_detection(

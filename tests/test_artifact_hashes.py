@@ -1,4 +1,4 @@
-"""Hash gate: `simulate` artifacts are pinned byte for byte.
+"""Hash gate: study artifacts are pinned byte for byte.
 
 A change that claims to keep behaviour (a refactor or a speed-up) must
 leave these digests alone.  A change that alters the model on purpose
@@ -6,7 +6,10 @@ updates them and says which artifacts moved and why.
 
 The generated tree runs every draw branch of the availability study:
 node-local, zone-mate and cross-zone destinations, both failure sides,
-and the marketplace workload's sync queue on node 1.
+and the marketplace workload's sync queue on node 1.  The single-run
+`simulate` case covers the path that writes one ledger's rates, and the
+`whitespace` and `idbench` cases cover the shipped scenarios of those
+studies.
 """
 
 import hashlib
@@ -59,7 +62,37 @@ EXPECTED = {
         "latency.csv": "89f4b26808d59286b6eb31bb85b14068998a60d2027f8bcb593c9fa8ad26648d",
         "summary.csv": "fb7f96b98fa4e7d04addc2ad702cc836d52827bd7aea59115c5ba75973b73231",
     },
+    "village_1run": {
+        "metrics.csv": "69dadda72a700ad6f3ff9ab2a5a429688e1ad108fd54ecae88a67c6119070076",
+        "latency.csv": "591b217ec16ef6bc5b9844e1d7311e3a575aaeaaaba2292702c6b61e9776b71c",
+        "summary.csv": "f40f88b182589202e3ba69b8c72b7bda475268ebd2fa2cfdd0c1033dda543f5b",
+    },
 }
+
+STUDY_EXPECTED = {
+    "whitespace_small": (
+        "whitespace",
+        {
+            "occupancy.csv": "9cb74db6865eb7c37266e7cedcea691f03e89dd5d63a5d8dc9829fa4a90e0f46",
+            "ngsm_compare.csv": "379f21894accdedfe3bcde6e3577682a246a57284ea038c72b614012430655b0",
+        },
+    ),
+    "idbench": (
+        "idbench",
+        {
+            "idbench_samples.csv": "710a659585def44a04ca63c12ba49d13e0546313d4327177ce43e9e5c285706a",
+            "idbench_summary.csv": "72f9245ca72e031de07aac89fd3241a705f0f4cef5eebc5545b2f2c138683142",
+        },
+    ),
+}
+
+
+def digests(argv, out, artifacts):
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    return {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in artifacts
+    }
 
 
 def run_case(case, tmp_path):
@@ -67,20 +100,23 @@ def run_case(case, tmp_path):
         scenario = tmp_path / "tree.json"
         scenario.write_text(json.dumps(tree_scenario()))
         extra = ["--runs", "2", "--horizon", "1800", "--seed", "7"]
+    elif case == "village_1run":
+        scenario = SCENARIOS / "village.json"
+        extra = ["--runs", "1", "--seed", "3"]
     else:
         scenario = SCENARIOS / f"{case}.json"
         extra = ["--runs", "2", "--seed", "3"]
-    out = tmp_path / "out"
-    code = cli.main(
-        ["simulate", "--scenario", str(scenario), "--out", str(out), *extra]
-    )
-    assert code == 0
-    return {
-        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-        for name in ARTIFACTS
-    }
+    argv = ["simulate", "--scenario", str(scenario), *extra]
+    return digests(argv, tmp_path / "out", ARTIFACTS)
 
 
 @pytest.mark.parametrize("case", sorted(EXPECTED))
 def test_simulate_artifacts_match_pinned_hashes(case, tmp_path, capsys):
     assert run_case(case, tmp_path) == EXPECTED[case]
+
+
+@pytest.mark.parametrize("case", sorted(STUDY_EXPECTED))
+def test_study_artifacts_match_pinned_hashes(case, tmp_path, capsys):
+    command, expected = STUDY_EXPECTED[case]
+    argv = [command, "--scenario", str(SCENARIOS / f"{case}.json"), "--seed", "3"]
+    assert digests(argv, tmp_path / "out", expected) == expected

@@ -2,6 +2,8 @@
 
 import json
 import re
+import resource
+from pathlib import Path
 
 import pytest
 
@@ -173,6 +175,83 @@ def test_bad_inputs_exit_2(tmp_path, monkeypatch, capsys):
     )
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+def _set(path, value):
+    """An edit that sets scenario[a][b]... = value for path "a.b..."."""
+    *parents, last = path.split(".")
+
+    def edit(scenario):
+        node = scenario
+        for key in parents:
+            node = node.setdefault(key, {})
+        node[last] = value
+
+    return edit
+
+
+def _drop_role(scenario):
+    del scenario["nodes"][1]["role"]
+
+
+MALFORMED = [
+    ("node-without-role", "simulate", _drop_role),
+    ("nodes-not-a-list", "simulate", _set("nodes", 5)),
+    ("traffic-interval-0", "simulate", _set("traffic.interval_s", 0)),
+    ("failures-interval-0", "simulate", _set("failures.interval_s", 0)),
+    ("outage-mean-0", "simulate", _set("failures.outage_mean_s", 0)),
+    ("outage-mean-negative", "simulate", _set("failures.outage_mean_s", -600.0)),
+    ("sell-period-0", "simulate", _set("workload.sell_period_s", 0)),
+    ("buy-period-0", "simulate", _set("workload.buy_period_s", 0)),
+    ("workload-on-missing-node", "simulate", _set("workload.node", 99)),
+    ("load-rps-0", "idbench", _set("identity_bench.load_rps", 0)),
+    ("key-typo", "simulate", _set("traffic.attemps", {"call": 1})),
+    ("unknown-section", "simulate", _set("failure", {"interval_s": 60.0})),
+    ("nested-unknown-key", "simulate", _set("traffic.dest_mix.remote", 0.1)),
+    ("wrong-json-type", "simulate", _set("traffic.attempts.call", "ten")),
+]
+
+
+@pytest.fixture
+def address_space_cap():
+    """Cap this process's address space at 1 GiB above its current size,
+    so that an input the checks let through into an unbounded loop (a
+    zero failure interval did, before validation) ends in MemoryError
+    instead of exhausting the host."""
+    status = Path("/proc/self/status")
+    if not status.exists():
+        yield
+        return
+    vm_kb = next(
+        int(line.split()[1])
+        for line in status.read_text().splitlines()
+        if line.startswith("VmSize:")
+    )
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = vm_kb * 1024 + (1 << 30)
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+@pytest.mark.parametrize(
+    "command, edit", [case[1:] for case in MALFORMED], ids=[c[0] for c in MALFORMED]
+)
+def test_malformed_scenarios_exit_2_without_traceback(
+    tmp_path, capsys, address_space_cap, command, edit
+):
+    scenario = json.loads(Path(sim_scenario(tmp_path)).read_text())
+    edit(scenario)
+    path = write_scenario(tmp_path, "bad.json", scenario)
+    out = tmp_path / "out"
+    assert cli.main([command, "--scenario", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()  # rejected before any study ran
 
 
 def test_runtime_invariant_failures_exit_3(tmp_path, monkeypatch):

@@ -17,6 +17,7 @@ from greenlinks.simcore import (
     TopologyUplink,
     evaluate_dual,
     identity_latency_bench,
+    interval_means,
     monte_carlo,
 )
 from greenlinks.topology import build_topology
@@ -89,7 +90,7 @@ def test_dual_scoring_matches_the_hand_scored_trace():
     assert ledger.overall("cse") == pytest.approx(1 / 3)
     assert ledger.overall("vde") == 0.0
     assert ledger.overall("cde") == pytest.approx(1 / 2)
-    rows = ledger.csv_rows()
+    rows = interval_means([ledger])
     assert rows[0] == (0, 0.0, 0.5, 0.0, 0.0, 0.0, 1.0)
     assert rows[1] == (1, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0)
     assert rows[2] == (2, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
@@ -136,16 +137,20 @@ def test_simulated_traces_pass_the_causality_check():
 
 
 def test_interval_counts_match_the_traffic_section():
-    scenario = generate_tree(2, 1)
-    scenario["traffic"] = {
-        "interval_s": 50.0,
-        "attempts": {"call": 4, "sms": 2, "data": 0},
-    }
-    result = Simulation(scenario, seed=1).run(200.0)
-    attempted, dropped = result.ledger.totals()
-    assert attempted == {"call": 16, "sms": 8}
-    assert dropped == {}  # nothing ever failed
-    assert len(result.ledger.intervals) == 4
+    # (horizon, interval, whole intervals); traffic and scoring agree on
+    # the count even when the interval does not divide the horizon
+    for horizon, interval, n in ((200.0, 50.0, 4), (100.0, 60.0, 1)):
+        scenario = generate_tree(2, 1)
+        scenario["traffic"] = {
+            "interval_s": interval,
+            "attempts": {"call": 4, "sms": 2, "data": 0},
+        }
+        result = Simulation(scenario, seed=1).run(horizon)
+        attempted, dropped = result.ledger.totals()
+        assert attempted == {"call": 4 * n, "sms": 2 * n}
+        assert dropped == {}  # nothing ever failed
+        assert len(result.ledger.intervals) == n
+        assert all(iv.attempted for iv in result.ledger.intervals)
 
 
 def test_traffic_needs_a_finite_horizon():
@@ -162,7 +167,7 @@ def test_runs_are_reproducible_per_seed():
     a = Simulation(scenario, seed=42).run(900.0)
     b = Simulation(scenario, seed=42).run(900.0)
     assert a.trace.events == b.trace.events
-    assert a.ledger.csv_rows() == b.ledger.csv_rows()
+    assert interval_means([a.ledger]) == interval_means([b.ledger])
     c = Simulation(scenario, seed=43).run(900.0)
     assert c.trace.events != a.trace.events
 

@@ -220,16 +220,15 @@ def test_fastget_fails_fast_when_down_and_on_timeout():
     assert server.store.get("kv", "k") is None
 
 
-def test_fastsearch_reads_committed_state_despite_locks():
+def test_fastsearch_reads_committed_state():
     server, _, _ = edge_server()
     store = server.store
     store.apply("kv", "k", b"old", "r1", 1.0)
-    store.begin_write("kv", "k", b"staged")
     resp = server.fastsearch("u", "kv", lambda k, r: True)
     assert [(k, r.payload) for k, r in resp.value] == [("k", b"old")]
-    store.commit_write("kv", "k", 2.0)
+    store.apply("kv", "k", b"new", "r2", 2.0)
     resp = server.fastsearch("u", "kv", lambda k, r: True)
-    assert resp.value[0][1].payload == b"staged"
+    assert resp.value[0][1].payload == b"new"
 
 
 # ------------------------------------------------------------- cloud store
@@ -245,39 +244,6 @@ def test_apply_is_idempotent_per_request_id():
     assert len(store.handler_runs) == 2
     assert store.get("kv", "k").version == 2  # replay changed nothing
     assert store.applied_once()
-
-
-def test_locked_key_queues_applies_until_commit():
-    store = CloudStore()
-    store.apply("kv", "k", b"v1", "r1", 1.0)
-    store.begin_write("kv", "k", b"v2")
-    assert store.locked("kv", "k")
-    assert store.apply("kv", "k", b"v3", "r2", 2.0) is None
-    assert len(store.handler_runs) == 1  # r2 parked, not run
-    store.commit_write("kv", "k", 5.0)
-    # commit wrote v2 (version 2), then the parked write ran on top
-    assert [rid for _, _, _, rid in store.handler_runs] == ["r1", "r2"]
-    rec = store.get("kv", "k")
-    assert rec.payload == b"v3" and rec.version == 3
-    assert not store.locked("kv", "k")
-
-
-def test_abort_discards_staged_but_releases_the_queue():
-    store = CloudStore()
-    store.begin_write("kv", "k", b"staged")
-    store.apply("kv", "k", b"queued", "r1", 1.0)
-    store.abort_write("kv", "k")
-    rec = store.get("kv", "k")
-    assert rec.payload == b"queued" and rec.version == 1
-    with pytest.raises(RuntimeError):
-        store.begin_write("kv", "x", b"1")
-        store.begin_write("kv", "x", b"2")
-
-
-def test_unkeyed_applies_ignore_locks():
-    store = CloudStore()
-    store.begin_write("kv", "k", b"staged")
-    assert store.apply("kv", None, b"v", "r1", 1.0) == {"ok": True, "version": 1}
 
 
 # ----------------------------------------------------------------- mailbox
