@@ -388,7 +388,8 @@ class Workload:
         engine.on("wl_buy", self._on_buy)
         engine.on("wl_file", self._on_file)
 
-    def schedule(self) -> None:
+    def schedule(self, horizon: float | None = None) -> None:
+        """Queue SELLs and BUYs before until_s, and all events before horizon."""
         cfg = self.cfg
         for i in range(cfg["sellers"]):
             imsi = f"23320000000{i:04d}"
@@ -399,7 +400,7 @@ class Workload:
             self.sim.identity.issue_identity(self.node, imsi)
             self.buyers.append(imsi)
         engine = self.sim.engine
-        until = cfg["until_s"]
+        until = cfg["until_s"] if horizon is None else min(cfg["until_s"], horizon)
         for i, seller in enumerate(self.sellers):
             t = cfg["sell_period_s"] * i / max(1, len(self.sellers))
             while t < until:
@@ -411,7 +412,8 @@ class Workload:
                 engine.schedule(t, "wl_buy", buyer=buyer)
                 t += cfg["buy_period_s"]
         for k in range(cfg["file_count"]):
-            engine.schedule(k * cfg["file_period_s"], "wl_file", index=k)
+            if horizon is None or k * cfg["file_period_s"] < horizon:
+                engine.schedule(k * cfg["file_period_s"], "wl_file", index=k)
 
     # ------------------------------------------------------------ events
 

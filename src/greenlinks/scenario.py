@@ -3,9 +3,10 @@
 A scenario is a JSON mapping.  ``nodes``/``zones``/``links``/``bonded``
 describe the world graph (see topology.build_topology); the optional
 sections in SECTIONS parameterize the runtime.  Missing keys fall back to
-the section's defaults, so a scenario only states what it changes.  The
-defaults are also the schema: an unknown section or key, or a value whose
-JSON type differs from its default's, is a ScenarioError.
+the section's defaults, and a missing key of a world-graph entry to its
+TOPOLOGY template, so a scenario only states what it changes.  Both are
+also the schema: an unknown section or key, a missing required key, or a
+value whose JSON type differs from its default's, is a ScenarioError.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ SECTIONS = {
     },
 }
 
-# Range rules.  Every number in a section is finite and not negative, and
+# Range rules.  Every number in a scenario is finite and not negative, and
 # these must also be nonzero: the runtime steps a clock by them (an
 # unbounded loop at 0) or divides by them.
 POSITIVE = {
@@ -89,22 +90,33 @@ POSITIVE = {
     "whitespace.organic_period_s",
     "whitespace.volunteer_period_s",
     "identity_bench.load_rps",
+    "links.bandwidth_kbps",
 }
 # Mapping-valued keys that null switches off.
 NULLABLE = {"whitespace.ngsm"}
-# Topology lists and the keys each of their entries must have;
-# build_topology checks the values.
+# World-graph lists: the template each entry is checked against and merged
+# over.  A key in REQUIRED must be given; the template's value only shows
+# its type.  An empty link id or profile means none.
 TOPOLOGY = {
-    "nodes": ["id", "role"],
-    "zones": ["id", "nodes", "prefix"],
-    "links": ["a", "b"],
-    "bonded": [],
+    "nodes": [{"id": 0, "role": "cloud"}],
+    "zones": [{"id": "", "nodes": [0], "gateway": 0, "prefix": ""}],
+    "links": [
+        {"id": "", "a": 0, "b": 0, "profile": "", "bandwidth_kbps": None,
+         "latency_ms": None, "state": "up"}
+    ],
+    "bonded": [{"members": [""], "mode": "active_backup"}],
+}
+REQUIRED = {
+    "nodes.id", "nodes.role", "zones.id", "zones.nodes", "zones.gateway",
+    "zones.prefix", "links.a", "links.b", "bonded.members",
+    "identity_bench.models.model", "identity_bench.models.servers",
 }
 
 
-def _check(where: str, default, value) -> None:
-    """Raise ScenarioError unless value fits the shape of default."""
-    if value is None and (default is None or where in NULLABLE):
+def _check(path: str, default, value, where: str) -> None:
+    """Raise ScenarioError unless value fits the shape of default.  path
+    names the key in the rule sets; where adds list indices for messages."""
+    if value is None and (default is None or path in NULLABLE):
         return
     if isinstance(default, dict):
         if not isinstance(value, dict):
@@ -112,15 +124,15 @@ def _check(where: str, default, value) -> None:
         for key, item in value.items():
             if key not in default:
                 raise ScenarioError(f"{where}: unknown key {key!r}")
-            _check(f"{where}.{key}", default[key], item)
+            _check(f"{path}.{key}", default[key], item, f"{where}.{key}")
+        for key in default:
+            if key not in value and f"{path}.{key}" in REQUIRED:
+                raise ScenarioError(f"{where} needs the key {key!r}")
     elif isinstance(default, list):
         if not isinstance(value, list):
             raise ScenarioError(f"{where} must be a list")
-        template = default[0]
         for i, item in enumerate(value):
-            _check(f"{where}[{i}]", template, item)
-            if isinstance(template, dict) and item.keys() != template.keys():
-                raise ScenarioError(f"{where}[{i}] needs the keys {sorted(template)}")
+            _check(path, default[0], item, f"{where}[{i}]")
     elif isinstance(default, str):
         if not isinstance(value, str):
             raise ScenarioError(f"{where} must be a string")
@@ -131,7 +143,7 @@ def _check(where: str, default, value) -> None:
             raise ScenarioError(f"{where} must be {noun}")
         if not math.isfinite(value) or value < 0:
             raise ScenarioError(f"{where} must be a finite number >= 0")
-        if where in POSITIVE and value == 0:
+        if path in POSITIVE and value == 0:
             raise ScenarioError(f"{where} must be > 0")
 
 
@@ -140,30 +152,38 @@ def section(name: str, override: dict | None = None) -> dict:
     section, None when absent) merged in, one level deep, after checking
     it against them."""
     override = {} if override is None else override
-    _check(name, SECTIONS[name], override)
+    _check(name, SECTIONS[name], override, name)
     out = copy.deepcopy(SECTIONS[name])
     for key, value in override.items():
         if isinstance(value, dict) and isinstance(out[key], dict):
             out[key].update(value)
         else:
             out[key] = value
+    if name == "whitespace" and out["band"]["first"] > out["band"]["last"]:
+        raise ScenarioError("whitespace.band is empty: first > last")
+    return out
+
+
+def world(scenario: dict) -> dict[str, list[dict]]:
+    """The scenario's world-graph lists, checked against TOPOLOGY, with
+    every entry merged over its template."""
+    out = {}
+    for key, template in TOPOLOGY.items():
+        entries = scenario.get(key, [])
+        _check(key, template, entries, key)
+        out[key] = [{**template[0], **entry} for entry in entries]
     return out
 
 
 def check_scenario(scenario: dict) -> None:
-    """Raise ScenarioError for an unknown section, a malformed topology
-    list or a section that does not fit its defaults."""
+    """Raise ScenarioError for an unknown section or for a section or
+    world-graph entry that does not fit its schema."""
     for key, value in scenario.items():
         if key in SECTIONS:
             section(key, value)
-        elif key in TOPOLOGY:
-            if not isinstance(value, list):
-                raise ScenarioError(f"{key} must be a list")
-            for i, entry in enumerate(value):
-                if not isinstance(entry, dict) or not entry.keys() >= set(TOPOLOGY[key]):
-                    raise ScenarioError(f"{key}[{i}] must be an object with {TOPOLOGY[key]}")
-        else:
+        elif key not in TOPOLOGY:
             raise ScenarioError(f"unknown section {key!r}")
+    world(scenario)
 
 
 def load_scenario(path: str | Path) -> dict:

@@ -138,12 +138,7 @@ class MetricsLedger:
         return attempted, dropped
 
     def overall(self, metric: str) -> float:
-        service, arch = METRICS[metric]
-        attempted, dropped = self.totals()
-        n = attempted.get(service, 0)
-        if n == 0:
-            return 0.0
-        return dropped.get((service, arch), 0) / n
+        return IntervalCounts(-1, *self.totals()).rate(*METRICS[metric])
 
 
 def interval_means(ledgers: list[MetricsLedger]) -> list[tuple]:
@@ -569,13 +564,13 @@ def replicate(
     priority_queue: bool = False,
 ) -> list[RunResult]:
     """Independent replications; run i uses seed base_seed + i.  A
-    ``workload`` section is scheduled before the run schedules its
-    traffic and failures, and every run drains its backlog."""
+    ``workload`` section is scheduled, up to the horizon, before the run
+    schedules its traffic and failures, and every run drains its backlog."""
     results = []
     for i in range(runs):
         sim = Simulation(scenario, seed=base_seed + i, priority_queue=priority_queue)
         if "workload" in scenario:
-            Workload(sim, scenario["workload"]).schedule()
+            Workload(sim, scenario["workload"]).schedule(horizon)
         results.append(sim.run(horizon, drain=True))
     return results
 

@@ -25,6 +25,7 @@ from .errors import (
     ScenarioError,
     UnknownLink,
 )
+from .scenario import world
 
 
 class Role(str, Enum):
@@ -59,13 +60,12 @@ class Node:
     node_id: int
     role: Role
     zone: str | None = None
-    tx_power_dbm: float = 30.0
 
 
 @dataclass(frozen=True)
 class Zone:
     zone_id: str
-    node_ids: tuple[int, ...]
+    node_ids: list[int]
     gateway: int
     prefix: str
 
@@ -78,7 +78,6 @@ class Link:
     bandwidth_kbps: float
     latency_ms: float
     state: LinkState = LinkState.UP
-    profile: str = "custom"
 
     def other(self, node_id: int) -> int:
         return self.b if node_id == self.a else self.a
@@ -238,32 +237,33 @@ def _prefixes_overlap(p: str, q: str) -> bool:
     return longer[: len(shorter)] == shorter
 
 
-def build_topology(config: dict) -> Topology:
-    """Validate a scenario mapping and build the world graph.
+def _member(kind: type[Enum], value: str, what: str):
+    try:
+        return kind(value)
+    except ValueError:
+        raise ScenarioError(f"{what} {value!r}") from None
 
-    Rules enforced here: unique node ids, exactly one cloud node, every
-    non-cloud node in exactly one zone, each zone's gateway a member,
-    disjoint zone prefixes, link endpoints that exist, and level-3 nodes
-    attached through some level-2 parent.
+
+def build_topology(config: dict) -> Topology:
+    """Check a scenario mapping's world graph and build it.
+
+    scenario.world checks each entry on its own and fills its defaults.
+    The rules here span entries or name a member of a fixed set: unique
+    ids, exactly one cloud node, every non-cloud node in exactly one zone,
+    each zone's gateway a member, disjoint zone prefixes, link endpoints
+    that exist, level-3 nodes attached through some level-2 parent, and
+    known roles, profiles, link states and bond modes.
     """
-    raw_nodes = config.get("nodes", [])
-    if not raw_nodes:
+    graph = world(config)
+    if not graph["nodes"]:
         raise ScenarioError("scenario defines no nodes")
 
     nodes: dict[int, Node] = {}
-    for entry in raw_nodes:
+    for entry in graph["nodes"]:
         nid = entry["id"]
         if nid in nodes:
             raise DuplicateNodeId(f"node id {nid} appears twice")
-        try:
-            role = Role(entry["role"])
-        except ValueError:
-            raise ScenarioError(f"node {nid}: unknown role {entry['role']!r}")
-        nodes[nid] = Node(
-            node_id=nid,
-            role=role,
-            tx_power_dbm=float(entry.get("tx_power_dbm", 30.0)),
-        )
+        nodes[nid] = Node(nid, _member(Role, entry["role"], f"node {nid}: unknown role"))
 
     clouds = [n for n in nodes.values() if n.role is Role.CLOUD]
     if len(clouds) != 1:
@@ -272,13 +272,13 @@ def build_topology(config: dict) -> Topology:
         )
 
     zones: dict[str, Zone] = {}
-    for entry in config.get("zones", []):
-        zid = entry["id"]
+    for entry in graph["zones"]:
+        zid, members, gateway, prefix = (
+            entry["id"], entry["nodes"], entry["gateway"], entry["prefix"]
+        )
         if zid in zones:
             raise ScenarioError(f"zone id {zid!r} appears twice")
-        members = tuple(entry["nodes"])
-        gateway = entry.get("gateway")
-        if gateway is None or gateway not in members:
+        if gateway not in members:
             raise MissingGateway(f"zone {zid!r} has no gateway among its nodes")
         for nid in members:
             if nid not in nodes:
@@ -288,7 +288,6 @@ def build_topology(config: dict) -> Topology:
             if nodes[nid].zone is not None:
                 raise ScenarioError(f"node {nid} belongs to more than one zone")
             nodes[nid].zone = zid
-        prefix = str(entry["prefix"])
         for other in zones.values():
             if _prefixes_overlap(prefix, other.prefix):
                 raise OverlappingPrefix(
@@ -301,38 +300,27 @@ def build_topology(config: dict) -> Topology:
             raise ScenarioError(f"node {node.node_id} belongs to no zone")
 
     links: dict[str, Link] = {}
-    for i, entry in enumerate(config.get("links", [])):
-        link_id = str(entry.get("id", f"l{i}"))
+    for i, entry in enumerate(graph["links"]):
+        link_id = entry["id"] or f"l{i}"
         if link_id in links:
             raise ScenarioError(f"link id {link_id!r} appears twice")
-        a, b = entry["a"], entry["b"]
+        a, b, profile = entry["a"], entry["b"], entry["profile"]
         if a not in nodes or b not in nodes:
             raise DanglingLinkEndpoint(f"link {link_id!r} references a missing node")
         if a == b:
             raise ScenarioError(f"link {link_id!r} is a self-loop")
-        profile = entry.get("profile")
-        if profile is not None:
-            if profile not in LINK_PROFILES:
-                raise ScenarioError(f"link {link_id!r}: unknown profile {profile!r}")
-            bw, lat = LINK_PROFILES[profile]
-        else:
-            bw, lat = None, None
-            profile = "custom"
-        bw = float(entry.get("bandwidth_kbps", bw if bw is not None else 0.0))
-        lat = float(entry.get("latency_ms", lat if lat is not None else 0.0))
-        if bw <= 0:
-            raise ScenarioError(f"link {link_id!r} needs positive bandwidth")
-        if lat < 0:
-            raise ScenarioError(f"link {link_id!r} has negative latency")
-        links[link_id] = Link(
-            link_id=link_id,
-            a=a,
-            b=b,
-            bandwidth_kbps=bw,
-            latency_ms=lat,
-            state=LinkState(entry.get("state", "up")),
-            profile=profile,
-        )
+        if profile and profile not in LINK_PROFILES:
+            raise ScenarioError(f"link {link_id!r}: unknown profile {profile!r}")
+        # Explicit bandwidth and latency override the profile's.
+        bw, lat = LINK_PROFILES[profile] if profile else (None, 0.0)
+        if entry["bandwidth_kbps"] is not None:
+            bw = entry["bandwidth_kbps"]
+        if entry["latency_ms"] is not None:
+            lat = entry["latency_ms"]
+        if bw is None:
+            raise ScenarioError(f"link {link_id!r} needs a profile or bandwidth_kbps")
+        state = _member(LinkState, entry["state"], f"link {link_id!r}: unknown state")
+        links[link_id] = Link(link_id, a, b, bw, lat, state)
 
     level2_ids = {n.node_id for n in nodes.values() if n.role is Role.LEVEL2}
     has_level2_neighbour = set()
@@ -348,19 +336,13 @@ def build_topology(config: dict) -> Topology:
             )
 
     bonds: list[BondedBackhaul] = []
-    for entry in config.get("bonded", []):
-        member_ids = entry.get("members", [])
-        if not member_ids:
+    for entry in graph["bonded"]:
+        if not entry["members"]:
             raise ScenarioError("bonded backhaul needs at least one member link")
-        members = []
-        for lid in member_ids:
+        for lid in entry["members"]:
             if lid not in links:
                 raise ScenarioError(f"bonded backhaul references unknown link {lid!r}")
-            members.append(links[lid])
-        try:
-            mode = BondMode(entry.get("mode", "active_backup"))
-        except ValueError:
-            raise ScenarioError(f"unknown bond mode {entry['mode']!r}")
-        bonds.append(BondedBackhaul(members=members, mode=mode))
+        mode = _member(BondMode, entry["mode"], "unknown bond mode")
+        bonds.append(BondedBackhaul([links[lid] for lid in entry["members"]], mode))
 
     return Topology(nodes, zones, links, bonds)

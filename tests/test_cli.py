@@ -121,6 +121,16 @@ def test_simulate_multi_run_aggregates(tmp_path, capsys):
     assert prefixes == {"r0", "r1", "r2"}
 
 
+def test_simulate_horizon_bounds_the_workload(tmp_path):
+    out = tmp_path / "out"
+    scenario = str(Path(__file__).parents[1] / "scenarios" / "market_edge.json")
+    argv = ["simulate", "--scenario", scenario, "--horizon", "300", "--out", str(out)]
+    assert cli.main(argv) == 0
+    header, rows = read_rows(out / "latency.csv")
+    enqueued = [float(r[header.index("enqueued_at")]) for r in rows]
+    assert enqueued and max(enqueued) <= 300.0
+
+
 def run_simulate(tmp_path, out_name, extra):
     out = tmp_path / out_name
     code = cli.main(
@@ -178,13 +188,14 @@ def test_bad_inputs_exit_2(tmp_path, monkeypatch, capsys):
 
 
 def _set(path, value):
-    """An edit that sets scenario[a][b]... = value for path "a.b..."."""
-    *parents, last = path.split(".")
+    """An edit that sets scenario[a][b]... = value for path "a.b...";
+    a numeric label indexes a list."""
+    *parents, last = [int(k) if k.isdigit() else k for k in path.split(".")]
 
     def edit(scenario):
         node = scenario
         for key in parents:
-            node = node.setdefault(key, {})
+            node = node[key] if isinstance(key, int) else node.setdefault(key, {})
         node[last] = value
 
     return edit
@@ -209,6 +220,20 @@ MALFORMED = [
     ("unknown-section", "simulate", _set("failure", {"interval_s": 60.0})),
     ("nested-unknown-key", "simulate", _set("traffic.dest_mix.remote", 0.1)),
     ("wrong-json-type", "simulate", _set("traffic.attempts.call", "ten")),
+    # The world graph, on generate_tree(1, 1): nodes 0-2, links b0 and z0n0.
+    ("zone-nodes-not-a-list", "simulate", _set("zones.0.nodes", 5)),
+    ("link-state-unknown", "simulate", _set("links.0.state", "sideways")),
+    ("node-id-a-list", "simulate", _set("nodes.0.id", [1])),
+    ("link-end-a-list", "simulate", _set("links.0.a", [0])),
+    ("bandwidth-a-string", "simulate", _set("links.0.bandwidth_kbps", "x")),
+    ("tx-power-a-string", "simulate", _set("nodes.1.tx_power_dbm", "x")),
+    ("bonded-members-not-a-list", "simulate", _set("bonded", [{"members": 5}])),
+    ("link-key-typo", "simulate", _set("links.0.bandwith_kbps", 100.0)),
+    ("bandwidth-nan", "simulate", _set("links.0.bandwidth_kbps", float("nan"))),
+    ("latency-infinite", "simulate", _set("links.0.latency_ms", float("inf"))),
+    ("zone-prefix-a-number", "simulate", _set("zones.0.prefix", 5)),
+    ("link-id-a-list", "simulate", _set("links.0.id", [])),
+    ("whitespace-band-empty", "whitespace", _set("whitespace.band", {"first": 10, "last": 2})),
 ]
 
 

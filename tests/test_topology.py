@@ -145,6 +145,50 @@ def test_build_rejects_cloud_inside_zone_and_bad_link_params():
         build_topology(cfg)
 
 
+def test_explicit_bandwidth_and_latency_override_the_profile():
+    cfg = generate_tree(1, 1, backhaul_profile="edge")
+    cfg["links"][0]["bandwidth_kbps"] = 500
+    cfg["links"][1]["latency_ms"] = 0
+    topo = build_topology(cfg)
+    assert topo.path_metrics([topo.links["b0"]]) == (500, 0.3)  # edge latency
+    assert topo.path_metrics([topo.links["z0n0"]]) == (2000.0, 0.0)  # hsdpa rate
+    del cfg["links"][0]["profile"]
+    assert build_topology(cfg).links["b0"].latency_ms == 0.0
+    del cfg["links"][0]["bandwidth_kbps"]
+    with pytest.raises(ScenarioError, match="profile or bandwidth_kbps"):
+        build_topology(cfg)
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 8)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from(["", "up", "down", "level2", "edge", "load_balance", "b0", "10.1"])
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=2),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), value=JSON_VALUES)
+def test_any_one_topology_edit_builds_or_raises_scenario_error(data, value):
+    # One value of generate_tree(2, 2) plus a bond replaced, or one key
+    # added, with arbitrary JSON: the build either succeeds or raises
+    # ScenarioError, never anything else.
+    cfg = generate_tree(2, 2)
+    cfg["bonded"] = [{"members": ["b0", "b1"], "mode": "load_balance"}]
+    name = data.draw(st.sampled_from(["nodes", "zones", "links", "bonded"]))
+    entry = data.draw(st.sampled_from(cfg[name]))
+    extra = ["extra", "gateway", "profile", "bandwidth_kbps", "latency_ms", "state", "mode"]
+    entry[data.draw(st.sampled_from(sorted(entry) + extra))] = value
+    try:
+        build_topology(cfg)
+    except ScenarioError:
+        pass
+
+
 @given(
     p=st.lists(st.integers(0, 3), min_size=1, max_size=3),
     q=st.lists(st.integers(0, 3), min_size=1, max_size=3),
