@@ -35,6 +35,8 @@ from .scenario import section
 from .sync import LocalServer
 
 SMS_LIMIT = 140
+# A recording plays from the local spool for this long after it was made.
+SESSION_WINDOW_S = 600.0
 
 
 # ------------------------------------------------------------- sms grammar
@@ -67,20 +69,20 @@ def parse_command(text: str) -> dict:
     raise ScenarioError(f"unknown command {parts[0]!r}")
 
 
-def chunk_sms(text: str, limit: int = SMS_LIMIT) -> list[str]:
+def chunk_sms(text: str) -> list[str]:
     """Split result text into SMS-sized chunks on line boundaries where
     possible, hard-wrapping lines longer than one SMS."""
     chunks: list[str] = []
     current = ""
     for line in text.splitlines():
-        while len(line) > limit:
+        while len(line) > SMS_LIMIT:
             if current:
                 chunks.append(current)
                 current = ""
-            chunks.append(line[:limit])
-            line = line[limit:]
+            chunks.append(line[:SMS_LIMIT])
+            line = line[SMS_LIMIT:]
         candidate = line if not current else current + "\n" + line
-        if len(candidate) <= limit:
+        if len(candidate) <= SMS_LIMIT:
             current = candidate
         else:
             chunks.append(current)
@@ -259,9 +261,8 @@ class Playback:
 class VoiceBoard:
     """Community voice messages with a short-lived local session spool."""
 
-    def __init__(self, local: LocalServer, session_window_s: float = 600.0):
+    def __init__(self, local: LocalServer):
         self.local = local
-        self.window = session_window_s
         self._session: list[dict] = []
         self._seq = 0
         local.store.handlers.setdefault("voice", voice_handler)
@@ -292,7 +293,7 @@ class VoiceBoard:
         search plus one fetch against the cloud."""
         now = self.local.clock()
         self._session = [
-            m for m in self._session if now - m["recorded_at"] <= self.window
+            m for m in self._session if now - m["recorded_at"] <= SESSION_WINDOW_S
         ]
         if self._session:
             latest = max(self._session, key=lambda m: m["recorded_at"])
@@ -343,7 +344,7 @@ class FarmMapper:
         self.local = local
         self._seq = 0
 
-    def upload_farm(self, surveyor: str, waypoints, meta: str = ""):
+    def upload_farm(self, surveyor: str, waypoints):
         if len(waypoints) < 3:
             raise InvalidTrace("a boundary needs at least three waypoints")
         for point in waypoints:

@@ -169,24 +169,24 @@ def cmd_whitespace(args) -> int:
 
     band = cfg["band"]
     det_config = DetectorConfig(
-        first_arfcn=int(band["first"]),
-        last_arfcn=int(band["last"]),
-        n_free=int(cfg["n_free"]),
-        t_free_s=float(cfg["t_free_s"]),
-        evidence_ttl_s=float(cfg["evidence_ttl_s"]),
+        first_arfcn=band["first"],
+        last_arfcn=band["last"],
+        n_free=cfg["n_free"],
+        t_free_s=cfg["t_free_s"],
+        evidence_ttl_s=cfg["evidence_ttl_s"],
     )
     channels = det_config.last_arfcn - det_config.first_arfcn + 1
     truth = [a for a in cfg["truth_occupied"] if det_config.first_arfcn <= a <= det_config.last_arfcn]
     detector = Detector(det_config)
-    users = int(cfg["users"])
-    volunteers = int(cfg["volunteers"])
+    users = cfg["users"]
+    volunteers = cfg["volunteers"]
     converged = None
     collisions = 0
     if users + volunteers == 0:
         print("warning: no reporting traffic; the whole band stays unknown", file=sys.stderr)
     else:
         rng = random.Random(seed)
-        field_model = RadioField.place(truth, rng, radius=float(cfg["radius"]))
+        field_model = RadioField.place(truth, rng, radius=cfg["radius"])
         phones = make_phones(users + volunteers, rng)
         rate = users / cfg["organic_period_s"] + (
             volunteers / cfg["volunteer_period_s"] if volunteers else 0.0
@@ -231,10 +231,9 @@ def cmd_whitespace(args) -> int:
                 t_ngsm, t_vol = compare_ngsm(
                     users_n,
                     ratio,
-                    users_n,
                     seed=seed,
-                    organic_period_s=float(cfg["organic_period_s"]),
-                    volunteer_period_s=float(cfg["volunteer_period_s"]),
+                    organic_period_s=cfg["organic_period_s"],
+                    volunteer_period_s=cfg["volunteer_period_s"],
                 )
                 compare_rows.append(
                     (users_n, ratio, t_ngsm / 60.0, t_vol / 60.0)
@@ -260,11 +259,11 @@ def cmd_idbench(args) -> int:
     for spec in cfg["models"]:
         bench = identity_latency_bench(
             spec["model"],
-            int(spec["servers"]),
-            float(cfg["load_rps"]),
-            duration_s=float(cfg["duration_s"]),
-            service_s=float(cfg["service_s"]),
-            latency_s=float(cfg["latency_s"]),
+            spec["servers"],
+            cfg["load_rps"],
+            duration_s=cfg["duration_s"],
+            service_s=cfg["service_s"],
+            latency_s=cfg["latency_s"],
             seed=seed,
         )
         for i, sample in enumerate(bench.samples):

@@ -138,10 +138,8 @@ def resolver_for(ring: ResolverRing, value: UserIdentity | str) -> int:
 class EgressAllocator:
     """Pool of external numbers handed to global identities."""
 
-    def __init__(self, pool: list[str] | int = 32):
-        if isinstance(pool, int):
-            pool = [f"+1555{2000000 + i:07d}" for i in range(pool)]
-        self._free = list(pool)
+    def __init__(self, pool: int = 32):
+        self._free = [f"+1555{2000000 + i:07d}" for i in range(pool)]
         self.assigned: dict[str, str] = {}
 
     def allocate(self, imsi: str) -> str:
@@ -300,17 +298,10 @@ class IdentityService:
     which operations stay local.
     """
 
-    def __init__(
-        self,
-        topology: Topology,
-        *,
-        egress: EgressAllocator | None = None,
-        clock=None,
-    ):
+    def __init__(self, topology: Topology, *, clock=None):
         self.topology = topology
-        self.egress = egress or EgressAllocator()
         prefixes = {z.zone_id: z.prefix for z in topology.zones.values()}
-        self.registry = CloudRegistry(prefixes, self.egress)
+        self.registry = CloudRegistry(prefixes, EgressAllocator())
         self.clock = clock or (lambda: 0.0)
         self.counters = {"cloud_messages": 0, "handovers": 0, "external_routes": 0}
         self.pending: list[_Pending] = []
@@ -463,10 +454,10 @@ class IdentityService:
 
         Returns the number of entries dropped.  Costs one cloud message
         when the backhaul is up and there was anything to reconcile.
+        Queued issuance is not completed here; flush_pending does that.
         """
         if not self._cloud_up(node_id):
             return 0
-        self.flush_pending()
         cache = self.caches[node_id]
         dropped = 0
         for entry in cache.entries():

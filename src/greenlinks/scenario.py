@@ -94,6 +94,12 @@ POSITIVE = {
 }
 # Mapping-valued keys that null switches off.
 NULLABLE = {"whitespace.ngsm"}
+# Shares of one whole: after the merge each must sum to 1.  The draws read
+# all but the last key and take that one as the complement.
+MIXES = {
+    "traffic": ("dest_mix", "level_share"),
+    "failures": ("target_mix",),
+}
 # World-graph lists: the template each entry is checked against and merged
 # over.  A key in REQUIRED must be given; the template's value only shows
 # its type.  An empty link id or profile means none.
@@ -159,6 +165,10 @@ def section(name: str, override: dict | None = None) -> dict:
             out[key].update(value)
         else:
             out[key] = value
+    for key in MIXES.get(name, ()):
+        total = sum(out[key].values())
+        if not math.isclose(total, 1.0, abs_tol=1e-9):
+            raise ScenarioError(f"{name}.{key} must sum to 1, not {total:g}")
     if name == "whitespace" and out["band"]["first"] > out["band"]["last"]:
         raise ScenarioError("whitespace.band is empty: first > last")
     return out

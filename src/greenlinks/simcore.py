@@ -503,13 +503,12 @@ class Simulation:
 
     # --------------------------------------------------------------- run
 
-    def run(self, horizon: float | None = None, *, drain: bool = False) -> RunResult:
-        """Schedule the scenario's own sections and process events.
-
-        horizon None runs to quiescence (everything already scheduled,
-        plus whatever those events schedule).  drain=True processes the
-        backlog left after a finite horizon: queued transfers, restores
-        and deliveries run to completion, new traffic does not start.
+    def run(self, horizon: float | None = None) -> RunResult:
+        """Schedule the scenario's own sections up to the horizon and
+        process events to quiescence: the backlog left at a finite
+        horizon (queued transfers, restores and deliveries) runs to
+        completion, but no new traffic or failure draw starts after it.
+        horizon None needs a scenario without those sections.
         """
         sc = self.scenario
         tcfg = section("traffic", sc["traffic"]) if "traffic" in sc else None
@@ -530,9 +529,7 @@ class Simulation:
                     cloud_share=fcfg["target_mix"]["cloud"],
                 )
                 t += fcfg["interval_s"]
-        self.engine.run_until(horizon)
-        if drain or horizon is None:
-            self.engine.run_until(None)
+        self.engine.run_until(None)
         effective = horizon if horizon is not None else self.engine.now
         trace = RunTrace(
             topology=self.topology,
@@ -565,13 +562,13 @@ def replicate(
 ) -> list[RunResult]:
     """Independent replications; run i uses seed base_seed + i.  A
     ``workload`` section is scheduled, up to the horizon, before the run
-    schedules its traffic and failures, and every run drains its backlog."""
+    schedules its traffic and failures."""
     results = []
     for i in range(runs):
         sim = Simulation(scenario, seed=base_seed + i, priority_queue=priority_queue)
         if "workload" in scenario:
             Workload(sim, scenario["workload"]).schedule(horizon)
-        results.append(sim.run(horizon, drain=True))
+        results.append(sim.run(horizon))
     return results
 
 
@@ -655,7 +652,6 @@ def identity_latency_bench(
     service_s: float = 0.01,
     latency_s: float = 0.1,
     seed: int = 0,
-    ring_seed: int = 0,
 ) -> BenchResult:
     """Lookup latency under load: one shared Poisson arrival stream,
     routed to a single directory server (central) or sharded over a
@@ -668,7 +664,7 @@ def identity_latency_bench(
     if servers < 1:
         raise ScenarioError("identity bench needs at least one server")
     rng = random.Random(seed)
-    ring = ResolverRing(members=tuple(range(servers)), seed=ring_seed)
+    ring = ResolverRing(members=tuple(range(servers)))
     free_at = [0.0] * servers
     samples = []
     t = 0.0

@@ -426,7 +426,6 @@ class LocalServer:
         app_type: str,
         payload: bytes,
         key: str | None = None,
-        klass: str = "slowput",
     ) -> Ack:
         """Queue a durable write and ack immediately, backhaul or not."""
         if not payload:
@@ -438,7 +437,7 @@ class LocalServer:
             app_type=app_type,
             key=key,
             payload=payload,
-            klass=klass,
+            klass="slowput",
             enqueued_at=now,
             seq=self._seq,
         )

@@ -31,11 +31,10 @@ top of the same organic trace.
 
 from __future__ import annotations
 
-import csv
 import heapq
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import NoFreeChannel, UnplannedChannel
@@ -363,7 +362,7 @@ def make_phones(count: int, rng: random.Random) -> list[Phone]:
 
 
 def volunteer_traffic(
-    volunteers: int, period_s: float, until_s: float, start_s: float = 0.0
+    volunteers: int, period_s: float, until_s: float
 ) -> list[tuple[float, int]]:
     """Deterministic paid-sender schedule: each volunteer one SMS per
     period, staggered evenly.  Returns (at, volunteer_index) sorted."""
@@ -371,7 +370,7 @@ def volunteer_traffic(
         return []
     out = []
     for v in range(volunteers):
-        t = start_s + period_s * v / volunteers
+        t = period_s * v / volunteers
         while t <= until_s:
             out.append((t, v))
             t += period_s
@@ -412,7 +411,6 @@ class DetectionRun:
     detector: Detector
     converged_at: float | None
     batches: int
-    reports: list[Report] = field(default_factory=list)
     collisions: int = 0
 
 
@@ -423,7 +421,6 @@ def run_detection(
     phones: list[Phone],
     rng: random.Random,
     *,
-    keep_reports: bool = False,
     truth_occupied: set[int] | None = None,
     manage_serving: bool = True,
 ) -> DetectionRun:
@@ -451,8 +448,6 @@ def run_detection(
                 at=at,
             )
             detector.ingest_report(report)
-            if keep_reports:
-                run.reports.append(report)
         run.batches += 1
         if not detector.plan_is_current():
             detector.plan_scan(at)
@@ -473,28 +468,24 @@ def run_detection(
 def compare_ngsm(
     users: int,
     volunteer_ratio: float,
-    channels: int,
     *,
     seed: int = 0,
     organic_period_s: float = 300.0,
     volunteer_period_s: float = 60.0,
-    config: DetectorConfig | None = None,
 ) -> tuple[float, float]:
     """Time to classify the whole band: organic-only baseline vs the same
     organic trace plus paid volunteers.  Returns seconds (ngsm, volunteer).
 
     The bench band is truth-free everywhere, which makes classification
     purely evidence-count driven: identical organic traces guarantee the
-    volunteer strategy can only be earlier.  channels must equal users
-    (one handset per household, band sized to the community).
+    volunteer strategy can only be earlier.  The band has one channel per
+    user, 1..users (one handset per household, band sized to the
+    community).
     """
-    if channels != users:
-        raise ValueError("bench setup pins channels == users")
-    if config is None:
-        config = DetectorConfig(
-            first_arfcn=1, last_arfcn=channels, n_free=50, t_free_s=600.0
-        )
-    groups = math.ceil(channels / config.slots)
+    config = DetectorConfig(
+        first_arfcn=1, last_arfcn=users, n_free=50, t_free_s=600.0
+    )
+    groups = math.ceil(users / config.slots)
     # Each group needs n_free zero batches and t_free of elapsed window;
     # budget events for whichever dominates, with slack.
     per_group = config.n_free + math.ceil(
@@ -527,27 +518,3 @@ def compare_ngsm(
     until_s = organic[-1][0]
     merged = with_volunteers(organic, users, volunteers, volunteer_period_s, until_s)
     return t_ngsm, classify(merged)
-
-
-# -------------------------------------------------------------- reports io
-
-
-def export_reports(reports: list[Report], fh) -> None:
-    writer = csv.writer(fh)
-    writer.writerow(["reporter", "arfcn", "energy", "at"])
-    for r in reports:
-        writer.writerow([r.reporter, r.arfcn, r.energy, f"{r.at:.6g}"])
-
-
-def import_reports(fh) -> list[Report]:
-    out = []
-    for row in csv.DictReader(fh):
-        out.append(
-            Report(
-                reporter=row["reporter"],
-                arfcn=int(row["arfcn"]),
-                energy=int(row["energy"]),
-                at=float(row["at"]),
-            )
-        )
-    return out

@@ -301,7 +301,7 @@ def test_workload_issues_the_scripted_load():
     sim = Simulation(generate_tree(1, 0), seed=8)
     wl = Workload(sim, small_workload_config())
     wl.schedule()
-    sim.run(40.0, drain=True)
+    sim.run(40.0)
     server = sim.local(wl.node)
     # 2 sellers x 4 rounds, plus 2 file pushes, all through the lazy queue
     assert server.counters["slowput"] == 10
@@ -319,7 +319,7 @@ def test_workload_is_deterministic_per_seed():
         sim = Simulation(generate_tree(1, 0), seed=seed)
         wl = Workload(sim, small_workload_config())
         wl.schedule()
-        sim.run(40.0, drain=True)
+        sim.run(40.0)
         server = sim.local(wl.node)
         return [
             (r.klass, r.app_type, r.size, r.enqueued_at, r.delivered_at)

@@ -9,17 +9,24 @@ node-local, zone-mate and cross-zone destinations, both failure sides,
 and the marketplace workload's sync queue on node 1.  The single-run
 `simulate` case covers the path that writes one ledger's rates, and the
 `whitespace` and `idbench` cases cover the shipped scenarios of those
-studies.
+studies.  The library case drives the paths no CLI study reaches:
+store-and-forward messages, marketplace searches and issuance deferred
+by an outage, all under link failures.
 """
 
 import hashlib
 import json
+import random
+from dataclasses import astuple
 from pathlib import Path
 
 import pytest
 
 from greenlinks import cli
+from greenlinks.apps import Marketplace
+from greenlinks.errors import GreenLinksError
 from greenlinks.scenario import generate_tree
+from greenlinks.simcore import Simulation
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 ARTIFACTS = ("metrics.csv", "latency.csv", "summary.csv")
@@ -120,3 +127,77 @@ def test_study_artifacts_match_pinned_hashes(case, tmp_path, capsys):
     command, expected = STUDY_EXPECTED[case]
     argv = [command, "--scenario", str(SCENARIOS / f"{case}.json"), "--seed", "3"]
     assert digests(argv, tmp_path / "out", expected) == expected
+
+
+LIBRARY_EXPECTED = {
+    0: "911dec58859b0ad07e08fdb7044d3a68d06bfdc4d944373a67a39a26dae35268",
+    1: "61d1e5a6d9e2801c554d904b685c782838903da525f185afe83f83ddc39238ec",
+    2: "bbab6beae18b0d66ab13898f5449a5c47d8dcd5b0171d6069ef552c8898edbcd",
+}
+
+
+def library_digest(seed):
+    """sha256 over latency records, board state, engine trace and the
+    outcome of every scheduled call, for messages, searches and deferred
+    issuance on a nine-node edge tree under failures."""
+    scenario = generate_tree(3, 2, backhaul_profile="edge")
+    scenario["failures"] = {"interval_s": 45.0, "outage_mean_s": 120.0}
+    scenario["sync"] = {"message_ttl_s": 400.0}
+    sim = Simulation(scenario, seed=seed)
+    nodes = sorted(sim.identity.caches)
+    imsi = {n: f"23324{n:010d}" for n in nodes}
+    markets = {n: Marketplace(sim.local(n), sim.identity) for n in nodes}
+    outcomes = []
+
+    def act(op, node, other=None):
+        try:
+            if op == "issue":
+                sim.identity.issue_identity(node, imsi[node])
+            elif op == "sell":
+                markets[node].sell(imsi[node], "maize", 1 + node, 2.5)
+                sim.poke(node)
+            elif op == "send":
+                sim.local(node).store_and_forward(
+                    imsi[node], imsi[other], b"hello %d" % other
+                )
+                sim.poke(node)
+            else:
+                listings, chunks, at = markets[node].search(imsi[node], "maize")
+                outcomes.append((op, node, len(listings), chunks, at))
+                return
+            outcomes.append((op, node, other, "ok"))
+        except GreenLinksError as exc:
+            outcomes.append((op, node, other, type(exc).__name__))
+
+    sim.engine.on("act", act)
+    plan = random.Random(seed)
+    for k, node in enumerate(nodes):
+        sim.engine.schedule(25.0 * k, "act", op="issue", node=node)
+        sim.engine.schedule(300.0 + 25.0 * k, "act", op="sell", node=node)
+    for _ in range(150):
+        src, dst = plan.sample(nodes, 2)
+        at = plan.uniform(0.0, 1200.0)
+        sim.engine.schedule(at, "act", op="send", node=src, other=dst)
+    for _ in range(40):
+        at = plan.uniform(0.0, 1200.0)
+        sim.engine.schedule(at, "act", op="search", node=plan.choice(nodes))
+    sim.run(1200.0)
+    sim.engine.run_until(None)  # nothing is left: run() drains
+
+    latency = [r for n in sorted(sim.locals) for r in sim.locals[n].records]
+    latency.sort(key=lambda r: (r.enqueued_at, r.request_id))
+    board = sim.board
+    state = (
+        [astuple(r) for r in latency],
+        sorted(board.delivered.items()),
+        sorted(board.pending),
+        board.expired,
+        sim.engine.trace,
+        outcomes,
+    )
+    return hashlib.sha256(repr(state).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("seed", sorted(LIBRARY_EXPECTED))
+def test_library_paths_match_pinned_hashes(seed):
+    assert library_digest(seed) == LIBRARY_EXPECTED[seed]

@@ -9,7 +9,7 @@ import pytest
 
 from greenlinks import cli
 from greenlinks.errors import GreenLinksError, ScenarioError
-from greenlinks.scenario import generate_tree
+from greenlinks.scenario import SECTIONS, generate_tree
 from greenlinks.whitespace import compare_ngsm
 
 
@@ -234,6 +234,10 @@ MALFORMED = [
     ("zone-prefix-a-number", "simulate", _set("zones.0.prefix", 5)),
     ("link-id-a-list", "simulate", _set("links.0.id", [])),
     ("whitespace-band-empty", "whitespace", _set("whitespace.band", {"first": 10, "last": 2})),
+    # Shares of one whole: the draws take the last key as the complement.
+    ("target-mix-short", "simulate", _set("failures.target_mix", {"cloud": 0.5, "zone": 0.0})),
+    ("dest-mix-over", "simulate", _set("traffic.dest_mix", {"local": 0.5})),
+    ("level-share-over", "simulate", _set("traffic.level_share", {"level3": 0.6})),
 ]
 
 
@@ -346,7 +350,7 @@ def test_whitespace_artifacts_and_stdout(tmp_path, capsys):
     # more volunteers per user only speeds the survey up
     assert by_key[("10", "0.2")][1] <= by_key[("10", "0.1")][1]
     # artifact values are minutes; cross-check one cell against the library
-    t_ngsm_s, t_vol_s = compare_ngsm(10, 0.1, 10, seed=0)
+    t_ngsm_s, t_vol_s = compare_ngsm(10, 0.1, seed=0)
     assert by_key[("10", "0.1")] == (
         pytest.approx(t_ngsm_s / 60.0),
         pytest.approx(t_vol_s / 60.0),
@@ -447,6 +451,58 @@ def test_idbench_artifacts(tmp_path, capsys):
     assert (again / "idbench_samples.csv").read_bytes() == (
         out / "idbench_samples.csv"
     ).read_bytes()
+
+
+# ------------------------------------------------------ integer-valued floats
+
+
+INTEGER_FLOATS = [
+    (
+        "whitespace",
+        {
+            "users": 4,
+            "volunteers": 2,
+            "volunteer_period_s": 30,
+            "organic_period_s": 120,
+            "band": {"first": 1, "last": 12},
+            "truth_occupied": [3, 9],
+            "n_free": 6,
+            "t_free_s": 120,
+            "evidence_ttl_s": 86400,
+            "radius": 1,
+            "ngsm": {"user_counts": [10], "ratios": [0.1]},
+        },
+        ("occupancy.csv", "ngsm_compare.csv"),
+    ),
+    (
+        "identity_bench",
+        {"load_rps": 150, "duration_s": 10, "service_s": 0, "latency_s": 1},
+        ("idbench_samples.csv", "idbench_summary.csv"),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "name, values, artifacts", INTEGER_FLOATS, ids=[c[0] for c in INTEGER_FLOATS]
+)
+def test_floats_spelled_as_integers_write_the_same_bytes(
+    tmp_path, capsys, name, values, artifacts
+):
+    # section() has typed these values; the study uses them as given, so
+    # 150 and 150.0 must give byte-identical artifacts.
+    defaults = SECTIONS[name]
+    floats = {
+        k: float(v) if isinstance(defaults[k], float) else v for k, v in values.items()
+    }
+    assert json.dumps(floats) != json.dumps(values)
+    command = "idbench" if name == "identity_bench" else name
+    written = {}
+    for label, cfg in (("int", values), ("float", floats)):
+        path = write_scenario(tmp_path, f"{label}.json", {name: cfg})
+        out = tmp_path / label
+        assert cli.main([command, "--scenario", path, "--seed", "4", "--out", str(out)]) == 0
+        written[label] = [(out / a).read_bytes() for a in artifacts]
+    assert written["int"] == written["float"]
 
 
 # --------------------------------------------------------------------- apps

@@ -131,7 +131,7 @@ def test_simulated_traces_pass_the_causality_check():
     scenario["traffic"] = {"interval_s": 60.0}
     scenario["failures"] = {"interval_s": 120.0, "outage_mean_s": 90.0}
     for seed in range(5):
-        result = Simulation(scenario, seed=seed).run(600.0, drain=True)
+        result = Simulation(scenario, seed=seed).run(600.0)
         validate_trace(result.trace)
         assert result.ledger.containment_violations == 0
 

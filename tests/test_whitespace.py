@@ -1,6 +1,5 @@
 """Whitespace detector tests: verdicts, scan plans, serving channel, ramp."""
 
-import io
 import random
 
 import pytest
@@ -13,8 +12,6 @@ from greenlinks.whitespace import (
     Report,
     Verdict,
     compare_ngsm,
-    export_reports,
-    import_reports,
     make_phones,
     organic_traffic,
     run_detection,
@@ -266,7 +263,7 @@ def test_detection_run_classifies_a_tiny_band():
     traffic = [(float(t), 0) for t in range(1, 10)]
     run = run_detection(
         traffic, det, field_model, phones, random.Random(1),
-        truth_occupied={3}, keep_reports=True,
+        truth_occupied={3},
     )
     assert det.states[3].verdict is Verdict.OCCUPIED
     assert all(
@@ -294,28 +291,18 @@ def test_detection_is_deterministic():
     assert once() == once()
 
 
-def test_reports_round_trip_through_csv():
-    reports = [r(1, 0, 1.5), r(2, 44, 2.25, who="p3")]
-    buf = io.StringIO()
-    export_reports(reports, buf)
-    buf.seek(0)
-    assert import_reports(buf) == reports
-
-
 # ------------------------------------------------------------ ngsm compare
 
 
 def test_volunteers_beat_the_organic_only_baseline():
-    t_ngsm, t_vol = compare_ngsm(20, 0.1, 20, seed=3)
+    t_ngsm, t_vol = compare_ngsm(20, 0.1, seed=3)
     assert 0 < t_vol < t_ngsm
-    again = compare_ngsm(20, 0.1, 20, seed=3)
+    again = compare_ngsm(20, 0.1, seed=3)
     assert (t_ngsm, t_vol) == again
-    _, t_vol2 = compare_ngsm(20, 0.2, 20, seed=3)
+    _, t_vol2 = compare_ngsm(20, 0.2, seed=3)
     assert t_vol2 <= t_vol
 
 
 def test_ngsm_degenerate_cases():
-    t_ngsm, t_vol = compare_ngsm(10, 0.0, 10, seed=1)
+    t_ngsm, t_vol = compare_ngsm(10, 0.0, seed=1)
     assert t_ngsm == t_vol
-    with pytest.raises(ValueError):
-        compare_ngsm(10, 0.1, 12)
