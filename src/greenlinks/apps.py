@@ -165,7 +165,7 @@ class Marketplace:
 
     def _registered(self, imsi: str):
         entry = self.identity.caches[self.local.node_id].get(imsi)
-        if entry is None or not entry.active:
+        if entry is None:
             raise UnknownIdentity(
                 f"imsi {imsi} is not registered on node {self.local.node_id}"
             )
@@ -374,9 +374,10 @@ class Workload:
         self.cfg = section("workload", config)
         node = self.cfg["node"]
         if node is None:
-            node = min(
-                n for n in sim.topology.nodes if n != sim.topology.cloud_id
-            )
+            community = [n for n in sim.topology.nodes if n != sim.topology.cloud_id]
+            if not community:
+                raise ScenarioError("a workload section needs a community node")
+            node = min(community)
         self.node = node
         self.local = sim.local(node)
         self.market = Marketplace(self.local, sim.identity)

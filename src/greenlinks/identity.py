@@ -1,4 +1,4 @@
-"""Identity management: issuance, resolution, caching and migration.
+"""Identity management: issuance, resolution, caching and re-homing.
 
 The cloud registry is the single authority for user identities.  Every
 community node keeps a local cache of identities it has seen; lookups
@@ -10,8 +10,9 @@ resolve through three stages, cheapest first:
   3. external: numbers that belong to no member route out through the
      egress gateway.
 
-Invalidation is lazy: migration updates the cloud binding immediately and
-stale cache entries are dropped the next time their node syncs.
+Invalidation is lazy: issuing a known IMSI at another node re-homes it,
+which updates the cloud binding immediately, and stale cache entries are
+dropped the next time their node syncs.
 
 A resolver ring distributes directory load across several cloud servers:
 an identity x is served by the member m minimizing (H(x) - H(m)) mod 2^32,
@@ -21,7 +22,7 @@ non-cryptographic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     BackhaulDown,
@@ -82,8 +83,6 @@ class NetworkAddress:
 class CacheEntry:
     identity: UserIdentity
     address: NetworkAddress
-    registered_at: float
-    active: bool = True
 
 
 class IdentityCache:
@@ -140,14 +139,11 @@ class EgressAllocator:
 
     def __init__(self, pool: int = 32):
         self._free = [f"+1555{2000000 + i:07d}" for i in range(pool)]
-        self.assigned: dict[str, str] = {}
 
-    def allocate(self, imsi: str) -> str:
+    def allocate(self) -> str:
         if not self._free:
             raise ExternalAllocFailed("external number pool exhausted")
-        number = self._free.pop(0)
-        self.assigned[imsi] = number
-        return number
+        return self._free.pop(0)
 
 
 @dataclass
@@ -198,7 +194,7 @@ class CloudRegistry:
                 raise DuplicateName(f"name {chosen_name!r} is already registered")
         external = None
         if kind == "global":
-            external = self._egress.allocate(imsi)
+            external = self._egress.allocate()
         number = f"{5000000 + self._next_number}"
         self._next_number += 1
         identity = UserIdentity(
@@ -219,63 +215,6 @@ class CloudRegistry:
         if imsi is None:
             return None
         return self.identities[imsi], self.bindings[imsi]
-
-    def rebind(self, imsi: str, zone: str, node: int) -> NetworkAddress:
-        if imsi not in self.identities:
-            raise UnknownIdentity(f"no identity for imsi {imsi}")
-        self.bindings[imsi] = self._address(zone, node)
-        return self.bindings[imsi]
-
-    # ------------------------------------------------------ dump / load
-
-    def dump(self) -> str:
-        """Structured text snapshot; load() restores an equal registry."""
-        lines = [f"nextnum|{self._next_number}"]
-        for node, seq in sorted(self._addr_seq.items()):
-            lines.append(f"addrseq|{node}|{seq}")
-        for imsi in sorted(self.identities):
-            ident = self.identities[imsi]
-            lines.append(
-                "identity|%s|%s|%s|%s|%s"
-                % (
-                    ident.imsi,
-                    ident.kind,
-                    ident.number,
-                    ident.chosen_name or "-",
-                    ident.external_number or "-",
-                )
-            )
-            addr = self.bindings[imsi]
-            lines.append(f"binding|{imsi}|{addr.zone}|{addr.node}|{addr.local_addr}")
-        return "\n".join(lines) + "\n"
-
-    def load(self, text: str) -> None:
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            parts = line.split("|")
-            tag = parts[0]
-            if tag == "nextnum":
-                self._next_number = int(parts[1])
-            elif tag == "addrseq":
-                self._addr_seq[int(parts[1])] = int(parts[2])
-            elif tag == "identity":
-                imsi, kind, number, name, ext = parts[1:6]
-                ident = UserIdentity(
-                    imsi=imsi,
-                    kind=kind,
-                    number=number,
-                    chosen_name=None if name == "-" else name,
-                    external_number=None if ext == "-" else ext,
-                )
-                self.identities[imsi] = ident
-                for n in ident.names():
-                    self._names[n] = imsi
-            elif tag == "binding":
-                imsi, zone, node, local = parts[1:5]
-                self.bindings[imsi] = NetworkAddress(
-                    zone=zone, node=int(node), local_addr=local
-                )
 
 
 def _looks_external(name: str) -> bool:
@@ -298,12 +237,11 @@ class IdentityService:
     which operations stay local.
     """
 
-    def __init__(self, topology: Topology, *, clock=None):
+    def __init__(self, topology: Topology):
         self.topology = topology
         prefixes = {z.zone_id: z.prefix for z in topology.zones.values()}
         self.registry = CloudRegistry(prefixes, EgressAllocator())
-        self.clock = clock or (lambda: 0.0)
-        self.counters = {"cloud_messages": 0, "handovers": 0, "external_routes": 0}
+        self.counters = {"cloud_messages": 0, "external_routes": 0}
         self.pending: list[_Pending] = []
         self.caches: dict[int, IdentityCache] = {}
         for node in topology.nodes.values():
@@ -331,7 +269,8 @@ class IdentityService:
         kind: str = "local",
         chosen_name: str | None = None,
     ) -> UserIdentity:
-        """Register imsi at node_id.  While the backhaul is down the request
+        """Register imsi at node_id, or re-home it there if it is already
+        registered at another node.  While the backhaul is down the request
         is queued and BackhaulDown raised; flush_pending completes it later."""
         if not imsi or not imsi.isdigit():
             raise UnknownIdentity(f"imsi must be a digit string, got {imsi!r}")
@@ -352,9 +291,7 @@ class IdentityService:
             imsi, kind, zone, node_id, chosen_name
         )
         self.counters["cloud_messages"] += 1
-        self.caches[node_id].put(
-            CacheEntry(identity=identity, address=address, registered_at=self.clock())
-        )
+        self.caches[node_id].put(CacheEntry(identity=identity, address=address))
         return identity
 
     def flush_pending(self) -> int:
@@ -386,7 +323,7 @@ class IdentityService:
                     candidates.append(nid)
         for nid in candidates:
             entry = self.caches[nid].get(name)
-            if entry is not None and entry.active:
+            if entry is not None:
                 return LookupResult(
                     identity=entry.identity,
                     address=entry.address,
@@ -400,11 +337,7 @@ class IdentityService:
         found = self.registry.find(name)
         if found is not None:
             identity, address = found
-            self.caches[origin_node].put(
-                CacheEntry(
-                    identity=identity, address=address, registered_at=self.clock()
-                )
-            )
+            self.caches[origin_node].put(CacheEntry(identity=identity, address=address))
             return LookupResult(
                 identity=identity, address=address, stage="inter_zone", rtt_s=rtt
             )
@@ -419,33 +352,6 @@ class IdentityService:
                 rtt_s=rtt,
             )
         raise NameNotFound(f"{name!r} matched no cache, directory entry or egress rule")
-
-    # --------------------------------------------------------- migration
-
-    def migrate_user(self, imsi: str, new_node: int) -> NetworkAddress:
-        """Re-home an identity.  Same-zone moves are handled as a local
-        handover (no cloud round trip); cross-zone moves need the cloud."""
-        if imsi not in self.registry.identities:
-            raise UnknownIdentity(f"no identity for imsi {imsi}")
-        old = self.registry.bindings[imsi]
-        new_zone = self.topology.nodes[new_node].zone
-        if new_zone is None:
-            raise UnknownIdentity(f"node {new_node} is not a community node")
-        if new_zone == old.zone:
-            self.counters["handovers"] += 1
-        else:
-            if not self._cloud_up(new_node):
-                raise CloudUnreachable(
-                    f"cross-zone migration needs the cloud; node {new_node} is cut off"
-                )
-            self.counters["cloud_messages"] += 1
-        address = self.registry.rebind(imsi, new_zone, new_node)
-        identity = self.registry.identities[imsi]
-        self.caches[new_node].put(
-            CacheEntry(identity=identity, address=address, registered_at=self.clock())
-        )
-        # Old-node caches are left stale on purpose; sync_node drops them.
-        return address
 
     # -------------------------------------------------------------- sync
 

@@ -1,9 +1,9 @@
 """Scenario files: loading, defaults, validation and a tree generator.
 
-A scenario is a JSON mapping.  ``nodes``/``zones``/``links``/``bonded``
-describe the world graph (see topology.build_topology); the optional
-sections in SECTIONS parameterize the runtime.  Missing keys fall back to
-the section's defaults, and a missing key of a world-graph entry to its
+A scenario is a JSON mapping.  ``nodes``/``zones``/``links`` describe
+the world graph (see topology.build_topology); the optional sections in
+SECTIONS parameterize the runtime.  Missing keys fall back to the
+section's defaults, and a missing key of a world-graph entry to its
 TOPOLOGY template, so a scenario only states what it changes.  Both are
 also the schema: an unknown section or key, a missing required key, or a
 value whose JSON type differs from its default's, is a ScenarioError.
@@ -80,7 +80,7 @@ SECTIONS = {
 
 # Range rules.  Every number in a scenario is finite and not negative, and
 # these must also be nonzero: the runtime steps a clock by them (an
-# unbounded loop at 0) or divides by them.
+# unbounded loop at 0), divides by them or draws from that many phones.
 POSITIVE = {
     "traffic.interval_s",
     "failures.interval_s",
@@ -89,6 +89,7 @@ POSITIVE = {
     "workload.buy_period_s",
     "whitespace.organic_period_s",
     "whitespace.volunteer_period_s",
+    "whitespace.ngsm.user_counts",
     "identity_bench.load_rps",
     "links.bandwidth_kbps",
 }
@@ -110,11 +111,10 @@ TOPOLOGY = {
         {"id": "", "a": 0, "b": 0, "profile": "", "bandwidth_kbps": None,
          "latency_ms": None, "state": "up"}
     ],
-    "bonded": [{"members": [""], "mode": "active_backup"}],
 }
 REQUIRED = {
     "nodes.id", "nodes.role", "zones.id", "zones.nodes", "zones.gateway",
-    "zones.prefix", "links.a", "links.b", "bonded.members",
+    "zones.prefix", "links.a", "links.b",
     "identity_bench.models.model", "identity_bench.models.servers",
 }
 
@@ -171,6 +171,8 @@ def section(name: str, override: dict | None = None) -> dict:
             raise ScenarioError(f"{name}.{key} must sum to 1, not {total:g}")
     if name == "whitespace" and out["band"]["first"] > out["band"]["last"]:
         raise ScenarioError("whitespace.band is empty: first > last")
+    if name == "workload" and not out["items"]:
+        raise ScenarioError("workload.items is empty")
     return out
 
 

@@ -273,7 +273,7 @@ class Simulation:
         self.store = CloudStore()
         self.board = MessageBoard()
         self.store.register_handler("__msg__", self.board.handler)
-        self.identity = IdentityService(self.topology, clock=self.engine.clock)
+        self.identity = IdentityService(self.topology)
         self.locals: dict[int, LocalServer] = {}
         self._queue_gen: dict[int, int] = {}
         self._initial_links = {
@@ -338,7 +338,7 @@ class Simulation:
 
             def resolve_local(name, _cache=cache, _nid=node_id):
                 entry = _cache.get(name)
-                if entry is not None and entry.active and entry.address.node == _nid:
+                if entry is not None and entry.address.node == _nid:
                     return _nid
                 return None
 
@@ -515,6 +515,10 @@ class Simulation:
         fcfg = section("failures", sc["failures"]) if "failures" in sc else None
         if (tcfg or fcfg) and horizon is None:
             raise ScenarioError("traffic and failure sections need a finite horizon")
+        if tcfg and not self._role_pool[Role.LEVEL2]:
+            raise ScenarioError("a traffic section needs a level2 node")
+        if fcfg and not self.topology.links:
+            raise ScenarioError("a failures section needs a link")
         if tcfg:
             interval = tcfg["interval_s"]
             for i in range(interval_count(horizon, interval)):

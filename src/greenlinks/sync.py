@@ -29,7 +29,7 @@ user-to-user messages; delivery happens when the destination node syncs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     BackhaulDown,
@@ -38,7 +38,6 @@ from .errors import (
     SyncTimeout,
 )
 from .scenario import SECTIONS
-from .topology import BYTES_PER_KBPS
 
 SMS_PRIORITY_MAX_BYTES = 1024
 
@@ -82,7 +81,6 @@ class Completion:
     request: SyncRequest
     apply_at: float
     receipt_at: float
-    response: object
 
 
 @dataclass(frozen=True)
@@ -99,24 +97,6 @@ class LatencyRecord:
 class FastResponse:
     value: object
     at: float
-
-
-class StaticUplink:
-    """Fixed-rate uplink; tests and benches flip .up by hand."""
-
-    def __init__(self, rate_kbps: float, latency_ms: float, up: bool = True):
-        self.rate = rate_kbps * BYTES_PER_KBPS
-        self.latency = latency_ms / 1000.0
-        self.up = up
-
-    def is_up(self) -> bool:
-        return self.up
-
-    def rate_Bps(self) -> float:
-        return self.rate
-
-    def latency_s(self) -> float:
-        return self.latency
 
 
 class LazyQueue:
@@ -217,21 +197,6 @@ class LazyQueue:
             else:
                 req = self.pending[0]
         return now + (req.size - req.sent_bytes) / rate_Bps
-
-    def dump(self) -> str:
-        """Structured text for post-run inspection."""
-        lines = [
-            f"depth={len(self)} bytes={self.depth_bytes():.0f} "
-            f"priority_mode={self.priority_mode}"
-        ]
-        if self.in_flight:
-            r = self.in_flight
-            lines.append(
-                f"in_flight|{r.request_id}|{r.klass}|{r.size}|sent={r.sent_bytes:.0f}"
-            )
-        for r in self.pending:
-            lines.append(f"pending|{r.request_id}|{r.klass}|{r.size}|prio={r.priority}")
-        return "\n".join(lines) + "\n"
 
 
 class CloudStore:
@@ -457,7 +422,7 @@ class LocalServer:
         latency = self.uplink.latency_s()
         for req in done:
             apply_at = req.transmit_end + latency
-            response = self.store.apply(
+            self.store.apply(
                 req.app_type, req.key, req.payload, req.request_id, apply_at
             )
             receipt_at = apply_at + self.service_time() + latency
@@ -472,12 +437,7 @@ class LocalServer:
                 )
             )
             out.append(
-                Completion(
-                    request=req,
-                    apply_at=apply_at,
-                    receipt_at=receipt_at,
-                    response=response,
-                )
+                Completion(request=req, apply_at=apply_at, receipt_at=receipt_at)
             )
         return out
 

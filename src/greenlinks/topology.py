@@ -1,4 +1,4 @@
-"""Network world model: nodes, zones, links and bonded backhauls.
+"""Network world model: nodes, zones and links.
 
 The graph is built once from a scenario mapping and is immutable afterwards
 except for link state, which failure injection toggles at runtime.  A
@@ -8,13 +8,15 @@ callers can cache path computations per epoch.
 Levels follow the deployment shape: one cloud controller, level-2 community
 nodes with their own backhaul, and level-3 pico nodes that hang off a
 level-2 parent.  Zones group the nodes that one operator runs; each zone
-has a gateway node and a private address prefix.
+has a gateway node and a private address prefix.  Two links between the
+same pair of nodes are a redundant backhaul: path search and component
+labelling use whichever of them is up.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import (
@@ -37,11 +39,6 @@ class Role(str, Enum):
 class LinkState(str, Enum):
     UP = "up"
     DOWN = "down"
-
-
-class BondMode(str, Enum):
-    ACTIVE_BACKUP = "active_backup"
-    LOAD_BALANCE = "load_balance"
 
 
 # (bandwidth kbps, one-way latency ms) for the profiles used in experiments.
@@ -87,35 +84,6 @@ class Link:
         return self.state is LinkState.UP
 
 
-@dataclass
-class BondedBackhaul:
-    members: list[Link]
-    mode: BondMode = BondMode.ACTIVE_BACKUP
-
-
-def effective_bandwidth(bond: BondedBackhaul, flows: int) -> list[float]:
-    """Per-flow kbps allocation across the bond's live members.
-
-    active_backup sends every flow over the first live member and shares
-    its capacity fairly.  load_balance assigns flows to live members
-    round-robin; a flow never splits across links, so its share is capped
-    by the fair share of the one link it landed on.
-    """
-    if flows <= 0:
-        return []
-    live = [m for m in bond.members if m.up]
-    if not live:
-        return [0.0] * flows
-    if bond.mode is BondMode.ACTIVE_BACKUP:
-        share = live[0].bandwidth_kbps / flows
-        return [share] * flows
-    assignment = [live[i % len(live)] for i in range(flows)]
-    per_link = {id(m): 0 for m in live}
-    for link in assignment:
-        per_link[id(link)] += 1
-    return [link.bandwidth_kbps / per_link[id(link)] for link in assignment]
-
-
 class Topology:
     """Validated graph with reachability and path-metric queries."""
 
@@ -124,12 +92,10 @@ class Topology:
         nodes: dict[int, Node],
         zones: dict[str, Zone],
         links: dict[str, Link],
-        bonds: list[BondedBackhaul],
     ):
         self.nodes = nodes
         self.zones = zones
         self.links = links
-        self.bonds = bonds
         self.cloud_id = next(
             n.node_id for n in nodes.values() if n.role is Role.CLOUD
         )
@@ -252,7 +218,7 @@ def build_topology(config: dict) -> Topology:
     ids, exactly one cloud node, every non-cloud node in exactly one zone,
     each zone's gateway a member, disjoint zone prefixes, link endpoints
     that exist, level-3 nodes attached through some level-2 parent, and
-    known roles, profiles, link states and bond modes.
+    known roles, profiles and link states.
     """
     graph = world(config)
     if not graph["nodes"]:
@@ -335,14 +301,4 @@ def build_topology(config: dict) -> Topology:
                 f"level3 node {node.node_id} has no link to a level2 parent"
             )
 
-    bonds: list[BondedBackhaul] = []
-    for entry in graph["bonded"]:
-        if not entry["members"]:
-            raise ScenarioError("bonded backhaul needs at least one member link")
-        for lid in entry["members"]:
-            if lid not in links:
-                raise ScenarioError(f"bonded backhaul references unknown link {lid!r}")
-        mode = _member(BondMode, entry["mode"], "unknown bond mode")
-        bonds.append(BondedBackhaul([links[lid] for lid in entry["members"]], mode))
-
-    return Topology(nodes, zones, links, bonds)
+    return Topology(nodes, zones, links)

@@ -21,8 +21,8 @@ measurements are always accepted.
 The station starts quiesced (serving=None) and only transmits after a
 channel has been verified free; transmit power then ramps up stepwise
 while the neighborhood stays clean and snaps back on any new occupancy
-signal.  Channel switches wait for connected calls to finish; new call
-admissions are refused while a switch is pending.
+signal.  Channel switches wait for connected calls to finish, and
+switch_pending stays set until they have.
 
 The NGSM baseline in compare_ngsm runs the identical estimator fed only
 by organic traffic; the volunteer strategy adds paid periodic senders on
@@ -62,7 +62,6 @@ class DetectorConfig:
 
 @dataclass(frozen=True)
 class Report:
-    reporter: str
     arfcn: int
     energy: int
     at: float
@@ -73,7 +72,6 @@ class ChannelState:
     arfcn: int
     verdict: Verdict = Verdict.UNKNOWN
     zero_count: int = 0
-    positive_count: int = 0
     window_start: float | None = None
     last_report_at: float | None = None
     last_positive_at: float | None = None
@@ -85,7 +83,6 @@ class ChannelState:
 class SwitchDecision:
     switched: bool = False
     pending: bool = False
-    quiesced: bool = False
     target: int | None = None
 
 
@@ -133,7 +130,6 @@ class Detector:
         self._expire(state, now)
         state.last_report_at = now
         if report.energy > 0:
-            state.positive_count += 1
             state.last_positive_at = now
             state.zero_count = 0
             state.window_start = None
@@ -231,9 +227,9 @@ class Detector:
     def maybe_switch_channel(self, active_calls: int, now: float) -> SwitchDecision:
         """Move off an occupied serving channel (or claim a first one).
 
-        With calls connected the switch stays pending and admissions are
-        refused until the last call ends.  When nothing is verified free
-        the station quiesces and NoFreeChannel is raised.
+        With calls connected the switch stays pending (switch_pending)
+        until a check finds none.  When nothing is verified free the
+        station quiesces and NoFreeChannel is raised.
         """
         serving_bad = (
             self.serving is not None
@@ -272,9 +268,6 @@ class Detector:
         self.switch_pending = False
         self.switches.append((now, old, target))
         return SwitchDecision(switched=True, target=target)
-
-    def admit_call(self) -> bool:
-        return self.serving is not None and not self.switch_pending
 
     # ------------------------------------------------------- power ramp
 
@@ -319,7 +312,6 @@ class Detector:
 
 @dataclass
 class Phone:
-    phone_id: str
     x: float
     y: float
 
@@ -358,7 +350,7 @@ class RadioField:
 
 
 def make_phones(count: int, rng: random.Random) -> list[Phone]:
-    return [Phone(f"p{i}", rng.random(), rng.random()) for i in range(count)]
+    return [Phone(rng.random(), rng.random()) for _ in range(count)]
 
 
 def volunteer_traffic(
@@ -442,7 +434,6 @@ def run_detection(
             measured.append(detector.serving)
         for arfcn in measured:
             report = Report(
-                reporter=phone.phone_id,
                 arfcn=arfcn,
                 energy=field_model.energy(phone, arfcn),
                 at=at,

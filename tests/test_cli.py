@@ -205,6 +205,22 @@ def _drop_role(scenario):
     del scenario["nodes"][1]["role"]
 
 
+def _only(nodes, *sections):
+    """An edit that keeps the first ``nodes`` nodes of generate_tree(1, 1)
+    (the cloud, then level2 node 1 alone in zone z0), no links, and only
+    the given runtime sections."""
+
+    def edit(scenario):
+        del scenario["nodes"][nodes:]
+        scenario["zones"] = [{**scenario["zones"][0], "nodes": [1]}] if nodes > 1 else []
+        scenario["links"] = []
+        for name in ("traffic", "failures", "workload"):
+            if name not in sections:
+                del scenario[name]
+
+    return edit
+
+
 MALFORMED = [
     ("node-without-role", "simulate", _drop_role),
     ("nodes-not-a-list", "simulate", _set("nodes", 5)),
@@ -227,6 +243,7 @@ MALFORMED = [
     ("link-end-a-list", "simulate", _set("links.0.a", [0])),
     ("bandwidth-a-string", "simulate", _set("links.0.bandwidth_kbps", "x")),
     ("tx-power-a-string", "simulate", _set("nodes.1.tx_power_dbm", "x")),
+    # `bonded` is no scenario key, so this is an unknown section.
     ("bonded-members-not-a-list", "simulate", _set("bonded", [{"members": 5}])),
     ("link-key-typo", "simulate", _set("links.0.bandwith_kbps", 100.0)),
     ("bandwidth-nan", "simulate", _set("links.0.bandwidth_kbps", float("nan"))),
@@ -238,6 +255,12 @@ MALFORMED = [
     ("target-mix-short", "simulate", _set("failures.target_mix", {"cloud": 0.5, "zone": 0.0})),
     ("dest-mix-over", "simulate", _set("traffic.dest_mix", {"local": 0.5})),
     ("level-share-over", "simulate", _set("traffic.level_share", {"level3": 0.6})),
+    # Draws from an empty pool.
+    ("traffic-without-level2", "simulate", _only(1, "traffic")),
+    ("failures-without-links", "simulate", _only(2, "traffic", "failures")),
+    ("workload-without-community-node", "simulate", _only(1, "workload")),
+    ("workload-items-empty", "simulate", _set("workload.items", [])),
+    ("ngsm-user-count-0", "whitespace", _set("whitespace.ngsm.user_counts", [0])),
 ]
 
 

@@ -17,12 +17,30 @@ from greenlinks.sync import (
     LazyQueue,
     LocalServer,
     MessageBoard,
-    StaticUplink,
     SyncConfig,
     SyncRequest,
 )
+from greenlinks.topology import BYTES_PER_KBPS
 
 EDGE_RATE = 25000.0  # 200 kbps in bytes/second
+
+
+class StaticUplink:
+    """Fixed-rate uplink whose .up the tests flip by hand."""
+
+    def __init__(self, rate_kbps: float, latency_ms: float, up: bool = True):
+        self.rate = rate_kbps * BYTES_PER_KBPS
+        self.latency = latency_ms / 1000.0
+        self.up = up
+
+    def is_up(self) -> bool:
+        return self.up
+
+    def rate_Bps(self) -> float:
+        return self.rate
+
+    def latency_s(self) -> float:
+        return self.latency
 
 
 class Clock:
@@ -174,18 +192,6 @@ def test_drain_conserves_bytes_and_order(sizes, cuts):
     # byte count has drained at the constant rate
     assert ends[-1] == pytest.approx(sum(sizes) / EDGE_RATE)
     assert len(queue) == 0 and queue.depth_bytes() == 0
-
-
-def test_queue_dump_lists_requests():
-    queue = LazyQueue(priority_mode=True)
-    queue.enqueue(req("big", 5000, seq=1))
-    queue.enqueue(req("small", 10, seq=2))
-    done = queue.advance(1.0, 100.0, True)
-    assert [r.request_id for r in done] == ["small"]  # sms class went first
-    queue.enqueue(req("later", 200, seq=3, at=1.0))
-    text = queue.dump()
-    assert "in_flight|big" in text and "sent=90" in text
-    assert "pending|later" in text and "depth=2" in text
 
 
 # ---------------------------------------------------------------- fastget

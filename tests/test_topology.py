@@ -1,4 +1,4 @@
-"""World-graph tests: validation, paths, components, bonded backhauls."""
+"""World-graph tests: validation, paths, components."""
 
 import random
 
@@ -15,15 +15,7 @@ from greenlinks.errors import (
     UnknownLink,
 )
 from greenlinks.scenario import generate_tree
-from greenlinks.topology import (
-    BondedBackhaul,
-    BondMode,
-    Link,
-    LinkState,
-    Role,
-    build_topology,
-    effective_bandwidth,
-)
+from greenlinks.topology import Role, build_topology
 
 
 def diamond():
@@ -164,7 +156,7 @@ JSON_VALUES = st.recursive(
     | st.booleans()
     | st.integers(-2, 8)
     | st.floats(allow_nan=True, allow_infinity=True)
-    | st.sampled_from(["", "up", "down", "level2", "edge", "load_balance", "b0", "10.1"])
+    | st.sampled_from(["", "up", "down", "level2", "edge", "b0", "10.1"])
     | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=2),
     max_leaves=6,
@@ -174,14 +166,13 @@ JSON_VALUES = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), value=JSON_VALUES)
 def test_any_one_topology_edit_builds_or_raises_scenario_error(data, value):
-    # One value of generate_tree(2, 2) plus a bond replaced, or one key
-    # added, with arbitrary JSON: the build either succeeds or raises
-    # ScenarioError, never anything else.
+    # One value of generate_tree(2, 2) replaced, or one key added, with
+    # arbitrary JSON: the build either succeeds or raises ScenarioError,
+    # never anything else.
     cfg = generate_tree(2, 2)
-    cfg["bonded"] = [{"members": ["b0", "b1"], "mode": "load_balance"}]
-    name = data.draw(st.sampled_from(["nodes", "zones", "links", "bonded"]))
+    name = data.draw(st.sampled_from(["nodes", "zones", "links"]))
     entry = data.draw(st.sampled_from(cfg[name]))
-    extra = ["extra", "gateway", "profile", "bandwidth_kbps", "latency_ms", "state", "mode"]
+    extra = ["extra", "gateway", "profile", "bandwidth_kbps", "latency_ms", "state"]
     entry[data.draw(st.sampled_from(sorted(entry) + extra))] = value
     try:
         build_topology(cfg)
@@ -233,6 +224,20 @@ def test_within_zone_excludes_detours_through_the_cloud():
     assert topo.path(1, 2) is None
 
 
+def test_parallel_backhauls_fail_over():
+    # Two plain links between the same pair are a redundant backhaul.
+    cfg = generate_tree(1, 0, backhaul_profile="edge")
+    cfg["links"].append({"id": "b0x", "a": 0, "b": 1, "profile": "hsdpa"})
+    topo = build_topology(cfg)
+    assert [l.link_id for l in topo.path(1, 0)] == ["b0"]
+    topo.set_link_state("b0", "down")
+    assert [l.link_id for l in topo.path(1, 0)] == ["b0x"]
+    assert topo.components()[0] == topo.components()[1]
+    topo.set_link_state("b0x", "down")
+    assert topo.path(1, 0) is None
+    assert topo.components()[0] != topo.components()[1]
+
+
 def test_epoch_bumps_only_on_real_transitions():
     topo = build_topology(diamond())
     e0 = topo.epoch
@@ -269,79 +274,6 @@ def test_reachability_matches_closure_oracle_under_random_outages():
         for a in ids:
             for b in ids:
                 assert (comp[a] == comp[b]) is replayed[idx[a]][idx[b]]
-
-
-# ----------------------------------------------------------------- bonding
-
-
-def bond(bandwidths, states, mode):
-    members = [
-        Link(
-            link_id=f"m{i}",
-            a=0,
-            b=1,
-            bandwidth_kbps=bw,
-            latency_ms=10,
-            state=LinkState.UP if up else LinkState.DOWN,
-        )
-        for i, (bw, up) in enumerate(zip(bandwidths, states))
-    ]
-    return BondedBackhaul(members=members, mode=mode)
-
-
-# Independent allocation oracle.  Flow i lands on live link (i mod L); the
-# count of flows on slot j is how many i in [0, F) are congruent to j.
-def rr_oracle(bandwidths, states, mode, flows):
-    if flows <= 0:
-        return []
-    live = [bw for bw, up in zip(bandwidths, states) if up]
-    if not live:
-        return [0.0] * flows
-    if mode is BondMode.ACTIVE_BACKUP:
-        return [live[0] / flows] * flows
-    L = len(live)
-    per_slot = [(flows - j - 1) // L + 1 for j in range(min(L, flows))]
-    return [live[i % L] / per_slot[i % L] for i in range(flows)]
-
-
-def test_load_balance_frozen_example():
-    b = bond([500, 300, 200], [True] * 3, BondMode.LOAD_BALANCE)
-    assert effective_bandwidth(b, 6) == [250.0, 150.0, 100.0, 250.0, 150.0, 100.0]
-    # Uneven split: seventh flow shares the first link three ways.
-    assert effective_bandwidth(b, 7)[0] == pytest.approx(500 / 3)
-
-
-def test_active_backup_uses_first_live_member():
-    b = bond([500, 300, 200], [False, True, True], BondMode.ACTIVE_BACKUP)
-    assert effective_bandwidth(b, 3) == [100.0, 100.0, 100.0]
-    b = bond([500, 300], [False, False], BondMode.ACTIVE_BACKUP)
-    assert effective_bandwidth(b, 2) == [0.0, 0.0]
-    assert effective_bandwidth(b, 0) == []
-
-
-@settings(max_examples=200)
-@given(
-    bandwidths=st.lists(st.integers(1, 10000), min_size=1, max_size=5),
-    flows=st.integers(0, 12),
-    mode=st.sampled_from([BondMode.ACTIVE_BACKUP, BondMode.LOAD_BALANCE]),
-    data=st.data(),
-)
-def test_allocation_matches_oracle_and_conserves_capacity(
-    bandwidths, flows, mode, data
-):
-    states = data.draw(
-        st.lists(
-            st.booleans(), min_size=len(bandwidths), max_size=len(bandwidths)
-        )
-    )
-    b = bond(bandwidths, states, mode)
-    alloc = effective_bandwidth(b, flows)
-    assert alloc == pytest.approx(rr_oracle(bandwidths, states, mode, flows))
-    live = [bw for bw, up in zip(bandwidths, states) if up]
-    assert all(share <= max(live, default=0) + 1e-9 for share in alloc)
-    if mode is BondMode.LOAD_BALANCE and live and flows >= len(live):
-        # Every live link fully subscribed: allocations sum to capacity.
-        assert sum(alloc) == pytest.approx(sum(live))
 
 
 # ---------------------------------------------------------------- generator

@@ -19,8 +19,8 @@ from greenlinks.whitespace import (
 )
 
 
-def r(arfcn, energy, at, who="p0"):
-    return Report(reporter=who, arfcn=arfcn, energy=energy, at=at)
+def r(arfcn, energy, at):
+    return Report(arfcn=arfcn, energy=energy, at=at)
 
 
 def small_detector(**kw):
@@ -134,11 +134,11 @@ def test_bootstrap_stays_quiet_until_something_is_verified():
     det = small_detector()
     decision = det.maybe_switch_channel(active_calls=0, now=1.0)
     assert not decision.switched and det.serving is None
-    assert not det.admit_call()
+    assert not (det.serving is not None and not det.switch_pending)
     free_state(det, 5, 10.0)
     decision = det.maybe_switch_channel(active_calls=0, now=11.0)
     assert decision.switched and decision.target == 5
-    assert det.admit_call()
+    assert det.serving is not None and not det.switch_pending
 
 
 def test_switch_waits_for_calls_then_moves_to_stalest_free():
@@ -150,11 +150,11 @@ def test_switch_waits_for_calls_then_moves_to_stalest_free():
     det.ingest_report(r(5, 33, at=12.0))  # serving turns occupied
     decision = det.maybe_switch_channel(active_calls=2, now=12.0)
     assert decision.pending and det.serving == 5
-    assert not det.admit_call()
+    assert not (det.serving is not None and not det.switch_pending)
     decision = det.maybe_switch_channel(active_calls=0, now=13.0)
     assert decision.switched and decision.target == 6  # stalest first
     assert det.switches[-1] == (13.0, 5, 6)
-    assert det.admit_call()
+    assert det.serving is not None and not det.switch_pending
 
 
 def test_no_free_channel_quiesces_the_station():
@@ -166,7 +166,7 @@ def test_no_free_channel_quiesces_the_station():
         det.maybe_switch_channel(active_calls=0, now=3.0)
     assert det.serving is None
     assert det.switches[-1] == (3.0, 4, None)
-    assert not det.admit_call()
+    assert not (det.serving is not None and not det.switch_pending)
 
 
 # ------------------------------------------------------------------- ramp
