@@ -93,6 +93,14 @@ POSITIVE = {
     "identity_bench.load_rps",
     "links.bandwidth_kbps",
 }
+# Lists a study iterates to build its rows: empty, it would write only a
+# header.
+NONEMPTY = {
+    "workload.items",
+    "whitespace.ngsm.user_counts",
+    "whitespace.ngsm.ratios",
+    "identity_bench.models",
+}
 # Mapping-valued keys that null switches off.
 NULLABLE = {"whitespace.ngsm"}
 # Shares of one whole: after the merge each must sum to 1.  The draws read
@@ -137,6 +145,8 @@ def _check(path: str, default, value, where: str) -> None:
     elif isinstance(default, list):
         if not isinstance(value, list):
             raise ScenarioError(f"{where} must be a list")
+        if path in NONEMPTY and not value:
+            raise ScenarioError(f"{where} is empty")
         for i, item in enumerate(value):
             _check(path, default[0], item, f"{where}[{i}]")
     elif isinstance(default, str):
@@ -171,8 +181,6 @@ def section(name: str, override: dict | None = None) -> dict:
             raise ScenarioError(f"{name}.{key} must sum to 1, not {total:g}")
     if name == "whitespace" and out["band"]["first"] > out["band"]["last"]:
         raise ScenarioError("whitespace.band is empty: first > last")
-    if name == "workload" and not out["items"]:
-        raise ScenarioError("workload.items is empty")
     return out
 
 

@@ -80,7 +80,6 @@ class Record:
 class Completion:
     request: SyncRequest
     apply_at: float
-    receipt_at: float
 
 
 @dataclass(frozen=True)
@@ -116,12 +115,6 @@ class LazyQueue:
 
     def __len__(self) -> int:
         return len(self.pending) + (1 if self.in_flight else 0)
-
-    def depth_bytes(self) -> float:
-        total = sum(r.size for r in self.pending)
-        if self.in_flight:
-            total += self.in_flight.size - self.in_flight.sent_bytes
-        return total
 
     def enqueue(self, req: SyncRequest) -> None:
         if self.capacity is not None and len(self) >= self.capacity:
@@ -425,7 +418,6 @@ class LocalServer:
             self.store.apply(
                 req.app_type, req.key, req.payload, req.request_id, apply_at
             )
-            receipt_at = apply_at + self.service_time() + latency
             self.records.append(
                 LatencyRecord(
                     request_id=req.request_id,
@@ -433,12 +425,10 @@ class LocalServer:
                     app_type=req.app_type,
                     size=req.size,
                     enqueued_at=req.enqueued_at,
-                    delivered_at=receipt_at,
+                    delivered_at=apply_at + self.service_time() + latency,
                 )
             )
-            out.append(
-                Completion(request=req, apply_at=apply_at, receipt_at=receipt_at)
-            )
+            out.append(Completion(request=req, apply_at=apply_at))
         return out
 
     def eta(self, now: float) -> float | None:

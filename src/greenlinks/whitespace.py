@@ -87,7 +87,14 @@ class SwitchDecision:
 
 
 class Detector:
-    """Per-base-station channel estimator, scan planner and power control."""
+    """Per-base-station channel estimator, scan planner and power control.
+
+    The channels holding each verdict, and a lower bound on the time of
+    the reports behind the verdicts, are kept as verdicts change.  So
+    counting the unknowns and deciding whether the plan is current cost
+    no scan of the band, and the picks look only at the channels they
+    can pick.
+    """
 
     def __init__(self, config: DetectorConfig | None = None):
         self.config = config or DetectorConfig()
@@ -97,6 +104,11 @@ class Detector:
         }
         self.plan: tuple[int, ...] = ()
         self.plan_dirty = True
+        # The channels holding each verdict.
+        self._holding: dict[Verdict, set[int]] = {v: set() for v in Verdict}
+        self._holding[Verdict.UNKNOWN].update(self.states)
+        # No channel with a verdict has last_report_at below this bound.
+        self._evidence_floor = math.inf
         self.serving: int | None = None
         self.switch_pending = False
         self.switches: list[tuple[float, int | None, int | None]] = []
@@ -106,16 +118,23 @@ class Detector:
 
     # ---------------------------------------------------------- evidence
 
+    def _set_verdict(self, state: ChannelState, verdict: Verdict) -> None:
+        """The one way a verdict changes: keeps the per-verdict channel
+        sets and marks the plan for review."""
+        self._holding[state.verdict].remove(state.arfcn)
+        self._holding[verdict].add(state.arfcn)
+        state.verdict = verdict
+        self.plan_dirty = True
+
     def _expire(self, state: ChannelState, now: float) -> None:
         ttl = self.config.evidence_ttl_s
         if state.verdict is Verdict.UNKNOWN or state.last_report_at is None:
             return
         if now - state.last_report_at > ttl:
-            state.verdict = Verdict.UNKNOWN
+            self._set_verdict(state, Verdict.UNKNOWN)
             state.zero_count = 0
             state.window_start = None
             state.t_verdict = None
-            self.plan_dirty = True
 
     def ingest_report(self, report: Report) -> ChannelState:
         """Fold one measurement in.  Reports for channels outside the scan
@@ -129,14 +148,15 @@ class Detector:
         now = report.at
         self._expire(state, now)
         state.last_report_at = now
+        if now < self._evidence_floor:
+            self._evidence_floor = now
         if report.energy > 0:
             state.last_positive_at = now
             state.zero_count = 0
             state.window_start = None
             if state.verdict is not Verdict.OCCUPIED:
-                state.verdict = Verdict.OCCUPIED
+                self._set_verdict(state, Verdict.OCCUPIED)
                 state.t_verdict = now
-                self.plan_dirty = True
             self._ramp_on_occupancy(now)
         else:
             state.zero_count += 1
@@ -147,13 +167,12 @@ class Detector:
                 and state.zero_count >= self.config.n_free
                 and now - state.window_start >= self.config.t_free_s
             ):
-                state.verdict = Verdict.FREE
+                self._set_verdict(state, Verdict.FREE)
                 state.t_verdict = now
-                self.plan_dirty = True
         return state
 
     def unknown_count(self) -> int:
-        return sum(1 for s in self.states.values() if s.verdict is Verdict.UNKNOWN)
+        return len(self._holding[Verdict.UNKNOWN])
 
     # ------------------------------------------------------ scan planning
 
@@ -163,10 +182,17 @@ class Detector:
         Unknown channels already advertised stay until classified; vacant
         slots take the least-recently-planned unknowns, then the stalest
         free channels as re-verification candidates.  Never the serving
-        channel, never an occupied one.
+        channel, never an occupied one.  The band is swept for stale
+        evidence only when the oldest report behind a verdict may have
+        outlived evidence_ttl.
         """
-        for state in self.states.values():
-            self._expire(state, now)
+        if now - self._evidence_floor > self.config.evidence_ttl_s:
+            floor = math.inf
+            for state in self.states.values():
+                self._expire(state, now)
+                if state.verdict is not Verdict.UNKNOWN:
+                    floor = min(floor, state.last_report_at)
+            self._evidence_floor = floor
         keep = [
             a
             for a in self.plan
@@ -176,51 +202,50 @@ class Detector:
         vacancies = slots - len(keep)
         chosen = list(keep)
         if vacancies > 0:
-            fresh = sorted(
+            fresh = heapq.nsmallest(
+                vacancies,
                 (
-                    s
-                    for s in self.states.values()
-                    if s.verdict is Verdict.UNKNOWN
-                    and s.arfcn not in chosen
-                    and s.arfcn != self.serving
+                    self.states[a]
+                    for a in self._holding[Verdict.UNKNOWN]
+                    if a not in chosen and a != self.serving
                 ),
                 key=lambda s: (
                     s.last_planned_at if s.last_planned_at is not None else -1.0,
                     s.arfcn,
                 ),
             )
-            for state in fresh[:vacancies]:
+            for state in fresh:
                 chosen.append(state.arfcn)
             vacancies = slots - len(chosen)
         if vacancies > 0:
-            stale_free = sorted(
+            stale_free = heapq.nsmallest(
+                vacancies,
                 (
-                    s
-                    for s in self.states.values()
-                    if s.verdict is Verdict.FREE
-                    and s.arfcn not in chosen
-                    and s.arfcn != self.serving
+                    self.states[a]
+                    for a in self._holding[Verdict.FREE]
+                    if a not in chosen and a != self.serving
                 ),
                 key=lambda s: (
                     s.last_report_at if s.last_report_at is not None else -1.0,
                     s.arfcn,
                 ),
             )
-            for state in stale_free[:vacancies]:
+            for state in stale_free:
                 chosen.append(state.arfcn)
         for arfcn in chosen:
             if arfcn not in self.plan:
                 self.states[arfcn].last_planned_at = now
         self.plan = tuple(chosen)
-        self.plan_dirty = False
+        # A plan that rotates verified channels is rebuilt every batch.
+        self.plan_dirty = any(
+            self.states[a].verdict is not Verdict.UNKNOWN for a in chosen
+        )
         return self.plan
 
     def plan_is_current(self) -> bool:
         """False once a verdict change (or expiry) may alter the plan, and
         whenever free channels are being rotated for re-verification."""
-        if self.plan_dirty:
-            return False
-        return all(self.states[a].verdict is Verdict.UNKNOWN for a in self.plan)
+        return not self.plan_dirty
 
     # --------------------------------------------------- serving channel
 
@@ -240,18 +265,19 @@ class Detector:
             if not self.switch_pending:
                 return SwitchDecision()
             serving_bad = True  # pending from an earlier check
-        free = [
-            s.arfcn
-            for s in sorted(
-                self.states.values(),
-                key=lambda s: (
-                    s.last_report_at if s.last_report_at is not None else -1.0,
-                    s.arfcn,
-                ),
-            )
-            if s.verdict is Verdict.FREE and s.arfcn != self.serving
-        ]
-        if not free:
+        stalest = min(
+            (
+                self.states[a]
+                for a in self._holding[Verdict.FREE]
+                if a != self.serving
+            ),
+            key=lambda s: (
+                s.last_report_at if s.last_report_at is not None else -1.0,
+                s.arfcn,
+            ),
+            default=None,
+        )
+        if stalest is None:
             if serving_bad:
                 old = self.serving
                 self.serving = None
@@ -262,7 +288,7 @@ class Detector:
         if serving_bad and active_calls > 0:
             self.switch_pending = True
             return SwitchDecision(pending=True)
-        target = free[0]
+        target = stalest.arfcn
         old = self.serving
         self.serving = target
         self.switch_pending = False

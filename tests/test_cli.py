@@ -261,6 +261,10 @@ MALFORMED = [
     ("workload-without-community-node", "simulate", _only(1, "workload")),
     ("workload-items-empty", "simulate", _set("workload.items", [])),
     ("ngsm-user-count-0", "whitespace", _set("whitespace.ngsm.user_counts", [0])),
+    # Nothing to iterate: each wrote a header-only CSV.
+    ("ngsm-user-counts-empty", "whitespace", _set("whitespace.ngsm.user_counts", [])),
+    ("ngsm-ratios-empty", "whitespace", _set("whitespace.ngsm.ratios", [])),
+    ("idbench-models-empty", "idbench", _set("identity_bench.models", [])),
 ]
 
 

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greenlinks.errors import NoFreeChannel, UnplannedChannel
 from greenlinks.whitespace import (
@@ -10,6 +12,7 @@ from greenlinks.whitespace import (
     DetectorConfig,
     RadioField,
     Report,
+    SwitchDecision,
     Verdict,
     compare_ngsm,
     make_phones,
@@ -124,10 +127,14 @@ def test_serving_channel_is_never_advertised():
 
 
 def free_state(det, arfcn, last_report):
-    s = det.states[arfcn]
-    s.verdict = Verdict.FREE
-    s.last_report_at = last_report
-    s.t_verdict = last_report
+    """Verify ``arfcn`` free at ``last_report`` through its own zero
+    reports, advertising it alone for as long as they take (n_free
+    reports at one instant: the detector needs t_free_s == 0)."""
+    plan, det.plan = det.plan, (arfcn,)
+    for _ in range(det.config.n_free):
+        det.ingest_report(r(arfcn, 0, at=last_report))
+    det.plan = plan
+    assert det.states[arfcn].verdict is Verdict.FREE
 
 
 def test_bootstrap_stays_quiet_until_something_is_verified():
@@ -167,6 +174,167 @@ def test_no_free_channel_quiesces_the_station():
     assert det.serving is None
     assert det.switches[-1] == (3.0, 4, None)
     assert not (det.serving is not None and not det.switch_pending)
+
+
+# ------------------------------------------------------------ bookkeeping
+
+
+class ReferenceDetector(Detector):
+    """Planning and counting by scanning the whole band on every call, as
+    the detector originally did.  The kept per-verdict channel sets, the
+    evidence floor and the partial picks must give the same answers."""
+
+    def unknown_count(self):
+        return sum(1 for s in self.states.values() if s.verdict is Verdict.UNKNOWN)
+
+    def plan_scan(self, now):
+        for state in self.states.values():
+            self._expire(state, now)
+        keep = [
+            a
+            for a in self.plan
+            if self.states[a].verdict is Verdict.UNKNOWN and a != self.serving
+        ]
+        slots = self.config.slots
+        vacancies = slots - len(keep)
+        chosen = list(keep)
+        if vacancies > 0:
+            fresh = sorted(
+                (
+                    s
+                    for s in self.states.values()
+                    if s.verdict is Verdict.UNKNOWN
+                    and s.arfcn not in chosen
+                    and s.arfcn != self.serving
+                ),
+                key=lambda s: (
+                    s.last_planned_at if s.last_planned_at is not None else -1.0,
+                    s.arfcn,
+                ),
+            )
+            for state in fresh[:vacancies]:
+                chosen.append(state.arfcn)
+            vacancies = slots - len(chosen)
+        if vacancies > 0:
+            stale_free = sorted(
+                (
+                    s
+                    for s in self.states.values()
+                    if s.verdict is Verdict.FREE
+                    and s.arfcn not in chosen
+                    and s.arfcn != self.serving
+                ),
+                key=lambda s: (
+                    s.last_report_at if s.last_report_at is not None else -1.0,
+                    s.arfcn,
+                ),
+            )
+            for state in stale_free[:vacancies]:
+                chosen.append(state.arfcn)
+        for arfcn in chosen:
+            if arfcn not in self.plan:
+                self.states[arfcn].last_planned_at = now
+        self.plan = tuple(chosen)
+        self.plan_dirty = False
+        return self.plan
+
+    def plan_is_current(self):
+        if self.plan_dirty:
+            return False
+        return all(self.states[a].verdict is Verdict.UNKNOWN for a in self.plan)
+
+    def maybe_switch_channel(self, active_calls, now):
+        serving_bad = (
+            self.serving is not None
+            and self.states[self.serving].verdict is Verdict.OCCUPIED
+        )
+        want_start = self.serving is None
+        if not serving_bad and not want_start:
+            if not self.switch_pending:
+                return SwitchDecision()
+            serving_bad = True
+        free = [
+            s.arfcn
+            for s in sorted(
+                self.states.values(),
+                key=lambda s: (
+                    s.last_report_at if s.last_report_at is not None else -1.0,
+                    s.arfcn,
+                ),
+            )
+            if s.verdict is Verdict.FREE and s.arfcn != self.serving
+        ]
+        if not free:
+            if serving_bad:
+                old = self.serving
+                self.serving = None
+                self.switch_pending = False
+                self.switches.append((now, old, None))
+                raise NoFreeChannel(f"no verified-free channel at t={now:.0f}")
+            return SwitchDecision()
+        if serving_bad and active_calls > 0:
+            self.switch_pending = True
+            return SwitchDecision(pending=True)
+        target = free[0]
+        old = self.serving
+        self.serving = target
+        self.switch_pending = False
+        self.switches.append((now, old, target))
+        return SwitchDecision(switched=True, target=target)
+
+
+# One step: (kind, pick, energy, dt).  A report goes to channel
+# ``pick`` of the advertised plan plus the serving channel; a switch
+# check has ``pick % 2`` calls connected.  Time never runs backwards.
+STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(("report", "report", "plan", "plan", "switch")),
+        st.integers(0, 6),
+        st.sampled_from((0, 0, 25)),
+        st.sampled_from((0.0, 1.0, 2.0, 6.0)),
+    ),
+    max_size=80,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(steps=STEPS)
+def test_kept_bookkeeping_matches_the_full_band_scans(steps):
+    # Evidence lives 10 s, so verdicts expire both on a late report and
+    # in a plan_scan sweep.
+    config = DetectorConfig(
+        first_arfcn=1, last_arfcn=5, slots=3, n_free=2, t_free_s=1.0,
+        evidence_ttl_s=10.0,
+    )
+    det, ref = Detector(config), ReferenceDetector(config)
+    det.plan_scan(0.0)
+    ref.plan_scan(0.0)
+    now = 0.0
+    for kind, pick, energy, dt in steps:
+        now += dt
+        if kind == "report":
+            heard = det.plan + ((det.serving,) if det.serving is not None else ())
+            if heard:
+                report = r(heard[pick % len(heard)], energy, at=now)
+                det.ingest_report(report)
+                ref.ingest_report(report)
+        elif kind == "plan":
+            det.plan_scan(now)
+            ref.plan_scan(now)
+        else:
+            decisions = []
+            for d in (det, ref):
+                try:
+                    decisions.append(
+                        d.maybe_switch_channel(active_calls=pick % 2, now=now)
+                    )
+                except NoFreeChannel:
+                    decisions.append(NoFreeChannel)
+            assert decisions[0] == decisions[1]
+        assert det.unknown_count() == ref.unknown_count()
+        assert det.plan == ref.plan
+        assert det.plan_is_current() == ref.plan_is_current()
+        assert det.serving == ref.serving
 
 
 # ------------------------------------------------------------------- ramp
