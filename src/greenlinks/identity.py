@@ -22,7 +22,9 @@ non-cryptographic.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     BackhaulDown,
@@ -116,22 +118,27 @@ class ResolverRing:
     members: tuple[int, ...]
     seed: int = 0
 
+    @cached_property
+    def points(self) -> tuple[list[int], list[int]]:
+        """Sorted distinct member hashes and, for each, the smallest
+        member at that hash."""
+        hashes, owners = [], []
+        for h, member in sorted((hash32(str(m), self.seed), m) for m in self.members):
+            if not hashes or hashes[-1] != h:
+                hashes.append(h)
+                owners.append(member)
+        return hashes, owners
+
 
 def resolver_for(ring: ResolverRing, value: UserIdentity | str) -> int:
     """Ring member responsible for value; see the module docstring."""
     if not ring.members:
         raise EmptyRing("resolver ring has no members")
     key = value.imsi if isinstance(value, UserIdentity) else str(value)
-    hx = hash32(key, ring.seed)
-    best = None
-    best_key = None
-    for member in ring.members:
-        dist = (hx - hash32(str(member), ring.seed)) & _MASK
-        cand = (dist, member)
-        if best_key is None or cand < best_key:
-            best_key = cand
-            best = member
-    return best
+    hashes, owners = ring.points
+    # The nearest point at or below the key; index -1 wraps to the
+    # largest point when the key lies below every point.
+    return owners[bisect_right(hashes, hash32(key, ring.seed)) - 1]
 
 
 class EgressAllocator:

@@ -29,6 +29,7 @@ user-to-user messages; delivery happens when the destination node syncs.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
 
 from .errors import (
@@ -53,8 +54,6 @@ class SyncRequest:
     payload: bytes
     klass: str  # "slowput" or "message"
     enqueued_at: float
-    seq: int
-    priority: int = 1
     sent_bytes: float = 0.0
     transmit_end: float | None = None
 
@@ -99,7 +98,8 @@ class FastResponse:
 
 
 class LazyQueue:
-    """FIFO transmit queue with fluid drain and optional priority classes.
+    """Transmit queue with fluid drain and optional priority classes,
+    FIFO within each class.
 
     With priority mode on, small payloads (<= 1 KB, the SMS class) are
     selected ahead of file-class requests, but only at request
@@ -108,29 +108,34 @@ class LazyQueue:
 
     def __init__(self, *, capacity: int | None = None, priority_mode: bool = False):
         self.capacity = capacity
-        self.priority_mode = priority_mode
-        self.pending: list[SyncRequest] = []
+        # Class 0 holds SMS-sized payloads, class 1 the rest; FIFO mode
+        # has a single class, so both indexes name the same deque.
+        self._classes = (deque(), deque()) if priority_mode else (deque(),)
         self.in_flight: SyncRequest | None = None
+        self._first_enqueued_at: float | None = None
         self._cursor: float | None = None
 
     def __len__(self) -> int:
-        return len(self.pending) + (1 if self.in_flight else 0)
+        return sum(map(len, self._classes)) + (1 if self.in_flight else 0)
 
     def enqueue(self, req: SyncRequest) -> None:
         if self.capacity is not None and len(self) >= self.capacity:
             raise QueueFull(f"lazy queue at capacity {self.capacity}")
-        req.priority = 0 if req.size <= SMS_PRIORITY_MAX_BYTES else 1
-        self.pending.append(req)
+        if self._first_enqueued_at is None:
+            self._first_enqueued_at = req.enqueued_at
+        self._classes[0 if req.size <= SMS_PRIORITY_MAX_BYTES else -1].append(req)
+
+    def _head(self) -> SyncRequest | None:
+        for fifo in self._classes:
+            if fifo:
+                return fifo[0]
+        return None
 
     def _take_next(self) -> SyncRequest | None:
-        if not self.pending:
-            return None
-        if self.priority_mode:
-            best = min(self.pending, key=lambda r: (r.priority, r.seq))
-        else:
-            best = self.pending[0]
-        self.pending.remove(best)
-        return best
+        for fifo in self._classes:
+            if fifo:
+                return fifo.popleft()
+        return None
 
     def advance(
         self, now: float, rate_Bps: float, up: bool
@@ -145,8 +150,8 @@ class LazyQueue:
             # Accounting starts when the first request existed, not when
             # the owner first bothered to call advance.
             self._cursor = now
-            if self.pending:
-                self._cursor = min(now, self.pending[0].enqueued_at)
+            if self._first_enqueued_at is not None:
+                self._cursor = min(now, self._first_enqueued_at)
         start = self._cursor
         if now < start:
             now = start
@@ -181,14 +186,9 @@ class LazyQueue:
         rate from ``now``.  Call advance(now) first."""
         if not up or rate_Bps <= 0:
             return None
-        req = self.in_flight
+        req = self.in_flight or self._head()
         if req is None:
-            if not self.pending:
-                return None
-            if self.priority_mode:
-                req = min(self.pending, key=lambda r: (r.priority, r.seq))
-            else:
-                req = self.pending[0]
+            return None
         return now + (req.size - req.sent_bytes) / rate_Bps
 
 
@@ -397,7 +397,6 @@ class LocalServer:
             payload=payload,
             klass="slowput",
             enqueued_at=now,
-            seq=self._seq,
         )
         self.queue.enqueue(req)
         self.counters["slowput"] += 1
@@ -543,6 +542,8 @@ class LocalServer:
             )
             return message_id
         body = json.dumps(envelope, sort_keys=True).encode()
+        # A queued message uses up a request number too, so the
+        # n<node>-q<k> ids issued after it count it.
         self._seq += 1
         req = SyncRequest(
             request_id=message_id,
@@ -552,7 +553,6 @@ class LocalServer:
             payload=body,
             klass="message",
             enqueued_at=now,
-            seq=self._seq,
         )
         self.queue.enqueue(req)
         return message_id

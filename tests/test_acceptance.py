@@ -353,7 +353,7 @@ def run_fault_schedule(seed):
     if not sim.store.applied_once():
         anomalies.append("handler reran a request id")
     for node, server in servers.items():
-        if server.queue.pending or server.queue.in_flight is not None:
+        if len(server.queue):
             anomalies.append(f"node {node} queue not drained")
     board = sim.board
     if board.pending or board.expired:

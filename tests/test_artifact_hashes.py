@@ -7,7 +7,9 @@ updates them and says which artifacts moved and why.
 The generated tree runs every draw branch of the availability study:
 node-local, zone-mate and cross-zone destinations, both failure sides,
 and the marketplace workload's sync queue on node 1.  The single-run
-`simulate` case covers the path that writes one ledger's rates, and the
+`simulate` case covers the path that writes one ledger's rates, the
+`market_edge_priority` case runs the lazy queue with SMS-sized payloads
+served ahead of files (`--priority-queue`), and the
 `whitespace` and `idbench` cases cover the shipped scenarios of those
 studies.  The library case drives the paths no CLI study reaches:
 store-and-forward messages, marketplace searches and issuance deferred
@@ -64,6 +66,11 @@ EXPECTED = {
         "latency.csv": "d0fcb60271f0f29b66c27873b08a3f4aeeec86bd3d14ffa50d091ea8dad38b64",
         "summary.csv": "195267f656394d2d87d331be9017441056fe4154168a976dec19042172b5a37d",
     },
+    "market_edge_priority": {
+        "metrics.csv": "90d8cca03b1beac708d254c1c9b5ccf7acbe5cfefcd49f526607400cb851f085",
+        "latency.csv": "e98b590ce0a75ce06b6a6c72c76b1bf79f72913e6f901401b53a25d199076f20",
+        "summary.csv": "195267f656394d2d87d331be9017441056fe4154168a976dec19042172b5a37d",
+    },
     "tree_5_3": {
         "metrics.csv": "db699d2ce09997f4411db2941545b3043baf766b424996a487b4ff248ff4204a",
         "latency.csv": "89f4b26808d59286b6eb31bb85b14068998a60d2027f8bcb593c9fa8ad26648d",
@@ -107,6 +114,9 @@ def run_case(case, tmp_path):
         scenario = tmp_path / "tree.json"
         scenario.write_text(json.dumps(tree_scenario()))
         extra = ["--runs", "2", "--horizon", "1800", "--seed", "7"]
+    elif case == "market_edge_priority":
+        scenario = SCENARIOS / "market_edge.json"
+        extra = ["--priority-queue", "--runs", "2", "--seed", "3"]
     elif case == "village_1run":
         scenario = SCENARIOS / "village.json"
         extra = ["--runs", "1", "--seed", "3"]

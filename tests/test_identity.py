@@ -66,13 +66,14 @@ def ring_oracle(members, seed, key):
 
 def test_resolver_matches_predecessor_oracle():
     rng = random.Random(11)
-    for _ in range(2000):
-        size = rng.randrange(1, 17)
-        members = tuple(rng.sample(range(1000), size))
+    sizes = [rng.randrange(1, 17) for _ in range(2000)] + [100] * 20 + [1000] * 5
+    for size in sizes:
+        members = tuple(rng.sample(range(2000), size))
         seed = rng.randrange(2**16)
         ring = ResolverRing(members=members, seed=seed)
-        key = f"{rng.randrange(10 ** 15):015d}"
-        assert resolver_for(ring, key) == ring_oracle(members, seed, key)
+        for _ in range(3):  # later lookups reuse the ring's sorted points
+            key = f"{rng.randrange(10 ** 15):015d}"
+            assert resolver_for(ring, key) == ring_oracle(members, seed, key)
 
 
 def test_resolver_tie_breaks_to_smaller_member(monkeypatch):

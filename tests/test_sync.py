@@ -13,6 +13,7 @@ from greenlinks.errors import (
     SyncTimeout,
 )
 from greenlinks.sync import (
+    SMS_PRIORITY_MAX_BYTES,
     CloudStore,
     LazyQueue,
     LocalServer,
@@ -65,7 +66,7 @@ def edge_server(**kw):
     return server, uplink, clock
 
 
-def req(request_id, size, seq, at=0.0):
+def req(request_id, size, at=0.0):
     return SyncRequest(
         request_id=request_id,
         identity="u",
@@ -74,7 +75,6 @@ def req(request_id, size, seq, at=0.0):
         payload=b"x" * size,
         klass="slowput",
         enqueued_at=at,
-        seq=seq,
     )
 
 
@@ -178,7 +178,7 @@ def test_queue_capacity_and_empty_payload():
 def test_drain_conserves_bytes_and_order(sizes, cuts):
     queue = LazyQueue()
     for i, size in enumerate(sizes):
-        queue.enqueue(req(f"r{i}", size, seq=i))
+        queue.enqueue(req(f"r{i}", size))
     done = []
     t = 0.0
     for step in sorted(cuts):
@@ -192,6 +192,120 @@ def test_drain_conserves_bytes_and_order(sizes, cuts):
     # byte count has drained at the constant rate
     assert ends[-1] == pytest.approx(sum(sizes) / EDGE_RATE)
     assert len(queue) == 0
+
+
+class ReferenceQueue:
+    """The list-based lazy queue the class deques replaced: each take and
+    peek scans the backlog with ``min`` over (class, enqueue number), and
+    a take removes its pick with ``list.remove``."""
+
+    def __init__(self, priority_mode):
+        self.priority_mode = priority_mode
+        self.pending = []
+        self.order = {}
+        self.in_flight = None
+        self._cursor = None
+
+    def __len__(self):
+        return len(self.pending) + (1 if self.in_flight else 0)
+
+    def enqueue(self, req):
+        priority = 0 if req.size <= SMS_PRIORITY_MAX_BYTES else 1
+        self.order[req.request_id] = (priority, len(self.order))
+        self.pending.append(req)
+
+    def _take_next(self):
+        if not self.pending:
+            return None
+        if self.priority_mode:
+            best = min(self.pending, key=lambda r: self.order[r.request_id])
+        else:
+            best = self.pending[0]
+        self.pending.remove(best)
+        return best
+
+    def advance(self, now, rate_Bps, up):
+        if self._cursor is None:
+            self._cursor = now
+            if self.pending:
+                self._cursor = min(now, self.pending[0].enqueued_at)
+        start = self._cursor
+        if now < start:
+            now = start
+        self._cursor = now
+        if not up or rate_Bps <= 0:
+            return []
+        completed = []
+        t = start
+        while True:
+            if self.in_flight is None:
+                self.in_flight = self._take_next()
+                if self.in_flight is None:
+                    break
+            req = self.in_flight
+            if req.enqueued_at > t:
+                t = req.enqueued_at
+            remaining = now - t
+            need = (req.size - req.sent_bytes) / rate_Bps
+            if need <= remaining + 1e-9:
+                t += need
+                req.sent_bytes = req.size
+                req.transmit_end = t
+                completed.append(req)
+                self.in_flight = None
+            else:
+                req.sent_bytes += max(0.0, remaining) * rate_Bps
+                break
+        return completed
+
+    def eta(self, now, rate_Bps, up):
+        if not up or rate_Bps <= 0:
+            return None
+        req = self.in_flight
+        if req is None:
+            if not self.pending:
+                return None
+            if self.priority_mode:
+                req = min(self.pending, key=lambda r: self.order[r.request_id])
+            else:
+                req = self.pending[0]
+        return now + (req.size - req.sent_bytes) / rate_Bps
+
+
+# Payload sizes on both sides of the SMS class bound, up to 8 s files.
+QUEUE_SIZES = st.integers(1, 2 * SMS_PRIORITY_MAX_BYTES) | st.integers(1, 200_000)
+GAPS = st.floats(0.0, 10.0)
+ENQUEUE = st.tuples(st.just("enqueue"), GAPS, QUEUE_SIZES)
+QUEUE_STEPS = st.lists(
+    ENQUEUE
+    | st.tuples(st.just("advance"), GAPS, st.booleans())
+    | st.tuples(st.just("eta"), GAPS, st.none()),
+    max_size=40,
+)
+
+
+@pytest.mark.parametrize("priority_mode", [False, True])
+@settings(max_examples=300, deadline=None)
+@given(first=st.lists(ENQUEUE, min_size=1, max_size=5), steps=QUEUE_STEPS)
+def test_class_deques_match_the_backlog_scan(priority_mode, first, steps):
+    queue = LazyQueue(priority_mode=priority_mode)
+    ref = ReferenceQueue(priority_mode)
+    t, up = 0.0, True
+    for k, (op, gap, arg) in enumerate(first + steps):
+        t += gap
+        if op == "enqueue":
+            queue.enqueue(req(f"r{k}", arg, at=t))
+            ref.enqueue(req(f"r{k}", arg, at=t))
+        elif op == "advance":
+            got = queue.advance(t, EDGE_RATE, up)
+            want = ref.advance(t, EDGE_RATE, up)
+            assert [(r.request_id, r.transmit_end) for r in got] == [
+                (r.request_id, r.transmit_end) for r in want
+            ]
+            up = up != arg  # the uplink toggles right after this advance
+        else:
+            assert queue.eta(t, EDGE_RATE, up) == ref.eta(t, EDGE_RATE, up)
+        assert len(queue) == len(ref)
 
 
 # ---------------------------------------------------------------- fastget
