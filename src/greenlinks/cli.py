@@ -165,7 +165,6 @@ def cmd_whitespace(args) -> int:
     scenario = load_scenario(args.scenario) if args.scenario else {}
     cfg = section("whitespace", scenario.get("whitespace"))
     seed = resolve_seed(args)
-    outdir = out_dir(args)
 
     band = cfg["band"]
     det_config = DetectorConfig(
@@ -213,7 +212,6 @@ def cmd_whitespace(args) -> int:
             print("warning: band not fully classified before traffic ran out", file=sys.stderr)
 
     rows = detector.occupancy_rows()
-    write_csv(outdir / "occupancy.csv", ["arfcn", "verdict", "t_verdict"], rows)
     occupied = sum(1 for _, v, _ in rows if v == "occupied")
     free = sum(1 for _, v, _ in rows if v == "free")
     unknown = sum(1 for _, v, _ in rows if v == "unknown")
@@ -238,6 +236,8 @@ def cmd_whitespace(args) -> int:
                 compare_rows.append(
                     (users_n, ratio, t_ngsm / 60.0, t_vol / 60.0)
                 )
+    outdir = out_dir(args)
+    write_csv(outdir / "occupancy.csv", ["arfcn", "verdict", "t_verdict"], rows)
     write_csv(
         outdir / "ngsm_compare.csv",
         ["users", "ratio", "t_ngsm", "t_volunteer"],
@@ -253,7 +253,6 @@ def cmd_idbench(args) -> int:
     scenario = load_scenario(args.scenario) if args.scenario else {}
     cfg = section("identity_bench", scenario.get("identity_bench"))
     seed = resolve_seed(args)
-    outdir = out_dir(args)
     sample_rows = []
     summary_rows = []
     for spec in cfg["models"]:
@@ -285,6 +284,7 @@ def cmd_idbench(args) -> int:
             f"{bench.model}/{bench.servers}: n={len(sojourns)} "
             f"p50={bench.quantile(0.5):.6g}s p95={bench.quantile(0.95):.6g}s"
         )
+    outdir = out_dir(args)
     write_csv(
         outdir / "idbench_samples.csv",
         ["model", "servers", "index", "arrival", "server", "sojourn"],

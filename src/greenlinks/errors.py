@@ -75,10 +75,6 @@ class NameNotFound(GreenLinksError):
 # ---------------------------------------------------------------- sync
 
 
-class QueueFull(GreenLinksError):
-    pass
-
-
 class PayloadEmpty(GreenLinksError):
     pass
 

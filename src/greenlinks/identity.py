@@ -141,11 +141,15 @@ def resolver_for(ring: ResolverRing, value: UserIdentity | str) -> int:
     return owners[bisect_right(hashes, hash32(key, ring.seed)) - 1]
 
 
-class EgressAllocator:
-    """Pool of external numbers handed to global identities."""
+# External numbers the egress gateway can hand out.
+EGRESS_POOL = 32
 
-    def __init__(self, pool: int = 32):
-        self._free = [f"+1555{2000000 + i:07d}" for i in range(pool)]
+
+class EgressAllocator:
+    """Pool of EGRESS_POOL external numbers handed to global identities."""
+
+    def __init__(self):
+        self._free = [f"+1555{2000000 + i:07d}" for i in range(EGRESS_POOL)]
 
     def allocate(self) -> str:
         if not self._free:
@@ -258,14 +262,11 @@ class IdentityService:
     # ------------------------------------------------------------ helpers
 
     def _cloud_up(self, node_id: int) -> bool:
-        return self.topology.reachable(node_id, self.topology.cloud_id)
+        return self.topology.cloud_route(node_id) is not None
 
     def _cloud_rtt(self, node_id: int) -> float:
-        path = self.topology.path(node_id, self.topology.cloud_id)
-        if path is None:
-            return 0.0
-        _, latency = self.topology.path_metrics(path)
-        return 2.0 * latency
+        route = self.topology.cloud_route(node_id)
+        return 2.0 * route[1] if route else 0.0
 
     # ---------------------------------------------------------- issuance
 

@@ -35,7 +35,6 @@ SECTIONS = {
         "fastget_timeout_s": 30.0,
         "service_s": 0.01,
         "service_jitter": 0.5,
-        "queue_capacity": None,
         "message_ttl_s": None,
     },
     "workload": {
@@ -91,6 +90,7 @@ POSITIVE = {
     "whitespace.volunteer_period_s",
     "whitespace.ngsm.user_counts",
     "identity_bench.load_rps",
+    "identity_bench.models.servers",
     "links.bandwidth_kbps",
 }
 # Lists a study iterates to build its rows: empty, it would write only a
@@ -101,6 +101,8 @@ NONEMPTY = {
     "whitespace.ngsm.ratios",
     "identity_bench.models",
 }
+# The directory models identity_bench.models may name.
+IDENTITY_MODELS = ("central", "dht")
 # Mapping-valued keys that null switches off.
 NULLABLE = {"whitespace.ngsm"}
 # Shares of one whole: after the merge each must sum to 1.  The draws read
@@ -181,6 +183,12 @@ def section(name: str, override: dict | None = None) -> dict:
             raise ScenarioError(f"{name}.{key} must sum to 1, not {total:g}")
     if name == "whitespace" and out["band"]["first"] > out["band"]["last"]:
         raise ScenarioError("whitespace.band is empty: first > last")
+    if name == "identity_bench":
+        for i, spec in enumerate(out["models"]):
+            if spec["model"] not in IDENTITY_MODELS:
+                raise ScenarioError(
+                    f"identity_bench.models[{i}]: unknown model {spec['model']!r}"
+                )
     return out
 
 
@@ -232,12 +240,12 @@ def generate_tree(
     level3_per: int,
     *,
     backhaul_profile: str = "hsdpa",
-    zone_profile: str = "hsdpa",
 ) -> dict:
     """Three-level deployment: cloud 0, level2 gateways, level3 children.
 
     Each level-2 node anchors its own zone (prefix 10.<i>) and carries the
-    zone's backhaul to the cloud; its level-3 children attach to it.
+    zone's backhaul to the cloud; its level-3 children attach to it over
+    hsdpa links.
     """
     if level2 < 1 or level3_per < 0:
         raise ScenarioError("tree needs at least one level2 node")
@@ -257,7 +265,7 @@ def generate_tree(
             members.append(child)
             nodes.append({"id": child, "role": "level3"})
             links.append(
-                {"id": f"z{i}n{j}", "a": gw, "b": child, "profile": zone_profile}
+                {"id": f"z{i}n{j}", "a": gw, "b": child, "profile": "hsdpa"}
             )
         zones.append(
             {"id": f"z{i}", "nodes": members, "gateway": gw, "prefix": f"10.{i}"}

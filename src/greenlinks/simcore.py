@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from .apps import Workload
 from .errors import ScenarioError
 from .identity import IdentityService, ResolverRing, resolver_for
-from .scenario import SECTIONS, section
+from .scenario import IDENTITY_MODELS, SECTIONS, section
 from .sync import (
     CloudStore,
     LatencyRecord,
@@ -203,40 +203,22 @@ def evaluate_dual(trace: RunTrace) -> MetricsLedger:
 
 
 class TopologyUplink:
-    """A node's current path to the cloud, cached per topology epoch."""
+    """A node's current route to the cloud, read from the topology."""
 
     def __init__(self, topology: Topology, node_id: int):
         self.topology = topology
         self.node_id = node_id
-        self._epoch = -1
-        self._rate = 0.0
-        self._latency = 0.0
-        self._up = False
-
-    def _refresh(self) -> None:
-        if self.topology.epoch == self._epoch:
-            return
-        self._epoch = self.topology.epoch
-        path = self.topology.path(self.node_id, self.topology.cloud_id)
-        if path is None:
-            self._up = False
-        else:
-            bw, latency = self.topology.path_metrics(path)
-            self._up = True
-            self._rate = bw * BYTES_PER_KBPS
-            self._latency = latency
 
     def is_up(self) -> bool:
-        self._refresh()
-        return self._up
+        return self.topology.cloud_route(self.node_id) is not None
 
     def rate_Bps(self) -> float:
-        self._refresh()
-        return self._rate
+        route = self.topology.cloud_route(self.node_id)
+        return route[0] * BYTES_PER_KBPS if route else 0.0
 
     def latency_s(self) -> float:
-        self._refresh()
-        return self._latency
+        route = self.topology.cloud_route(self.node_id)
+        return route[1] if route else 0.0
 
 
 # -------------------------------------------------------------- simulation
@@ -663,7 +645,7 @@ def identity_latency_bench(
     identity draws in both models, so dht with one server reproduces
     central sample for sample.
     """
-    if model not in ("central", "dht"):
+    if model not in IDENTITY_MODELS:
         raise ScenarioError(f"unknown identity model {model!r}")
     if servers < 1:
         raise ScenarioError("identity bench needs at least one server")

@@ -3,10 +3,11 @@
 Three data operations with different urgency and consistency needs:
 
 * slowput   -- lazy durable write.  The caller gets an ack immediately;
-               the payload sits in the node's lazy queue and trickles up
-               whenever the backhaul has capacity.  Delivery is
-               at-least-once on the wire and exactly-once at the store
-               (idempotent apply keyed by request id).
+               the payload sits in the node's lazy queue, which has no
+               bound, and trickles up whenever the backhaul has
+               capacity.  Delivery is at-least-once on the wire and
+               exactly-once at the store (idempotent apply keyed by
+               request id).
 * fastget   -- immediate read-modify-write round trip.  Fails fast with
                BackhaulDown when the uplink is down and SyncTimeout when
                the predicted sojourn exceeds the deadline; it never
@@ -32,12 +33,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import (
-    BackhaulDown,
-    PayloadEmpty,
-    QueueFull,
-    SyncTimeout,
-)
+from .errors import BackhaulDown, PayloadEmpty, SyncTimeout
 from .scenario import SECTIONS
 
 SMS_PRIORITY_MAX_BYTES = 1024
@@ -106,8 +102,7 @@ class LazyQueue:
     boundaries: a file already in flight finishes first.
     """
 
-    def __init__(self, *, capacity: int | None = None, priority_mode: bool = False):
-        self.capacity = capacity
+    def __init__(self, *, priority_mode: bool = False):
         # Class 0 holds SMS-sized payloads, class 1 the rest; FIFO mode
         # has a single class, so both indexes name the same deque.
         self._classes = (deque(), deque()) if priority_mode else (deque(),)
@@ -119,8 +114,6 @@ class LazyQueue:
         return sum(map(len, self._classes)) + (1 if self.in_flight else 0)
 
     def enqueue(self, req: SyncRequest) -> None:
-        if self.capacity is not None and len(self) >= self.capacity:
-            raise QueueFull(f"lazy queue at capacity {self.capacity}")
         if self._first_enqueued_at is None:
             self._first_enqueued_at = req.enqueued_at
         self._classes[0 if req.size <= SMS_PRIORITY_MAX_BYTES else -1].append(req)
@@ -326,7 +319,6 @@ class SyncConfig:
     fastget_timeout_s: float = _SYNC["fastget_timeout_s"]
     service_s: float = _SYNC["service_s"]
     service_jitter: float = _SYNC["service_jitter"]
-    queue_capacity: int | None = _SYNC["queue_capacity"]
     message_ttl_s: float | None = _SYNC["message_ttl_s"]
 
 
@@ -335,7 +327,9 @@ class LocalServer:
 
     ``uplink`` supplies is_up()/rate_Bps()/latency_s(); ``clock`` returns
     sim time; ``service_time`` draws the cloud's processing time for one
-    request (inject the engine's seeded stream for jitter).
+    request (inject the engine's seeded stream for jitter); ``board`` is
+    the cloud mailbox and ``resolve_local`` maps a message destination to
+    this node's id when it is homed here, else None.
     """
 
     def __init__(
@@ -345,23 +339,21 @@ class LocalServer:
         store: CloudStore,
         clock,
         *,
-        config: SyncConfig | None = None,
-        service_time=None,
-        board: MessageBoard | None = None,
-        resolve_local=None,
+        config: SyncConfig,
+        service_time,
+        board: MessageBoard,
+        resolve_local,
         priority_mode: bool = False,
     ):
         self.node_id = node_id
         self.uplink = uplink
         self.store = store
         self.clock = clock
-        self.config = config or SyncConfig()
-        self.service_time = service_time or (lambda: self.config.service_s)
+        self.config = config
+        self.service_time = service_time
         self.board = board
-        self.resolve_local = resolve_local or (lambda name: None)
-        self.queue = LazyQueue(
-            capacity=self.config.queue_capacity, priority_mode=priority_mode
-        )
+        self.resolve_local = resolve_local
+        self.queue = LazyQueue(priority_mode=priority_mode)
         self.records: list[LatencyRecord] = []
         self.counters = {
             "slowput": 0,
@@ -527,8 +519,7 @@ class LocalServer:
             "body": payload.decode("latin1"),
         }
         if self.resolve_local(dest) == self.node_id:
-            if self.board is not None:
-                self.board.deliver_local(envelope, now)
+            self.board.deliver_local(envelope, now)
             self.counters["local_delivery"] += 1
             self.records.append(
                 LatencyRecord(

@@ -1,9 +1,10 @@
 """Network world model: nodes, zones and links.
 
 The graph is built once from a scenario mapping and is immutable afterwards
-except for link state, which failure injection toggles at runtime.  A
-monotonically increasing ``epoch`` counter marks every state change so
-callers can cache path computations per epoch.
+except for link state, which failure injection toggles at runtime through
+set_link_state.  Each node's route to the cloud is cached until the next
+real link transition; component labelling works over a link-state map the
+caller gives.
 
 Levels follow the deployment shape: one cloud controller, level-2 community
 nodes with their own backhaul, and level-3 pico nodes that hang off a
@@ -99,7 +100,8 @@ class Topology:
         self.cloud_id = next(
             n.node_id for n in nodes.values() if n.role is Role.CLOUD
         )
-        self.epoch = 0
+        # Node id -> cloud_route result, cleared on every link transition.
+        self._cloud_routes: dict[int, tuple[float, float] | None] = {}
         self._adj: dict[int, list[Link]] = {nid: [] for nid in nodes}
         # (link id, far end) per node, in _adj order, for labelling.
         self._nbrs: dict[int, list[tuple[str, int]]] = {nid: [] for nid in nodes}
@@ -118,7 +120,7 @@ class Topology:
         state = LinkState(state)
         if link.state is not state:
             link.state = state
-            self.epoch += 1
+            self._cloud_routes.clear()
 
     def reachable(self, a: int, b: int, *, within_zone: str | None = None) -> bool:
         return self.path(a, b, within_zone=within_zone) is not None
@@ -165,17 +167,23 @@ class Topology:
         latency = sum(link.latency_ms for link in path) / 1000.0
         return (bw, latency)
 
-    def components(self, up: dict[str, bool] | None = None) -> dict[int, int]:
-        """Connected-component label per node.
+    def cloud_route(self, node_id: int) -> tuple[float, float] | None:
+        """path_metrics of the node's path to the cloud, or None when there
+        is no live path; cached until the next link transition."""
+        if node_id not in self._cloud_routes:
+            path = self.path(node_id, self.cloud_id)
+            self._cloud_routes[node_id] = (
+                None if path is None else self.path_metrics(path)
+            )
+        return self._cloud_routes[node_id]
 
-        With ``up`` None the live link state decides which links carry;
-        otherwise ``up`` maps every link id to whether it is up, and the
-        live state is not read (evaluate_dual passes its replayed state).
-        Components are numbered in the order ``self.nodes`` first reaches
-        them; callers only compare labels for equality.
+    def components(self, up: dict[str, bool]) -> dict[int, int]:
+        """Connected-component label per node over ``up``, which maps every
+        link id to whether it is up; the live link state is not read
+        (evaluate_dual passes its replayed state).  Components are
+        numbered in the order ``self.nodes`` first reaches them; callers
+        only compare labels for equality.
         """
-        if up is None:
-            up = {lid: link.up for lid, link in self.links.items()}
         nbrs = self._nbrs
         label: dict[int, int] = {}
         mark = 0

@@ -2,7 +2,8 @@
 
 Handsets already measure neighbor channels; the base station advertises
 six fake neighbors per scan plan and every SMS a phone sends carries its
-energy readings for those channels.  The detector classifies each ARFCN:
+energy readings for those channels, each folded in as one
+(arfcn, energy, time) report.  The detector classifies each ARFCN:
 
 * one positive (non-zero energy) report marks a channel occupied on the
   spot;
@@ -19,10 +20,11 @@ serving channel is never advertised as a fake neighbor but its own
 measurements are always accepted.
 
 The station starts quiesced (serving=None) and only transmits after a
-channel has been verified free; transmit power then ramps up stepwise
-while the neighborhood stays clean and snaps back on any new occupancy
-signal.  Channel switches wait for connected calls to finish, and
-switch_pending stays set until they have.
+channel has been verified free; transmit power then ramps up from
+RAMP_START_DBM by RAMP_STEP_DB per clean RAMP_INTERVAL_S, up to
+RAMP_MAX_DBM, and snaps back to the start on any new occupancy signal.
+Channel switches wait for connected calls to finish, and switch_pending
+stays set until they have.
 
 The NGSM baseline in compare_ngsm runs the identical estimator fed only
 by organic traffic; the volunteer strategy adds paid periodic senders on
@@ -39,6 +41,12 @@ from enum import Enum
 
 from .errors import NoFreeChannel, UnplannedChannel
 
+# The transmit power ramp (dBm, dB and seconds).
+RAMP_START_DBM = 10.0
+RAMP_STEP_DB = 3.0
+RAMP_INTERVAL_S = 900.0
+RAMP_MAX_DBM = 30.0
+
 
 class Verdict(str, Enum):
     UNKNOWN = "unknown"
@@ -54,17 +62,6 @@ class DetectorConfig:
     n_free: int = 500
     t_free_s: float = 1800.0
     evidence_ttl_s: float = 86400.0
-    ramp_start_dbm: float = 10.0
-    ramp_step_db: float = 3.0
-    ramp_interval_s: float = 900.0
-    ramp_max_dbm: float = 30.0
-
-
-@dataclass(frozen=True)
-class Report:
-    arfcn: int
-    energy: int
-    at: float
 
 
 @dataclass
@@ -96,9 +93,9 @@ class Detector:
     can pick.
     """
 
-    def __init__(self, config: DetectorConfig | None = None):
-        self.config = config or DetectorConfig()
-        c = self.config
+    def __init__(self, config: DetectorConfig):
+        self.config = config
+        c = config
         self.states: dict[int, ChannelState] = {
             a: ChannelState(arfcn=a) for a in range(c.first_arfcn, c.last_arfcn + 1)
         }
@@ -113,7 +110,7 @@ class Detector:
         self.switch_pending = False
         self.switches: list[tuple[float, int | None, int | None]] = []
         self.dropped_unplanned = 0
-        self.tx_power_dbm = c.ramp_start_dbm
+        self.tx_power_dbm = RAMP_START_DBM
         self._ramp_changed_at = 0.0
 
     # ---------------------------------------------------------- evidence
@@ -136,39 +133,37 @@ class Detector:
             state.window_start = None
             state.t_verdict = None
 
-    def ingest_report(self, report: Report) -> ChannelState:
-        """Fold one measurement in.  Reports for channels outside the scan
+    def ingest_report(self, arfcn: int, energy: int, at: float) -> ChannelState:
+        """Fold in one measurement: the ``energy`` a phone read on
+        ``arfcn`` at time ``at``.  Reports for channels outside the scan
         plan (other than the serving channel) are dropped and counted."""
-        state = self.states.get(report.arfcn)
-        if state is None or (
-            report.arfcn not in self.plan and report.arfcn != self.serving
-        ):
+        state = self.states.get(arfcn)
+        if state is None or (arfcn not in self.plan and arfcn != self.serving):
             self.dropped_unplanned += 1
-            raise UnplannedChannel(f"arfcn {report.arfcn} is not being scanned")
-        now = report.at
-        self._expire(state, now)
-        state.last_report_at = now
-        if now < self._evidence_floor:
-            self._evidence_floor = now
-        if report.energy > 0:
-            state.last_positive_at = now
+            raise UnplannedChannel(f"arfcn {arfcn} is not being scanned")
+        self._expire(state, at)
+        state.last_report_at = at
+        if at < self._evidence_floor:
+            self._evidence_floor = at
+        if energy > 0:
+            state.last_positive_at = at
             state.zero_count = 0
             state.window_start = None
             if state.verdict is not Verdict.OCCUPIED:
                 self._set_verdict(state, Verdict.OCCUPIED)
-                state.t_verdict = now
-            self._ramp_on_occupancy(now)
+                state.t_verdict = at
+            self._ramp_on_occupancy(at)
         else:
             state.zero_count += 1
             if state.window_start is None:
-                state.window_start = now
+                state.window_start = at
             if (
                 state.verdict is not Verdict.FREE
                 and state.zero_count >= self.config.n_free
-                and now - state.window_start >= self.config.t_free_s
+                and at - state.window_start >= self.config.t_free_s
             ):
                 self._set_verdict(state, Verdict.FREE)
-                state.t_verdict = now
+                state.t_verdict = at
         return state
 
     def unknown_count(self) -> int:
@@ -298,17 +293,16 @@ class Detector:
     # ------------------------------------------------------- power ramp
 
     def _ramp_on_occupancy(self, now: float) -> None:
-        if self.tx_power_dbm != self.config.ramp_start_dbm:
-            self.tx_power_dbm = self.config.ramp_start_dbm
+        if self.tx_power_dbm != RAMP_START_DBM:
+            self.tx_power_dbm = RAMP_START_DBM
             self._ramp_changed_at = now
 
     def maybe_ramp(self, now: float) -> bool:
         """One ramp step when the whole advertised neighborhood plus the
         serving channel have stayed verified free over the last interval."""
-        c = self.config
-        if self.serving is None or self.tx_power_dbm >= c.ramp_max_dbm:
+        if self.serving is None or self.tx_power_dbm >= RAMP_MAX_DBM:
             return False
-        if now - self._ramp_changed_at < c.ramp_interval_s:
+        if now - self._ramp_changed_at < RAMP_INTERVAL_S:
             return False
         watched = list(self.plan) + [self.serving]
         for arfcn in watched:
@@ -317,10 +311,10 @@ class Detector:
                 return False
             if (
                 state.last_positive_at is not None
-                and now - state.last_positive_at < c.ramp_interval_s
+                and now - state.last_positive_at < RAMP_INTERVAL_S
             ):
                 return False
-        self.tx_power_dbm = min(c.ramp_max_dbm, self.tx_power_dbm + c.ramp_step_db)
+        self.tx_power_dbm = min(RAMP_MAX_DBM, self.tx_power_dbm + RAMP_STEP_DB)
         self._ramp_changed_at = now
         return True
 
@@ -426,7 +420,6 @@ def with_volunteers(
 
 @dataclass
 class DetectionRun:
-    detector: Detector
     converged_at: float | None
     batches: int
     collisions: int = 0
@@ -450,7 +443,7 @@ def run_detection(
     batch boundaries.  Stops when the band is fully classified or the
     traffic runs out.
     """
-    run = DetectionRun(detector=detector, converged_at=None, batches=0)
+    run = DetectionRun(converged_at=None, batches=0)
     detector.plan_scan(traffic[0][0] if traffic else 0.0)
     for at, phone_idx in traffic:
         phone = phones[phone_idx % len(phones)]
@@ -459,12 +452,7 @@ def run_detection(
         if detector.serving is not None and detector.serving not in measured:
             measured.append(detector.serving)
         for arfcn in measured:
-            report = Report(
-                arfcn=arfcn,
-                energy=field_model.energy(phone, arfcn),
-                at=at,
-            )
-            detector.ingest_report(report)
+            detector.ingest_report(arfcn, field_model.energy(phone, arfcn), at)
         run.batches += 1
         if not detector.plan_is_current():
             detector.plan_scan(at)

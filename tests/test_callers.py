@@ -2,15 +2,16 @@
 
 A module-level function or class, or a method that is not a dunder,
 passes when its name occurs in the code of src/ or perfbench/ besides
-its own ``def``/``class`` lines: as a name, or as a word of a string
-literal (the benchmark wraps methods by name).  Comments and docstrings
-do not count, and neither do tests: code that only a test calls gets
-wired into a study or deleted.
+its own ``def``/``class`` lines: as a name, or as a part of a string
+literal whose text is an identifier or a dotted name, such as
+"advance" or "simcore.sim.poke" (the benchmark wraps methods by name).
+Prose in strings, such as help text, does not count, and neither do
+comments, docstrings or tests: code that only a test calls gets wired
+into a study or deleted.
 """
 
 import ast
 import io
-import re
 import tokenize
 from collections import Counter
 from pathlib import Path
@@ -38,6 +39,9 @@ ALLOWED = {
     # The paper's user-to-user messaging primitive; waits to be wired into
     # a workload like VoiceBoard.
     "store_and_forward",
+    # The paper's three-stage identity resolution (zone caches, cloud
+    # directory, egress); waits to be wired into a workload like VoiceBoard.
+    "lookup",
 }
 
 
@@ -56,9 +60,32 @@ def definitions():
                         yield f"{path.stem}.{node.name}", item.name
 
 
+def name_parts(text):
+    """The parts of text when it is an identifier or a dotted name."""
+    parts = text.split(".")
+    return parts if all(part.isidentifier() for part in parts) else []
+
+
+def fstring_words(node):
+    """Words of an f-string that Python 3.11 and older tokenize as one
+    STRING: the words Python 3.12 takes from its separate tokens, that is
+    its literal text and the code of its replacement fields."""
+    for piece in node.values:
+        if isinstance(piece, ast.Constant):
+            yield from name_parts(piece.value)
+        else:
+            yield from code_words(ast.unparse(piece.value))
+            if piece.conversion != -1:  # the r of !r is a name token too
+                yield chr(piece.conversion)
+            if piece.format_spec is not None:
+                yield from fstring_words(piece.format_spec)
+
+
 def code_words(source):
-    """The names and the words of string literals in source, leaving out
-    comments and docstrings."""
+    """The names in source and the parts of its string literals that are
+    identifiers or dotted names, leaving out comments and docstrings.
+    The literal text of an f-string counts without its replacement
+    fields, whose code counts as code."""
     docstrings = {
         (node.body[0].lineno, node.body[0].col_offset)
         for node in ast.walk(ast.parse(source))
@@ -67,13 +94,19 @@ def code_words(source):
         )
         and ast.get_docstring(node, clean=False) is not None
     }
-    # From Python 3.12 the literal text of an f-string is its own token.
-    strings = {tokenize.STRING, getattr(tokenize, "FSTRING_MIDDLE", tokenize.STRING)}
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
         if tok.type == tokenize.NAME:
             yield tok.string
-        elif tok.type in strings and tok.start not in docstrings:
-            yield from re.findall(r"\w+", tok.string)
+        elif tok.type == tokenize.STRING and tok.start not in docstrings:
+            literal = ast.parse(tok.string, mode="eval").body
+            if isinstance(literal, ast.JoinedStr):
+                yield from fstring_words(literal)
+            elif isinstance(literal.value, str):
+                yield from name_parts(literal.value)
+        # From Python 3.12 an f-string is split into tokens: its literal
+        # text, and the tokens of its replacement fields.
+        elif tok.type == getattr(tokenize, "FSTRING_MIDDLE", None):
+            yield from name_parts(tok.string)
 
 
 def unread_names():

@@ -232,6 +232,17 @@ MALFORMED = [
     ("buy-period-0", "simulate", _set("workload.buy_period_s", 0)),
     ("workload-on-missing-node", "simulate", _set("workload.node", 99)),
     ("load-rps-0", "idbench", _set("identity_bench.load_rps", 0)),
+    # The study ran the models before the bad one, then failed.
+    ("idbench-model-unknown", "idbench", _set(
+        "identity_bench.models",
+        [{"model": "central", "servers": 1}, {"model": "ring", "servers": 2}],
+    )),
+    ("idbench-servers-0", "idbench", _set(
+        "identity_bench.models",
+        [{"model": "central", "servers": 1}, {"model": "dht", "servers": 0}],
+    )),
+    # The lazy queue has no bound to set.
+    ("queue-capacity", "simulate", _set("sync.queue_capacity", 5)),
     ("key-typo", "simulate", _set("traffic.attemps", {"call": 1})),
     ("unknown-section", "simulate", _set("failure", {"interval_s": 60.0})),
     ("nested-unknown-key", "simulate", _set("traffic.dest_mix.remote", 0.1)),
@@ -305,9 +316,10 @@ def test_malformed_scenarios_exit_2_without_traceback(
     path = write_scenario(tmp_path, "bad.json", scenario)
     out = tmp_path / "out"
     assert cli.main([command, "--scenario", path, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "Traceback" not in err
-    assert not out.exists()  # rejected before any study ran
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    # Rejected before any study ran.
+    assert captured.out == "" and not out.exists()
 
 
 def test_runtime_invariant_failures_exit_3(tmp_path, monkeypatch):

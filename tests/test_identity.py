@@ -16,6 +16,7 @@ from greenlinks.errors import (
     UnknownIdentity,
 )
 from greenlinks.identity import (
+    EGRESS_POOL,
     CloudRegistry,
     EgressAllocator,
     IdentityService,
@@ -112,8 +113,8 @@ def test_resolver_load_is_roughly_balanced():
 # ---------------------------------------------------------------- registry
 
 
-def fresh_registry(pool=4):
-    return CloudRegistry({"z0": "10.0", "z1": "10.1"}, EgressAllocator(pool))
+def fresh_registry():
+    return CloudRegistry({"z0": "10.0", "z1": "10.1"}, EgressAllocator())
 
 
 def test_issue_assigns_numbers_addresses_and_external():
@@ -139,13 +140,14 @@ def test_issue_rehomes_existing_imsi_without_new_identity():
 
 
 def test_duplicate_name_and_pool_exhaustion():
-    reg = fresh_registry(pool=1)
+    reg = fresh_registry()
     reg.issue("111", "local", "z0", 5, chosen_name="ama")
     with pytest.raises(DuplicateName):
         reg.issue("222", "local", "z0", 5, chosen_name="ama")
-    reg.issue("333", "global", "z0", 5)
+    for i in range(EGRESS_POOL):
+        reg.issue(f"{300 + i}", "global", "z0", 5)
     with pytest.raises(ExternalAllocFailed):
-        reg.issue("444", "global", "z0", 5)
+        reg.issue("999", "global", "z0", 5)
 
 
 def test_find_answers_to_every_name():

@@ -261,9 +261,7 @@ def test_pooled_draws_match_the_filtering_reference(build):
 
 
 def test_uplink_reports_bottleneck_rate_and_summed_latency():
-    topo = build_topology(
-        generate_tree(1, 1, backhaul_profile="edge", zone_profile="hsdpa")
-    )
+    topo = build_topology(generate_tree(1, 1, backhaul_profile="edge"))
     leaf = TopologyUplink(topo, 2)
     assert leaf.is_up()
     assert leaf.rate_Bps() == 25000.0  # edge bottleneck: 200 kbps

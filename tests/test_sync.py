@@ -6,12 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greenlinks.errors import (
-    BackhaulDown,
-    PayloadEmpty,
-    QueueFull,
-    SyncTimeout,
-)
+from greenlinks.errors import BackhaulDown, PayloadEmpty, SyncTimeout
 from greenlinks.sync import (
     SMS_PRIORITY_MAX_BYTES,
     CloudStore,
@@ -60,7 +55,10 @@ def edge_server(**kw):
         uplink,
         kw.pop("store", CloudStore()),
         clock,
+        config=SyncConfig(),
         service_time=lambda: 0.01,
+        board=kw.pop("board", MessageBoard()),
+        resolve_local=kw.pop("resolve_local", lambda name: None),
         **kw,
     )
     return server, uplink, clock
@@ -161,11 +159,11 @@ def test_priority_mode_preempts_only_at_request_boundaries():
 
 
 def test_queue_capacity_and_empty_payload():
-    server, _, _ = edge_server(config=SyncConfig(queue_capacity=2))
-    server.slowput("u", "t", b"a")
-    server.slowput("u", "t", b"b")
-    with pytest.raises(QueueFull):
-        server.slowput("u", "t", b"c")
+    # The lazy queue has no bound; only an empty payload is refused.
+    server, _, _ = edge_server()
+    for i in range(1000):
+        server.slowput("u", "t", b"%d" % i)
+    assert len(server.queue) == 1000
     with pytest.raises(PayloadEmpty):
         server.slowput("u", "t", b"")
 

@@ -37,6 +37,11 @@ def diamond():
     }
 
 
+def live(topo):
+    """The live link state, as components() takes it."""
+    return {lid: link.up for lid, link in topo.links.items()}
+
+
 # Independent reachability oracle: boolean Floyd-Warshall closure over the
 # live links (or over an explicit link-id -> up map), nothing shared with
 # the graph search in the implementation.
@@ -232,22 +237,12 @@ def test_parallel_backhauls_fail_over():
     assert [l.link_id for l in topo.path(1, 0)] == ["b0"]
     topo.set_link_state("b0", "down")
     assert [l.link_id for l in topo.path(1, 0)] == ["b0x"]
-    assert topo.components()[0] == topo.components()[1]
+    comp = topo.components(live(topo))
+    assert comp[0] == comp[1]
     topo.set_link_state("b0x", "down")
     assert topo.path(1, 0) is None
-    assert topo.components()[0] != topo.components()[1]
-
-
-def test_epoch_bumps_only_on_real_transitions():
-    topo = build_topology(diamond())
-    e0 = topo.epoch
-    topo.set_link_state("za", "up")  # already up
-    assert topo.epoch == e0
-    topo.set_link_state("za", "down")
-    topo.set_link_state("za", "down")
-    assert topo.epoch == e0 + 1
-    with pytest.raises(UnknownLink):
-        topo.set_link_state("nope", "down")
+    comp = topo.components(live(topo))
+    assert comp[0] != comp[1]
 
 
 def test_reachability_matches_closure_oracle_under_random_outages():
@@ -255,15 +250,26 @@ def test_reachability_matches_closure_oracle_under_random_outages():
     rng = random.Random(7)
     link_ids = sorted(topo.links)
     for _ in range(60):
+        # About half of these leave the link as it was: no-op transitions.
         for lid in link_ids:
             topo.set_link_state(lid, "up" if rng.random() < 0.6 else "down")
         ids, idx, reach = closure(topo)
-        comp = topo.components()
+        comp = topo.components(live(topo))
         for a in ids:
             for b in ids:
                 expect = reach[idx[a]][idx[b]]
                 assert topo.reachable(a, b) is expect
                 assert (comp[a] == comp[b]) is expect
+        # Cloud routes, cached since the previous round's transitions,
+        # follow path and path_metrics; a no-op transition keeps them.
+        routes = {a: topo.cloud_route(a) for a in ids}
+        for a in ids:
+            path = topo.path(a, topo.cloud_id)
+            assert routes[a] == (None if path is None else topo.path_metrics(path))
+            assert (routes[a] is not None) is reach[idx[a]][idx[topo.cloud_id]]
+        lid = rng.choice(link_ids)
+        topo.set_link_state(lid, topo.links[lid].state)
+        assert all(topo.cloud_route(a) is routes[a] for a in ids)
         # A replayed state that differs from the live one: the labels
         # must follow the map alone.
         up = {lid: rng.random() < 0.6 for lid in link_ids}
@@ -274,6 +280,8 @@ def test_reachability_matches_closure_oracle_under_random_outages():
         for a in ids:
             for b in ids:
                 assert (comp[a] == comp[b]) is replayed[idx[a]][idx[b]]
+    with pytest.raises(UnknownLink):
+        topo.set_link_state("nope", "down")
 
 
 # ---------------------------------------------------------------- generator

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from greenlinks.errors import NoFreeChannel, UnplannedChannel
 from greenlinks.whitespace import (
+    RAMP_INTERVAL_S,
     Detector,
     DetectorConfig,
     RadioField,
-    Report,
     SwitchDecision,
     Verdict,
     compare_ngsm,
@@ -20,10 +20,6 @@ from greenlinks.whitespace import (
     run_detection,
     volunteer_traffic,
 )
-
-
-def r(arfcn, energy, at):
-    return Report(arfcn=arfcn, energy=energy, at=at)
 
 
 def small_detector(**kw):
@@ -39,7 +35,7 @@ def small_detector(**kw):
 
 def test_one_positive_marks_occupied_immediately():
     det = small_detector()
-    state = det.ingest_report(r(3, 17, at=5.0))
+    state = det.ingest_report(3, 17, at=5.0)
     assert state.verdict is Verdict.OCCUPIED
     assert state.t_verdict == 5.0
 
@@ -47,31 +43,31 @@ def test_one_positive_marks_occupied_immediately():
 def test_free_needs_both_the_count_and_the_elapsed_window():
     det = small_detector(n_free=3, t_free_s=10.0)
     for t in (0.0, 1.0, 2.0):
-        state = det.ingest_report(r(1, 0, at=t))
+        state = det.ingest_report(1, 0, at=t)
     assert state.verdict is Verdict.UNKNOWN  # count met, window not
-    state = det.ingest_report(r(1, 0, at=11.0))
+    state = det.ingest_report(1, 0, at=11.0)
     assert state.verdict is Verdict.FREE
     assert state.t_verdict == 11.0
 
 
 def test_positive_resets_the_zero_window():
     det = small_detector(n_free=3, t_free_s=10.0)
-    det.ingest_report(r(1, 0, at=0.0))
-    det.ingest_report(r(1, 0, at=1.0))
-    det.ingest_report(r(1, 9, at=2.0))  # burst of interference
+    det.ingest_report(1, 0, at=0.0)
+    det.ingest_report(1, 0, at=1.0)
+    det.ingest_report(1, 9, at=2.0)  # burst of interference
     for t in (3.0, 4.0, 5.0):
-        state = det.ingest_report(r(1, 0, at=t))
+        state = det.ingest_report(1, 0, at=t)
     assert state.verdict is Verdict.OCCUPIED  # window restarted at t=3
-    state = det.ingest_report(r(1, 0, at=13.0))
+    state = det.ingest_report(1, 0, at=13.0)
     assert state.verdict is Verdict.FREE  # re-verified after the burst
 
 
 def test_stale_evidence_decays_to_unknown():
     det = small_detector(n_free=3, t_free_s=10.0, evidence_ttl_s=100.0)
     for t in (0.0, 1.0, 11.0):
-        det.ingest_report(r(1, 0, at=t))
+        det.ingest_report(1, 0, at=t)
     assert det.states[1].verdict is Verdict.FREE
-    state = det.ingest_report(r(1, 0, at=150.0))  # 139 s since last word
+    state = det.ingest_report(1, 0, at=150.0)  # 139 s since last word
     assert state.verdict is Verdict.UNKNOWN
     assert state.zero_count == 1  # the fresh report opens a new window
 
@@ -79,11 +75,11 @@ def test_stale_evidence_decays_to_unknown():
 def test_reports_outside_the_plan_are_dropped():
     det = small_detector()
     with pytest.raises(UnplannedChannel):
-        det.ingest_report(r(9, 0, at=1.0))  # plan covers 1..6
+        det.ingest_report(9, 0, at=1.0)  # plan covers 1..6
     assert det.dropped_unplanned == 1
     fresh = Detector(DetectorConfig(first_arfcn=1, last_arfcn=4))
     with pytest.raises(UnplannedChannel):
-        fresh.ingest_report(r(1, 0, at=0.0))  # no plan yet at all
+        fresh.ingest_report(1, 0, at=0.0)  # no plan yet at all
 
 
 # ---------------------------------------------------------------- scanning
@@ -94,18 +90,18 @@ def test_plan_walks_the_band_and_rotates_verified_channels():
     assert det.plan == (1, 2, 3, 4, 5, 6)
 
     for a in range(1, 7):
-        det.ingest_report(r(a, 0, at=1.0))
+        det.ingest_report(a, 0, at=1.0)
     assert det.plan_is_current()  # nothing classified yet
 
-    det.ingest_report(r(2, 40, at=2.0))  # occupied
+    det.ingest_report(2, 40, at=2.0)  # occupied
     for a in (1, 3, 4, 5, 6):
-        det.ingest_report(r(a, 0, at=2.0))  # second zero: all free
+        det.ingest_report(a, 0, at=2.0)  # second zero: all free
     assert not det.plan_is_current()
     assert det.plan_scan(2.0) == (7, 8, 9, 10, 11, 12)
 
     for t in (3.0, 4.0):
         for a in range(7, 13):
-            det.ingest_report(r(a, 0, at=t))
+            det.ingest_report(a, 0, at=t)
     # band fully mapped; the stalest free channels cycle back in for
     # re-verification and the occupied one never does
     assert det.plan_scan(4.0) == (1, 3, 4, 5, 6, 7)
@@ -116,7 +112,7 @@ def test_serving_channel_is_never_advertised():
     det = small_detector()
     for t in (1.0, 2.0):
         for a in range(1, 7):
-            det.ingest_report(r(a, 0, at=t))
+            det.ingest_report(a, 0, at=t)
     det.maybe_switch_channel(active_calls=0, now=2.0)
     assert det.serving == 1  # stalest free, arfcn order on ties
     plan = det.plan_scan(2.0)
@@ -132,7 +128,7 @@ def free_state(det, arfcn, last_report):
     reports at one instant: the detector needs t_free_s == 0)."""
     plan, det.plan = det.plan, (arfcn,)
     for _ in range(det.config.n_free):
-        det.ingest_report(r(arfcn, 0, at=last_report))
+        det.ingest_report(arfcn, 0, at=last_report)
     det.plan = plan
     assert det.states[arfcn].verdict is Verdict.FREE
 
@@ -154,7 +150,7 @@ def test_switch_waits_for_calls_then_moves_to_stalest_free():
     det.maybe_switch_channel(active_calls=0, now=11.0)
     free_state(det, 6, 3.0)
     free_state(det, 7, 8.0)
-    det.ingest_report(r(5, 33, at=12.0))  # serving turns occupied
+    det.ingest_report(5, 33, at=12.0)  # serving turns occupied
     decision = det.maybe_switch_channel(active_calls=2, now=12.0)
     assert decision.pending and det.serving == 5
     assert not (det.serving is not None and not det.switch_pending)
@@ -168,7 +164,7 @@ def test_no_free_channel_quiesces_the_station():
     det = small_detector()
     free_state(det, 4, 1.0)
     det.maybe_switch_channel(active_calls=0, now=2.0)
-    det.ingest_report(r(4, 50, at=3.0))
+    det.ingest_report(4, 50, at=3.0)
     with pytest.raises(NoFreeChannel):
         det.maybe_switch_channel(active_calls=0, now=3.0)
     assert det.serving is None
@@ -315,9 +311,9 @@ def test_kept_bookkeeping_matches_the_full_band_scans(steps):
         if kind == "report":
             heard = det.plan + ((det.serving,) if det.serving is not None else ())
             if heard:
-                report = r(heard[pick % len(heard)], energy, at=now)
-                det.ingest_report(report)
-                ref.ingest_report(report)
+                arfcn = heard[pick % len(heard)]
+                det.ingest_report(arfcn, energy, now)
+                ref.ingest_report(arfcn, energy, now)
         elif kind == "plan":
             det.plan_scan(now)
             ref.plan_scan(now)
@@ -343,52 +339,53 @@ def test_kept_bookkeeping_matches_the_full_band_scans(steps):
 def ramped_detector():
     # whole band verified free, serving claimed, plan rotating free
     # channels: the watched set is clean and ramping is legal
-    det = small_detector(ramp_interval_s=100.0)
+    det = small_detector()
     for a in range(1, 13):
-        free_state(det, a, 5.0)
-    det.maybe_switch_channel(active_calls=0, now=5.0)
-    det.plan_scan(5.0)
+        free_state(det, a, 45.0)
+    det.maybe_switch_channel(active_calls=0, now=45.0)
+    det.plan_scan(45.0)
     assert det.serving == 1 and det.plan == (2, 3, 4, 5, 6, 7)
     return det
 
 
 def test_ramp_climbs_while_the_neighborhood_stays_clean():
+    assert RAMP_INTERVAL_S == 900.0  # the times below are its multiples
     det = ramped_detector()
     assert det.tx_power_dbm == 10.0
-    assert not det.maybe_ramp(50.0)  # interval not elapsed
-    assert det.maybe_ramp(120.0)
+    assert not det.maybe_ramp(450.0)  # interval not elapsed
+    assert det.maybe_ramp(1080.0)
     assert det.tx_power_dbm == 13.0
-    assert not det.maybe_ramp(130.0)  # interval restarts after each step
-    for t in (220.0, 320.0, 420.0, 520.0, 620.0, 720.0):
+    assert not det.maybe_ramp(1170.0)  # interval restarts after each step
+    for t in (1980.0, 2880.0, 3780.0, 4680.0, 5580.0, 6480.0):
         det.maybe_ramp(t)
     assert det.tx_power_dbm == 30.0  # capped one step early: 28 -> 30
-    assert not det.maybe_ramp(820.0)
+    assert not det.maybe_ramp(7380.0)
 
 
 def test_ramp_snaps_back_on_any_occupancy():
     det = ramped_detector()
-    det.maybe_ramp(120.0)
-    det.maybe_ramp(240.0)
+    det.maybe_ramp(1080.0)
+    det.maybe_ramp(2160.0)
     assert det.tx_power_dbm == 16.0
-    det.ingest_report(r(det.plan[0], 12, at=250.0))
+    det.ingest_report(det.plan[0], 12, at=2250.0)
     assert det.tx_power_dbm == 10.0
-    assert not det.maybe_ramp(349.0)  # the snap restarted the interval
+    assert not det.maybe_ramp(3141.0)  # the snap restarted the interval
     # the hit channel is occupied now; once the plan rotates it out the
     # climb restarts from the bottom
-    det.plan_scan(350.0)
+    det.plan_scan(3150.0)
     assert all(det.states[a].verdict is Verdict.FREE for a in det.plan)
-    assert det.maybe_ramp(360.0)
+    assert det.maybe_ramp(3240.0)
     assert det.tx_power_dbm == 13.0
 
 
 def test_ramp_needs_a_serving_channel_and_full_knowledge():
-    det = small_detector(ramp_interval_s=100.0)
-    assert not det.maybe_ramp(500.0)  # quiesced
-    free_state(det, 8, 5.0)
-    det.maybe_switch_channel(active_calls=0, now=5.0)
+    det = small_detector()
+    assert not det.maybe_ramp(4500.0)  # quiesced
+    free_state(det, 8, 45.0)
+    det.maybe_switch_channel(active_calls=0, now=45.0)
     # plan still advertises unknowns: no ramp however long it waits
     assert det.plan == (1, 2, 3, 4, 5, 6)
-    assert not det.maybe_ramp(1000.0)
+    assert not det.maybe_ramp(9000.0)
 
 
 # ------------------------------------------------------------ traffic model
