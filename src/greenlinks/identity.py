@@ -259,15 +259,6 @@ class IdentityService:
             if node.node_id != topology.cloud_id:
                 self.caches[node.node_id] = IdentityCache()
 
-    # ------------------------------------------------------------ helpers
-
-    def _cloud_up(self, node_id: int) -> bool:
-        return self.topology.cloud_route(node_id) is not None
-
-    def _cloud_rtt(self, node_id: int) -> float:
-        route = self.topology.cloud_route(node_id)
-        return 2.0 * route[1] if route else 0.0
-
     # ---------------------------------------------------------- issuance
 
     def issue_identity(
@@ -286,7 +277,7 @@ class IdentityService:
             raise DuplicateName(f"invalid chosen name {chosen_name!r}")
         if kind not in ("local", "global"):
             raise UnknownIdentity(f"unknown identity kind {kind!r}")
-        if not self._cloud_up(node_id):
+        if self.topology.cloud_route(node_id) is None:
             self.pending.append(_Pending(node_id, imsi, kind, chosen_name))
             raise BackhaulDown(
                 f"cloud unreachable from node {node_id}; issuance queued"
@@ -307,7 +298,7 @@ class IdentityService:
         done = 0
         remaining = []
         for req in self.pending:
-            if self._cloud_up(req.node):
+            if self.topology.cloud_route(req.node) is not None:
                 self._issue_now(req.node, req.imsi, req.kind, req.chosen_name)
                 done += 1
             else:
@@ -338,10 +329,11 @@ class IdentityService:
                     stage="intra_zone",
                 )
         # Stage 2: cloud directory.
-        if not self._cloud_up(origin_node):
+        route = self.topology.cloud_route(origin_node)
+        if route is None:
             raise CloudUnreachable(f"node {origin_node} cannot reach the directory")
         self.counters["cloud_messages"] += 1
-        rtt = self._cloud_rtt(origin_node)
+        rtt = 2.0 * route[1]
         found = self.registry.find(name)
         if found is not None:
             identity, address = found
@@ -370,7 +362,7 @@ class IdentityService:
         when the backhaul is up and there was anything to reconcile.
         Queued issuance is not completed here; flush_pending does that.
         """
-        if not self._cloud_up(node_id):
+        if self.topology.cloud_route(node_id) is None:
             return 0
         cache = self.caches[node_id]
         dropped = 0

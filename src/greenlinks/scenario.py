@@ -35,7 +35,6 @@ SECTIONS = {
         "fastget_timeout_s": 30.0,
         "service_s": 0.01,
         "service_jitter": 0.5,
-        "message_ttl_s": None,
     },
     "workload": {
         "sellers": 4,

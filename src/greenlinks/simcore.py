@@ -23,6 +23,7 @@ them away.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import random
 import statistics
@@ -32,14 +33,8 @@ from .apps import Workload
 from .errors import ScenarioError
 from .identity import IdentityService, ResolverRing, resolver_for
 from .scenario import IDENTITY_MODELS, SECTIONS, section
-from .sync import (
-    CloudStore,
-    LatencyRecord,
-    LocalServer,
-    MessageBoard,
-    SyncConfig,
-)
-from .topology import BYTES_PER_KBPS, LinkState, Role, Topology, build_topology
+from .sync import CloudStore, LatencyRecord, LocalServer, MessageBoard
+from .topology import LinkState, Role, Topology, build_topology
 
 SERVICES = ("call", "sms", "data")
 METRICS = {
@@ -102,7 +97,6 @@ class Engine:
 @dataclass
 class RunTrace:
     topology: Topology
-    cloud_id: int
     interval_s: float
     horizon: float
     initial_links: dict[str, bool]
@@ -183,7 +177,7 @@ def evaluate_dual(trace: RunTrace) -> MetricsLedger:
             _, at, src, dst, service = event
             if comp is None:
                 comp = topo.components(up)
-            cloud = comp[trace.cloud_id]
+            cloud = comp[topo.cloud_id]
             vc_ok = comp[src] == comp[dst]
             cell_ok = comp[src] == cloud and comp[dst] == cloud
             if cell_ok and not vc_ok:
@@ -197,28 +191,6 @@ def evaluate_dual(trace: RunTrace) -> MetricsLedger:
                 key = (service, "cell")
                 bucket.dropped[key] = bucket.dropped.get(key, 0) + 1
     return MetricsLedger(intervals=counts, containment_violations=violations)
-
-
-# ------------------------------------------------------------------ uplink
-
-
-class TopologyUplink:
-    """A node's current route to the cloud, read from the topology."""
-
-    def __init__(self, topology: Topology, node_id: int):
-        self.topology = topology
-        self.node_id = node_id
-
-    def is_up(self) -> bool:
-        return self.topology.cloud_route(self.node_id) is not None
-
-    def rate_Bps(self) -> float:
-        route = self.topology.cloud_route(self.node_id)
-        return route[0] * BYTES_PER_KBPS if route else 0.0
-
-    def latency_s(self) -> float:
-        route = self.topology.cloud_route(self.node_id)
-        return route[1] if route else 0.0
 
 
 # -------------------------------------------------------------- simulation
@@ -251,7 +223,7 @@ class Simulation:
         self.topology = build_topology(scenario)
         self.engine = Engine(seed)
         self.priority_queue = priority_queue
-        self.sync_config = SyncConfig(**section("sync", scenario.get("sync")))
+        self.sync_config = section("sync", scenario.get("sync"))
         self.store = CloudStore()
         self.board = MessageBoard()
         self.store.register_handler("__msg__", self.board.handler)
@@ -304,8 +276,8 @@ class Simulation:
     # ------------------------------------------------------------ wiring
 
     def _service_time(self) -> float:
-        base = self.sync_config.service_s
-        j = self.sync_config.service_jitter
+        base = self.sync_config["service_s"]
+        j = self.sync_config["service_jitter"]
         if j <= 0:
             return base
         return base * (1.0 + j * (2.0 * self.engine.rng.random() - 1.0))
@@ -326,10 +298,10 @@ class Simulation:
 
             server = LocalServer(
                 node_id,
-                TopologyUplink(self.topology, node_id),
+                functools.partial(self.topology.cloud_route, node_id),
                 self.store,
                 self.engine.clock,
-                config=self.sync_config,
+                fastget_timeout_s=self.sync_config["fastget_timeout_s"],
                 service_time=self._service_time,
                 board=self.board,
                 resolve_local=resolve_local,
@@ -386,7 +358,8 @@ class Simulation:
             return
         for node_id in sorted(self.locals):
             server = self.locals[node_id]
-            if not server.uplink.is_up():
+            route = server.route()
+            if route is None:
                 continue
             pulled = self.board.pull(node_id, self._resolve_dest_node, at)
             for env in pulled:
@@ -397,7 +370,7 @@ class Simulation:
                         app_type="__msg__",
                         size=len(env["body"]),
                         enqueued_at=env["created_at"],
-                        delivered_at=at + server.uplink.latency_s(),
+                        delivered_at=at + route[1],
                     )
                 )
 
@@ -519,7 +492,6 @@ class Simulation:
         effective = horizon if horizon is not None else self.engine.now
         trace = RunTrace(
             topology=self.topology,
-            cloud_id=self.topology.cloud_id,
             interval_s=(tcfg or SECTIONS["traffic"])["interval_s"],
             horizon=effective,
             initial_links=self._initial_links,

@@ -34,7 +34,6 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import BackhaulDown, PayloadEmpty, SyncTimeout
-from .scenario import SECTIONS
 
 SMS_PRIORITY_MAX_BYTES = 1024
 
@@ -130,14 +129,13 @@ class LazyQueue:
                 return fifo.popleft()
         return None
 
-    def advance(
-        self, now: float, rate_Bps: float, up: bool
-    ) -> list[SyncRequest]:
+    def advance(self, now: float, rate_Bps: float) -> list[SyncRequest]:
         """Account for transmission from the last call up to ``now``.
 
         Returns requests whose final byte went out in the window, each
         stamped with its exact transmit_end.  The rate must have been
-        constant over the window; callers re-advance at every transition.
+        constant over the window (0 while the uplink is down); callers
+        re-advance at every transition.
         """
         if self._cursor is None:
             # Accounting starts when the first request existed, not when
@@ -149,7 +147,7 @@ class LazyQueue:
         if now < start:
             now = start
         self._cursor = now
-        if not up or rate_Bps <= 0:
+        if rate_Bps <= 0:
             return []
         completed = []
         t = start
@@ -174,10 +172,10 @@ class LazyQueue:
                 break
         return completed
 
-    def eta(self, now: float, rate_Bps: float, up: bool) -> float | None:
+    def eta(self, now: float, rate_Bps: float) -> float | None:
         """Predicted transmit_end of the current head, given a constant
-        rate from ``now``.  Call advance(now) first."""
-        if not up or rate_Bps <= 0:
+        rate from ``now`` (None at rate 0).  Call advance(now) first."""
+        if rate_Bps <= 0:
             return None
         req = self.in_flight or self._head()
         if req is None:
@@ -309,47 +307,37 @@ class MessageBoard:
         return out
 
 
-_SYNC = SECTIONS["sync"]
-
-
-@dataclass
-class SyncConfig:
-    """The ``sync`` scenario section; its defaults are that section's."""
-
-    fastget_timeout_s: float = _SYNC["fastget_timeout_s"]
-    service_s: float = _SYNC["service_s"]
-    service_jitter: float = _SYNC["service_jitter"]
-    message_ttl_s: float | None = _SYNC["message_ttl_s"]
-
-
 class LocalServer:
     """Per-node face of the sync layer.
 
-    ``uplink`` supplies is_up()/rate_Bps()/latency_s(); ``clock`` returns
-    sim time; ``service_time`` draws the cloud's processing time for one
-    request (inject the engine's seeded stream for jitter); ``board`` is
-    the cloud mailbox and ``resolve_local`` maps a message destination to
-    this node's id when it is homed here, else None.
+    ``route()`` returns the site's current route to the cloud as
+    (bottleneck bytes/s, one-way latency s), or None while the backhaul
+    is down; each operation reads it once.  ``clock`` returns sim time;
+    ``fastget_timeout_s`` is the fastget deadline; ``service_time`` draws
+    the cloud's processing time for one request (inject the engine's
+    seeded stream for jitter); ``board`` is the cloud mailbox and
+    ``resolve_local`` maps a message destination to this node's id when
+    it is homed here, else None.
     """
 
     def __init__(
         self,
         node_id: int,
-        uplink,
+        route,
         store: CloudStore,
         clock,
         *,
-        config: SyncConfig,
+        fastget_timeout_s: float,
         service_time,
         board: MessageBoard,
         resolve_local,
         priority_mode: bool = False,
     ):
         self.node_id = node_id
-        self.uplink = uplink
+        self.route = route
         self.store = store
         self.clock = clock
-        self.config = config
+        self.fastget_timeout_s = fastget_timeout_s
         self.service_time = service_time
         self.board = board
         self.resolve_local = resolve_local
@@ -400,11 +388,9 @@ class LocalServer:
         Must be called whenever the uplink changes state or rate, and at
         any time the owner wants completion bookkeeping to be current.
         """
-        rate = self.uplink.rate_Bps()
-        done = self.queue.advance(now, rate, self.uplink.is_up())
+        rate, latency = self.route() or (0.0, 0.0)
         out = []
-        latency = self.uplink.latency_s()
-        for req in done:
+        for req in self.queue.advance(now, rate):
             apply_at = req.transmit_end + latency
             self.store.apply(
                 req.app_type, req.key, req.payload, req.request_id, apply_at
@@ -423,16 +409,21 @@ class LocalServer:
         return out
 
     def eta(self, now: float) -> float | None:
-        return self.queue.eta(now, self.uplink.rate_Bps(), self.uplink.is_up())
+        route = self.route()
+        return self.queue.eta(now, route[0] if route else 0.0)
 
     # -------------------------------------------------------------- read
 
     def _round_trip(self, size: int) -> tuple[float, float, float]:
-        rate = self.uplink.rate_Bps()
-        latency = self.uplink.latency_s()
+        """(transfer, one-way latency, sojourn) of a request of ``size``
+        bytes.  Raises BackhaulDown before the service time is drawn, so
+        a failed attempt leaves the random stream untouched."""
+        route = self.route()
+        if route is None:
+            raise BackhaulDown(f"node {self.node_id}: uplink is down")
+        rate, latency = route
         transfer = size / rate if rate > 0 else 0.0
-        service = self.service_time()
-        return transfer, latency, service
+        return transfer, latency, transfer + 2 * latency + self.service_time()
 
     def fastget(
         self, identity: str, app_type: str, key: str, payload: bytes
@@ -440,16 +431,13 @@ class LocalServer:
         """Immediate round trip; raises instead of faking local success."""
         if not payload:
             raise PayloadEmpty("fastget payload must be non-empty")
-        if not self.uplink.is_up():
-            raise BackhaulDown(f"node {self.node_id}: uplink is down")
+        transfer, latency, sojourn = self._round_trip(len(payload))
         self.counters["fastget"] += 1
         now = self.clock()
-        transfer, latency, service = self._round_trip(len(payload))
-        sojourn = transfer + 2 * latency + service
-        if sojourn > self.config.fastget_timeout_s:
+        if sojourn > self.fastget_timeout_s:
             raise SyncTimeout(
                 f"predicted sojourn {sojourn:.3f}s exceeds "
-                f"{self.config.fastget_timeout_s:.0f}s deadline"
+                f"{self.fastget_timeout_s:.0f}s deadline"
             )
         request_id = self._next_id()
         try:
@@ -471,12 +459,9 @@ class LocalServer:
 
     def fastsearch(self, identity: str, app_type: str, match) -> FastResponse:
         """Immediate committed-snapshot query."""
-        if not self.uplink.is_up():
-            raise BackhaulDown(f"node {self.node_id}: uplink is down")
+        _, _, sojourn = self._round_trip(64)
         self.counters["fastsearch"] += 1
         now = self.clock()
-        transfer, latency, service = self._round_trip(64)
-        sojourn = transfer + 2 * latency + service
         request_id = self._next_id()
         results = self.store.search(app_type, match)
         self.records.append(
@@ -508,8 +493,6 @@ class LocalServer:
         now = self.clock()
         self.counters["message"] += 1
         message_id = f"m{self.node_id}-{self.counters['message']}"
-        if ttl is None:
-            ttl = self.config.message_ttl_s
         envelope = {
             "id": message_id,
             "src": sender,

@@ -168,13 +168,17 @@ class Topology:
         return (bw, latency)
 
     def cloud_route(self, node_id: int) -> tuple[float, float] | None:
-        """path_metrics of the node's path to the cloud, or None when there
-        is no live path; cached until the next link transition."""
+        """(bottleneck bytes/s, one-way latency s) of the node's path to
+        the cloud, or None when there is no live path; cached until the
+        next link transition.  Every reader of a site's uplink reads it
+        here: a LocalServer's route() and the identity service."""
         if node_id not in self._cloud_routes:
             path = self.path(node_id, self.cloud_id)
-            self._cloud_routes[node_id] = (
-                None if path is None else self.path_metrics(path)
-            )
+            route = None
+            if path is not None:
+                kbps, latency = self.path_metrics(path)
+                route = (kbps * BYTES_PER_KBPS, latency)
+            self._cloud_routes[node_id] = route
         return self._cloud_routes[node_id]
 
     def components(self, up: dict[str, bool]) -> dict[int, int]:

@@ -152,7 +152,6 @@ def library_digest(seed):
     issuance on a nine-node edge tree under failures."""
     scenario = generate_tree(3, 2, backhaul_profile="edge")
     scenario["failures"] = {"interval_s": 45.0, "outage_mean_s": 120.0}
-    scenario["sync"] = {"message_ttl_s": 400.0}
     sim = Simulation(scenario, seed=seed)
     nodes = sorted(sim.identity.caches)
     imsi = {n: f"23324{n:010d}" for n in nodes}
@@ -168,7 +167,7 @@ def library_digest(seed):
                 sim.poke(node)
             elif op == "send":
                 sim.local(node).store_and_forward(
-                    imsi[node], imsi[other], b"hello %d" % other
+                    imsi[node], imsi[other], b"hello %d" % other, ttl=400.0
                 )
                 sim.poke(node)
             else:

@@ -243,6 +243,8 @@ MALFORMED = [
     )),
     # The lazy queue has no bound to set.
     ("queue-capacity", "simulate", _set("sync.queue_capacity", 5)),
+    # No study reads a message TTL from the scenario.
+    ("sync-message-ttl", "simulate", _set("sync.message_ttl_s", 400.0)),
     ("key-typo", "simulate", _set("traffic.attemps", {"call": 1})),
     ("unknown-section", "simulate", _set("failure", {"interval_s": 60.0})),
     ("nested-unknown-key", "simulate", _set("traffic.dest_mix.remote", 0.1)),

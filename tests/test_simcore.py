@@ -14,7 +14,6 @@ from greenlinks.simcore import (
     MonteCarloResult,
     RunTrace,
     Simulation,
-    TopologyUplink,
     evaluate_dual,
     identity_latency_bench,
     interval_means,
@@ -73,7 +72,6 @@ def hand_trace():
     ]
     return RunTrace(
         topology=topo,
-        cloud_id=0,
         interval_s=10.0,
         horizon=40.0,
         initial_links={"b0": True, "z0n0": True},
@@ -122,7 +120,8 @@ def validate_trace(trace):
             _, at, src, dst, service = ev
             assert service in SERVICES
             assert src in trace.topology.nodes and dst in trace.topology.nodes
-            assert src != trace.cloud_id and dst != trace.cloud_id
+            cloud = trace.topology.cloud_id
+            assert src != cloud and dst != cloud
             assert 0.0 <= at <= trace.horizon
 
 
@@ -262,19 +261,18 @@ def test_pooled_draws_match_the_filtering_reference(build):
 
 def test_uplink_reports_bottleneck_rate_and_summed_latency():
     topo = build_topology(generate_tree(1, 1, backhaul_profile="edge"))
-    leaf = TopologyUplink(topo, 2)
-    assert leaf.is_up()
-    assert leaf.rate_Bps() == 25000.0  # edge bottleneck: 200 kbps
-    assert leaf.latency_s() == pytest.approx(0.4)
-    gateway = TopologyUplink(topo, 1)
-    assert gateway.rate_Bps() == 25000.0
-    assert gateway.latency_s() == pytest.approx(0.3)
+    rate, latency = topo.cloud_route(2)
+    assert rate == 25000.0  # edge bottleneck: 200 kbps in bytes/s
+    assert latency == pytest.approx(0.4)
+    rate, latency = topo.cloud_route(1)
+    assert rate == 25000.0
+    assert latency == pytest.approx(0.3)
 
     topo.set_link_state("z0n0", "down")
-    assert not leaf.is_up()
-    assert gateway.is_up()
+    assert topo.cloud_route(2) is None
+    assert topo.cloud_route(1) is not None
     topo.set_link_state("z0n0", "up")
-    assert leaf.is_up() and leaf.latency_s() == pytest.approx(0.4)
+    assert topo.cloud_route(2)[1] == pytest.approx(0.4)
 
 
 # ----------------------------------------------------- exactly-once smoke

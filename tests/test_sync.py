@@ -13,7 +13,6 @@ from greenlinks.sync import (
     LazyQueue,
     LocalServer,
     MessageBoard,
-    SyncConfig,
     SyncRequest,
 )
 from greenlinks.topology import BYTES_PER_KBPS
@@ -22,21 +21,15 @@ EDGE_RATE = 25000.0  # 200 kbps in bytes/second
 
 
 class StaticUplink:
-    """Fixed-rate uplink whose .up the tests flip by hand."""
+    """Fixed-rate route() whose .up the tests flip by hand."""
 
     def __init__(self, rate_kbps: float, latency_ms: float, up: bool = True):
         self.rate = rate_kbps * BYTES_PER_KBPS
         self.latency = latency_ms / 1000.0
         self.up = up
 
-    def is_up(self) -> bool:
-        return self.up
-
-    def rate_Bps(self) -> float:
-        return self.rate
-
-    def latency_s(self) -> float:
-        return self.latency
+    def __call__(self) -> tuple[float, float] | None:
+        return (self.rate, self.latency) if self.up else None
 
 
 class Clock:
@@ -55,8 +48,8 @@ def edge_server(**kw):
         uplink,
         kw.pop("store", CloudStore()),
         clock,
-        config=SyncConfig(),
-        service_time=lambda: 0.01,
+        fastget_timeout_s=30.0,
+        service_time=kw.pop("service_time", lambda: 0.01),
         board=kw.pop("board", MessageBoard()),
         resolve_local=kw.pop("resolve_local", lambda name: None),
         **kw,
@@ -181,8 +174,8 @@ def test_drain_conserves_bytes_and_order(sizes, cuts):
     t = 0.0
     for step in sorted(cuts):
         t += step
-        done.extend(queue.advance(t, EDGE_RATE, True))
-    done.extend(queue.advance(t + sum(sizes) / EDGE_RATE + 1.0, EDGE_RATE, True))
+        done.extend(queue.advance(t, EDGE_RATE))
+    done.extend(queue.advance(t + sum(sizes) / EDGE_RATE + 1.0, EDGE_RATE))
     assert [r.request_id for r in done] == [f"r{i}" for i in range(len(sizes))]
     ends = [r.transmit_end for r in done]
     assert ends == sorted(ends)
@@ -295,14 +288,14 @@ def test_class_deques_match_the_backlog_scan(priority_mode, first, steps):
             queue.enqueue(req(f"r{k}", arg, at=t))
             ref.enqueue(req(f"r{k}", arg, at=t))
         elif op == "advance":
-            got = queue.advance(t, EDGE_RATE, up)
+            got = queue.advance(t, EDGE_RATE if up else 0.0)
             want = ref.advance(t, EDGE_RATE, up)
             assert [(r.request_id, r.transmit_end) for r in got] == [
                 (r.request_id, r.transmit_end) for r in want
             ]
             up = up != arg  # the uplink toggles right after this advance
         else:
-            assert queue.eta(t, EDGE_RATE, up) == ref.eta(t, EDGE_RATE, up)
+            assert queue.eta(t, EDGE_RATE if up else 0.0) == ref.eta(t, EDGE_RATE, up)
         assert len(queue) == len(ref)
 
 
@@ -336,6 +329,33 @@ def test_fastget_fails_fast_when_down_and_on_timeout():
     assert server.counters["fastget"] == 1
     assert server.store.handler_runs == []
     assert server.store.get("kv", "k") is None
+
+
+def test_no_cloud_work_or_service_draw_while_the_route_is_none():
+    # A draw ahead of the route check would shift every later draw of
+    # the engine's seeded stream.
+    draws = []
+
+    def service_time():
+        draws.append(1)
+        return 0.01
+
+    server, uplink, _ = edge_server(service_time=service_time)
+    uplink.up = False
+    with pytest.raises(BackhaulDown):
+        server.fastget("u", "kv", "k", b"x")
+    with pytest.raises(BackhaulDown):
+        server.fastsearch("u", "kv", lambda k, r: True)
+    assert server.counters["fastget"] == server.counters["fastsearch"] == 0
+    assert server.store.handler_runs == []
+    assert draws == []
+    uplink.up = True
+    server.fastget("u", "kv", "k", b"x")
+    assert len(draws) == 1
+    server.fastsearch("u", "kv", lambda k, r: True)
+    assert len(draws) == 2
+    assert server.counters["fastget"] == server.counters["fastsearch"] == 1
+    assert len(server.store.handler_runs) == 1
 
 
 def test_fastsearch_reads_committed_state():

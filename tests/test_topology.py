@@ -15,7 +15,7 @@ from greenlinks.errors import (
     UnknownLink,
 )
 from greenlinks.scenario import generate_tree
-from greenlinks.topology import Role, build_topology
+from greenlinks.topology import BYTES_PER_KBPS, Role, build_topology
 
 
 def diamond():
@@ -261,11 +261,16 @@ def test_reachability_matches_closure_oracle_under_random_outages():
                 assert topo.reachable(a, b) is expect
                 assert (comp[a] == comp[b]) is expect
         # Cloud routes, cached since the previous round's transitions,
-        # follow path and path_metrics; a no-op transition keeps them.
+        # follow path and path_metrics (in bytes/s); a no-op transition
+        # keeps them.
         routes = {a: topo.cloud_route(a) for a in ids}
         for a in ids:
             path = topo.path(a, topo.cloud_id)
-            assert routes[a] == (None if path is None else topo.path_metrics(path))
+            if path is None:
+                assert routes[a] is None
+            else:
+                kbps, latency = topo.path_metrics(path)
+                assert routes[a] == (kbps * BYTES_PER_KBPS, latency)
             assert (routes[a] is not None) is reach[idx[a]][idx[topo.cloud_id]]
         lid = rng.choice(link_ids)
         topo.set_link_state(lid, topo.links[lid].state)
