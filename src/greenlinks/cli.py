@@ -53,18 +53,19 @@ from .whitespace import (
 DEFAULT_HORIZON = 3600.0
 
 
-def fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.6g}"
-    return "" if value is None else str(value)
-
-
 def write_csv(path: Path, header: list[str], rows) -> None:
+    """Floats as 6 significant digits, None as an empty cell, the rest
+    through str()."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([fmt(cell) for cell in row])
+        writer.writerows(
+            [
+                f"{c:.6g}" if isinstance(c, float) else "" if c is None else str(c)
+                for c in row
+            ]
+            for row in rows
+        )
 
 
 def resolve_seed(args) -> int:

@@ -5,8 +5,14 @@ by (time, insertion sequence) so ties break by scheduling order, and no
 wall-clock anywhere.  Two runs with the same scenario and seed produce
 identical traces, metrics and latency samples, byte for byte.
 
-A run produces a RunTrace (attempt and link-transition records) that
-evaluate_dual() scores twice against the same fault timeline:
+A run produces a RunTrace (attempt and link-transition records).  Each
+traffic interval draws its attempts at once; they are records, not
+events, but each takes the heap sequence number scheduling it would
+have taken, so they reach the trace in heap order, ties included,
+without passing through the heap (Engine.events_processed does not
+count them).  evaluate_dual() labels the connected components once,
+relabels only the side of a link that a transition cuts off or joins,
+and scores the trace twice against the same fault timeline:
 
 * virtual-operator scoring: an attempt needs a live path from source to
   destination, whatever shape that path has (same node: none at all;
@@ -23,8 +29,10 @@ them away.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import heapq
+import math
 import random
 import statistics
 from dataclasses import dataclass, field
@@ -51,7 +59,14 @@ METRICS = {
 
 
 class Engine:
-    """Minimal event loop: schedule, dispatch, trace."""
+    """Minimal event loop: schedule, dispatch, trace.
+
+    ``key`` is the (time, sequence) heap key of the event being
+    dispatched.  Records kept in time order outside the heap, such as a
+    Simulation's traffic attempts, take their sequence numbers from
+    next_seq(), so they order against events exactly as scheduled events
+    would; they are not events, and events_processed does not count them.
+    """
 
     def __init__(self, seed: int = 0):
         self.now = 0.0
@@ -59,6 +74,7 @@ class Engine:
         self.handlers: dict[str, object] = {}
         self.trace: list[tuple] = []
         self.events_processed = 0
+        self.key: tuple[float, int] = (0.0, 0)
         self._heap: list = []
         self._seq = 0
 
@@ -68,9 +84,12 @@ class Engine:
     def on(self, kind: str, handler) -> None:
         self.handlers[kind] = handler
 
-    def schedule(self, at: float, kind: str, **payload) -> None:
+    def next_seq(self) -> int:
         self._seq += 1
-        heapq.heappush(self._heap, (at, self._seq, kind, payload))
+        return self._seq
+
+    def schedule(self, at: float, kind: str, **payload) -> None:
+        heapq.heappush(self._heap, (at, self.next_seq(), kind, payload))
 
     def log(self, record: tuple) -> None:
         self.trace.append(record)
@@ -82,7 +101,8 @@ class Engine:
             at = self._heap[0][0]
             if horizon is not None and at > horizon:
                 break
-            at, _, kind, payload = heapq.heappop(self._heap)
+            at, seq, kind, payload = heapq.heappop(self._heap)
+            self.key = (at, seq)
             if at > self.now:
                 self.now = at
             handler = self.handlers.get(kind)
@@ -155,9 +175,9 @@ def evaluate_dual(trace: RunTrace) -> MetricsLedger:
     """Score one fault timeline under both architectures.
 
     Replays the trace with its own link-state sweep (independent of the
-    live topology object), relabels connected components over the
-    replayed state after every link transition, and buckets drops per
-    interval.
+    live topology object), labels connected components over the replayed
+    state once and then relabels only the side of a link that a
+    transition cuts off or joins, and buckets drops per interval.
     """
     topo = trace.topology
     up = dict(trace.initial_links)
@@ -166,17 +186,17 @@ def evaluate_dual(trace: RunTrace) -> MetricsLedger:
         IntervalCounts(index=i, attempted={}, dropped={}) for i in range(intervals)
     ]
     violations = 0
-    comp: dict[int, int] | None = None
+    comp = topo.components(up)
+    fresh = len(comp)  # components() labels are below the node count
     for event in trace.events:
         kind = event[0]
         if kind == "link":
             _, _, link_id, state = event
-            up[link_id] = state == "up"
-            comp = None
+            if up[link_id] != (state == "up"):
+                topo.relabel(comp, up, link_id, fresh)
+                fresh += 1
         elif kind == "attempt":
             _, at, src, dst, service = event
-            if comp is None:
-                comp = topo.components(up)
             cloud = comp[topo.cloud_id]
             vc_ok = comp[src] == comp[dst]
             cell_ok = comp[src] == cloud and comp[dst] == cloud
@@ -233,9 +253,11 @@ class Simulation:
         self._initial_links = {
             lid: link.up for lid, link in self.topology.links.items()
         }
+        # Drawn attempts not yet in engine.trace, as (at, seq, src, dst,
+        # service) sorted by heap key; see _log_attempts_before.
+        self._attempts: list[tuple] = []
         self._build_draw_pools()
         e = self.engine
-        e.on("attempt", self._on_attempt)
         e.on("traffic_interval", self._on_traffic_interval)
         e.on("failure_draw", self._on_failure_draw)
         e.on("link_restore", self._on_link_restore)
@@ -260,17 +282,17 @@ class Simulation:
             )
             for side in (True, False)
         }
-        # Zone mates per source in Zone.node_ids order; nodes outside each
-        # zone in sorted(identity.caches) order.
-        self._mates = {
-            src: tuple(n for n in zone.node_ids if n != src)
-            for zone in topo.zones.values()
-            for src in zone.node_ids
-        }
+        # Per source: its zone mates in Zone.node_ids order, and the nodes
+        # outside its zone in sorted(identity.caches) order.
         cached = sorted(self.identity.caches)
-        self._outside = {
+        outside = {
             zid: tuple(n for n in cached if topo.nodes[n].zone != zid)
             for zid in topo.zones
+        }
+        self._dest_pools = {
+            src: (tuple(n for n in zone.node_ids if n != src), outside[zid])
+            for zid, zone in topo.zones.items()
+            for src in zone.node_ids
         }
 
     # ------------------------------------------------------------ wiring
@@ -389,6 +411,7 @@ class Simulation:
             return
         self._advance_all()
         self.topology.set_link_state(link_id, state)
+        self._log_attempts_before(self.engine.key)
         self.engine.log(("link", self.engine.now, link_id, state.value))
         self._poke_all()
         if state is LinkState.UP:
@@ -417,44 +440,56 @@ class Simulation:
 
     # ------------------------------------------------------------ traffic
 
-    def _nodes_by_role(self, role: Role) -> tuple[int, ...]:
-        return self._role_pool[role]
-
     def _on_traffic_interval(self, index: int, config: dict) -> None:
+        """Draw the interval's attempts.  They are records, not events:
+        each takes the heap sequence number scheduling it would have
+        taken, and waits in the sorted buffer until _log_attempts_before
+        moves it into engine.trace."""
+        self._log_attempts_before(self.engine.key)
         rng = self.engine.rng
+        choice, draw = rng.choice, rng.random
+        next_seq = self.engine.next_seq
         start = self.engine.now
         interval = config["interval_s"]
-        level2 = self._nodes_by_role(Role.LEVEL2)
-        level3 = self._nodes_by_role(Role.LEVEL3)
+        level2 = self._role_pool[Role.LEVEL2]
+        level3 = self._role_pool[Role.LEVEL3]
         share2 = config["level_share"]["level2"]
         mix = config["dest_mix"]
+        local = mix["local"]
+        near = mix["local"] + mix["zone"]
+        pools = self._dest_pools
+        drawn = self._attempts
         for service in SERVICES:
             for _ in range(int(config["attempts"].get(service, 0))):
-                src = self._draw_node(rng, level2, level3, share2)
-                dst = self._draw_dest(rng, src, mix)
-                at = start + rng.uniform(0.0, interval)
-                self.engine.schedule(at, "attempt", src=src, dst=dst, service=service)
+                src = choice(level2 if (draw() < share2 or not level3) else level3)
+                roll = draw()
+                if roll < local:
+                    dst = src
+                else:
+                    mates, outside = pools[src]
+                    if roll < near and mates:
+                        dst = choice(mates)
+                    elif outside:
+                        dst = choice(outside)
+                    elif mates:
+                        dst = choice(mates)
+                    else:
+                        dst = src
+                drawn.append((start + interval * draw(), next_seq(), src, dst, service))
+        drawn.sort()
 
-    def _draw_node(self, rng, level2, level3, share2) -> int:
-        pool = level2 if (rng.random() < share2 or not level3) else level3
-        return pool[rng.randrange(len(pool))]
-
-    def _draw_dest(self, rng, src, mix) -> int:
-        roll = rng.random()
-        if roll < mix["local"]:
-            return src
-        mates = self._mates[src]
-        if roll < mix["local"] + mix["zone"] and mates:
-            return mates[rng.randrange(len(mates))]
-        outside = self._outside[self.topology.nodes[src].zone]
-        if outside:
-            return outside[rng.randrange(len(outside))]
-        if mates:
-            return mates[rng.randrange(len(mates))]
-        return src
-
-    def _on_attempt(self, src: int, dst: int, service: str) -> None:
-        self.engine.log(("attempt", self.engine.now, src, dst, service))
+    def _log_attempts_before(self, key: tuple) -> None:
+        """Move the drawn attempts whose (at, seq) is below ``key`` into
+        engine.trace, in key order: the attempts the heap would have
+        dispatched, and logged, before the event with that key."""
+        drawn = self._attempts
+        n = bisect.bisect_left(drawn, key)
+        if n:
+            self.engine.trace.extend(
+                ("attempt", at, src, dst, service)
+                for at, _, src, dst, service in drawn[:n]
+            )
+            del drawn[:n]
 
     # --------------------------------------------------------------- run
 
@@ -489,6 +524,7 @@ class Simulation:
                 )
                 t += fcfg["interval_s"]
         self.engine.run_until(None)
+        self._log_attempts_before((math.inf,))
         effective = horizon if horizon is not None else self.engine.now
         trace = RunTrace(
             topology=self.topology,

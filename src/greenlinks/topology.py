@@ -205,6 +205,55 @@ class Topology:
             mark += 1
         return label
 
+    def relabel(
+        self, label: dict[int, int], up: dict[str, bool], link_id: str, fresh: int
+    ) -> None:
+        """Flip ``up[link_id]`` and bring ``label``, a components()
+        labelling of ``up``, up to date in place.
+
+        A flip can only change the side of the link it cuts off or joins.
+        Searches from both ends run in lockstep over the other live links
+        and stop when one runs out (Even & Shiloach, JACM 1981), so the
+        work is bounded by the smaller side.  The side that runs out takes
+        ``fresh``, a label not in use, on a down flip and the other end's
+        label on an up flip.  Searches that meet, and an up flip inside
+        one component, change nothing.
+        """
+        link = self.links[link_id]
+        now_up = not up[link_id]
+        found = None
+        if not (now_up and label[link.a] == label[link.b]):
+            up[link_id] = False  # search as if the link were down
+            found = self._lone_side(up, link.a, link.b)
+        up[link_id] = now_up
+        if found is not None:
+            nodes, far = found
+            new = label[far] if now_up else fresh
+            for node in nodes:
+                label[node] = new
+
+    def _lone_side(
+        self, up: dict[str, bool], a: int, b: int
+    ) -> tuple[set[int], int] | None:
+        """The nodes reachable over ``up`` from whichever of a and b runs
+        out first in a lockstep search, with the other end; None when the
+        two searches meet."""
+        nbrs = self._nbrs
+        seen = ({a}, {b})
+        todo = ([a], [b])
+        while True:
+            for side in (0, 1):
+                stack = todo[side]
+                if not stack:
+                    return seen[side], (b, a)[side]
+                mine, theirs = seen[side], seen[1 - side]
+                for lid, nxt in nbrs[stack.pop()]:
+                    if up[lid] and nxt not in mine:
+                        if nxt in theirs:
+                            return None
+                        mine.add(nxt)
+                        stack.append(nxt)
+
 
 # -------------------------------------------------------------- building
 

@@ -8,6 +8,8 @@ The generated tree runs every draw branch of the availability study:
 node-local, zone-mate and cross-zone destinations, both failure sides,
 and the marketplace workload's sync queue on node 1.  The single-run
 `simulate` case covers the path that writes one ledger's rates, the
+`tree_5_3_trace` case pins the first run's `trace.log`, the order in
+which attempts and link flips reach the trace, the
 `market_edge_priority` case runs the lazy queue with SMS-sized payloads
 served ahead of files (`--priority-queue`), and the
 `whitespace` and `idbench` cases cover the shipped scenarios of those
@@ -31,7 +33,6 @@ from greenlinks.scenario import generate_tree
 from greenlinks.simcore import Simulation
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
-ARTIFACTS = ("metrics.csv", "latency.csv", "summary.csv")
 
 
 def tree_scenario():
@@ -76,6 +77,9 @@ EXPECTED = {
         "latency.csv": "89f4b26808d59286b6eb31bb85b14068998a60d2027f8bcb593c9fa8ad26648d",
         "summary.csv": "fb7f96b98fa4e7d04addc2ad702cc836d52827bd7aea59115c5ba75973b73231",
     },
+    "tree_5_3_trace": {
+        "trace.log": "d1d12df762edc4fe2c6c6a862d87402cc91d3d5a1e36ed2a25e3aefed113b34d",
+    },
     "village_1run": {
         "metrics.csv": "69dadda72a700ad6f3ff9ab2a5a429688e1ad108fd54ecae88a67c6119070076",
         "latency.csv": "591b217ec16ef6bc5b9844e1d7311e3a575aaeaaaba2292702c6b61e9776b71c",
@@ -110,10 +114,12 @@ def digests(argv, out, artifacts):
 
 
 def run_case(case, tmp_path):
-    if case == "tree_5_3":
+    if case.startswith("tree_5_3"):
         scenario = tmp_path / "tree.json"
         scenario.write_text(json.dumps(tree_scenario()))
         extra = ["--runs", "2", "--horizon", "1800", "--seed", "7"]
+        if case == "tree_5_3_trace":
+            extra.append("--trace")
     elif case == "market_edge_priority":
         scenario = SCENARIOS / "market_edge.json"
         extra = ["--priority-queue", "--runs", "2", "--seed", "3"]
@@ -124,7 +130,7 @@ def run_case(case, tmp_path):
         scenario = SCENARIOS / f"{case}.json"
         extra = ["--runs", "2", "--seed", "3"]
     argv = ["simulate", "--scenario", str(scenario), *extra]
-    return digests(argv, tmp_path / "out", ARTIFACTS)
+    return digests(argv, tmp_path / "out", EXPECTED[case])
 
 
 @pytest.mark.parametrize("case", sorted(EXPECTED))

@@ -1,5 +1,6 @@
 """Engine, dual-architecture scoring, uplinks, monte carlo, identity bench."""
 
+import itertools
 import math
 import random
 
@@ -19,7 +20,7 @@ from greenlinks.simcore import (
     interval_means,
     monte_carlo,
 )
-from greenlinks.topology import build_topology
+from greenlinks.topology import Role, build_topology
 
 
 # ------------------------------------------------------------------ engine
@@ -172,14 +173,39 @@ def test_runs_are_reproducible_per_seed():
 
 
 class ReferenceDraws(Simulation):
-    """The draw helpers without precomputed pools: every call filters the
-    graph again, as the simulator originally did.  The pooled helpers
-    must make the same RNG calls with the same pool lengths."""
+    """The traffic and failure draws as the simulator first made them:
+    every draw filters the graph again, and every attempt is an engine
+    event whose handler logs it.  The pooled draws, which keep attempts
+    off the heap, must make the same RNG calls with the same pool
+    lengths and give the same engine trace, ties included."""
 
-    def _nodes_by_role(self, role):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.engine.on("attempt", self.attempt)
+
+    def attempt(self, src, dst, service):
+        self.engine.log(("attempt", self.engine.now, src, dst, service))
+
+    def nodes_by_role(self, role):
         return sorted(
             n.node_id for n in self.topology.nodes.values() if n.role is role
         )
+
+    def _on_traffic_interval(self, index, config):
+        rng = self.engine.rng
+        start = self.engine.now
+        interval = config["interval_s"]
+        level2 = self.nodes_by_role(Role.LEVEL2)
+        level3 = self.nodes_by_role(Role.LEVEL3)
+        share2 = config["level_share"]["level2"]
+        mix = config["dest_mix"]
+        for service in SERVICES:
+            for _ in range(int(config["attempts"].get(service, 0))):
+                pool = level2 if (rng.random() < share2 or not level3) else level3
+                src = pool[rng.randrange(len(pool))]
+                dst = self.draw_dest(rng, src, mix)
+                at = start + rng.uniform(0.0, interval)
+                self.engine.schedule(at, "attempt", src=src, dst=dst, service=service)
 
     def _failure_candidates(self, cloud_side):
         cloud = self.topology.cloud_id
@@ -191,7 +217,7 @@ class ReferenceDraws(Simulation):
                 links.append(link)
         return links
 
-    def _draw_dest(self, rng, src, mix):
+    def draw_dest(self, rng, src, mix):
         roll = rng.random()
         if roll < mix["local"]:
             return src
@@ -209,6 +235,31 @@ class ReferenceDraws(Simulation):
         if mates:
             return mates[rng.randrange(len(mates))]
         return src
+
+
+class CyclingRandom(random.Random):
+    """random() cycles 0.0, 0.5, 0.25: attempts land on the same instants
+    as each other, as traffic intervals and, through zero-length outages,
+    as link flips, so every order among them is decided by heap sequence
+    numbers."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.cycle = itertools.cycle((0.0, 0.5, 0.25))
+
+    def random(self):
+        return next(self.cycle)
+
+
+def with_draws(scenario):
+    """Traffic that takes every destination branch, and failures."""
+    scenario["traffic"] = {
+        "interval_s": 60.0,
+        "attempts": {"call": 6, "sms": 6, "data": 6},
+        "dest_mix": {"local": 0.2, "zone": 0.3, "cross": 0.5},
+    }
+    scenario["failures"] = {"interval_s": 45.0, "outage_mean_s": 120.0}
+    return scenario
 
 
 def lone_gateway_zone():
@@ -241,19 +292,28 @@ def islanded_cloud():
     ids=["tree", "single_zone", "single_node", "lone_gateway", "islanded_cloud"],
 )
 def test_pooled_draws_match_the_filtering_reference(build):
-    scenario = build()
-    scenario["traffic"] = {
-        "interval_s": 60.0,
-        "attempts": {"call": 6, "sms": 6, "data": 6},
-        "dest_mix": {"local": 0.2, "zone": 0.3, "cross": 0.5},
-    }
-    scenario["failures"] = {"interval_s": 45.0, "outage_mean_s": 120.0}
+    scenario = with_draws(build())
     for seed in range(4):
         pooled = Simulation(scenario, seed=seed)
         reference = ReferenceDraws(scenario, seed=seed)
         pooled.run(900.0)
         reference.run(900.0)
         assert pooled.engine.trace == reference.engine.trace
+
+
+def test_attempts_off_the_heap_keep_the_heap_order_of_ties():
+    scenario = with_draws(generate_tree(3, 2))
+    pooled = Simulation(scenario, seed=0)
+    reference = ReferenceDraws(scenario, seed=0)
+    for sim in (pooled, reference):
+        sim.engine.rng = CyclingRandom(0)
+        sim.run(600.0)
+    trace = reference.engine.trace
+    assert pooled.engine.trace == trace
+    # The case has ties both ways: link records logged before and after
+    # attempts of the same instant.
+    tied = {(a[0], b[0]) for a, b in zip(trace, trace[1:]) if a[1] == b[1]}
+    assert {("link", "attempt"), ("attempt", "link")} <= tied
 
 
 # ------------------------------------------------------------------ uplink

@@ -1,4 +1,4 @@
-"""World-graph tests: validation, paths, components."""
+"""World-graph tests: validation, paths, components and their relabelling."""
 
 import random
 
@@ -287,6 +287,36 @@ def test_reachability_matches_closure_oracle_under_random_outages():
                 assert (comp[a] == comp[b]) is replayed[idx[a]][idx[b]]
     with pytest.raises(UnknownLink):
         topo.set_link_state("nope", "down")
+
+
+def blocks(label):
+    """The partition a node -> label map describes, label values aside."""
+    groups = {}
+    for node, mark in label.items():
+        groups.setdefault(mark, []).append(node)
+    return sorted(sorted(g) for g in groups.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_incremental_relabel_matches_a_full_labelling(data):
+    cfg = generate_tree(data.draw(st.integers(1, 4)), data.draw(st.integers(0, 3)))
+    ids = [n["id"] for n in cfg["nodes"]]
+    pairs = st.lists(st.sampled_from(ids), min_size=2, max_size=2, unique=True)
+    # Extra links close cycles, or run parallel to a tree link.
+    for i, (a, b) in enumerate(data.draw(st.lists(pairs, max_size=6))):
+        cfg["links"].append({"id": f"x{i}", "a": a, "b": b, "profile": "hsdpa"})
+    topo = build_topology(cfg)
+    link_ids = sorted(topo.links)
+    up = {lid: data.draw(st.booleans()) for lid in link_ids}
+    label = topo.components(up)
+    fresh = len(label)
+    for lid in data.draw(st.lists(st.sampled_from(link_ids), max_size=30)):
+        was_up = up[lid]
+        topo.relabel(label, up, lid, fresh)
+        fresh += 1
+        assert up[lid] is not was_up
+        assert blocks(label) == blocks(topo.components(up))
 
 
 # ---------------------------------------------------------------- generator
