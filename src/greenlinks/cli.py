@@ -99,19 +99,18 @@ def cmd_simulate(args) -> int:
     if horizon is None:
         horizon = DEFAULT_HORIZON if "traffic" in scenario else None
 
-    results = replicate(
-        scenario, runs, horizon, base_seed=seed, priority_queue=args.priority_queue
-    )
-    outdir = out_dir(args)
-    ledgers = [r.ledger for r in results if r.ledger is not None]
-    write_csv(
-        outdir / "metrics.csv",
-        ["interval", *METRICS.keys()],
-        interval_means(ledgers),
-    )
-
+    # Keep only each run's ledger and latency rows, and run 0's trace
+    # events under --trace: no finished run stays alive while the next
+    # one runs.
+    ledgers = []
     latency_rows = []
-    for i, result in enumerate(results):
+    trace_events = None
+    i = 0
+    for result in replicate(
+        scenario, runs, horizon, base_seed=seed, priority_queue=args.priority_queue
+    ):
+        if result.ledger is not None:
+            ledgers.append(result.ledger)
         prefix = f"r{i}-" if runs > 1 else ""
         for rec in result.latency:
             latency_rows.append(
@@ -124,6 +123,17 @@ def cmd_simulate(args) -> int:
                     rec.delivered_at,
                 )
             )
+        if args.trace and i == 0:
+            trace_events = result.trace.events
+        del result  # the loop name would hold this run through the next one
+        i += 1
+
+    outdir = out_dir(args)
+    write_csv(
+        outdir / "metrics.csv",
+        ["interval", *METRICS.keys()],
+        interval_means(ledgers),
+    )
     write_csv(
         outdir / "latency.csv",
         ["request_id", "class", "app_type", "bytes", "enqueued_at", "delivered_at"],
@@ -141,7 +151,7 @@ def cmd_simulate(args) -> int:
 
     if args.trace:
         with open(outdir / "trace.log", "w") as fh:
-            for event in results[0].trace.events:
+            for event in trace_events:
                 if event[0] == "link":
                     _, at, link_id, state = event
                     fh.write(f"{at:.6f} LINK {link_id} {state}\n")
@@ -226,14 +236,14 @@ def cmd_whitespace(args) -> int:
     ngsm = cfg.get("ngsm")
     if ngsm:
         for users_n in ngsm["user_counts"]:
-            for ratio in ngsm["ratios"]:
-                t_ngsm, t_vol = compare_ngsm(
-                    users_n,
-                    ratio,
-                    seed=seed,
-                    organic_period_s=cfg["organic_period_s"],
-                    volunteer_period_s=cfg["volunteer_period_s"],
-                )
+            t_ngsm, t_vols = compare_ngsm(
+                users_n,
+                ngsm["ratios"],
+                seed=seed,
+                organic_period_s=cfg["organic_period_s"],
+                volunteer_period_s=cfg["volunteer_period_s"],
+            )
+            for ratio, t_vol in zip(ngsm["ratios"], t_vols):
                 compare_rows.append(
                     (users_n, ratio, t_ngsm / 60.0, t_vol / 60.0)
                 )

@@ -35,6 +35,7 @@ import heapq
 import math
 import random
 import statistics
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .apps import Workload
@@ -553,17 +554,23 @@ def replicate(
     *,
     base_seed: int = 0,
     priority_queue: bool = False,
-) -> list[RunResult]:
-    """Independent replications; run i uses seed base_seed + i.  A
-    ``workload`` section is scheduled, up to the horizon, before the run
-    schedules its traffic and failures."""
-    results = []
+) -> Iterator[RunResult]:
+    """Independent replications, made one at a time as the caller asks
+    for them; run i uses seed base_seed + i.  A ``workload`` section is
+    scheduled, up to the horizon, before the run schedules its traffic
+    and failures.  The generator keeps no finished run, so a caller that
+    keeps only what it needs of each holds one Simulation at a time."""
     for i in range(runs):
-        sim = Simulation(scenario, seed=base_seed + i, priority_queue=priority_queue)
-        if "workload" in scenario:
-            Workload(sim, scenario["workload"]).schedule(horizon)
-        results.append(sim.run(horizon))
-    return results
+        yield _run_once(scenario, horizon, base_seed + i, priority_queue)
+
+
+def _run_once(
+    scenario: dict, horizon: float | None, seed: int, priority_queue: bool
+) -> RunResult:
+    sim = Simulation(scenario, seed=seed, priority_queue=priority_queue)
+    if "workload" in scenario:
+        Workload(sim, scenario["workload"]).schedule(horizon)
+    return sim.run(horizon)
 
 
 @dataclass
@@ -601,7 +608,7 @@ def monte_carlo(
     base_seed: int = 0,
 ) -> MonteCarloResult:
     """replicate() summarized; every run must score attempts."""
-    results = replicate(scenario, runs, horizon, base_seed=base_seed)
+    results = list(replicate(scenario, runs, horizon, base_seed=base_seed))
     if any(r.ledger is None for r in results):
         raise ScenarioError("monte_carlo needs a traffic section")
     return aggregate([r.ledger for r in results])

@@ -2,8 +2,9 @@
 
 Handsets already measure neighbor channels; the base station advertises
 six fake neighbors per scan plan and every SMS a phone sends carries its
-energy readings for those channels, each folded in as one
-(arfcn, energy, time) report.  The detector classifies each ARFCN:
+energy readings for those channels.  The detector folds in one SMS per
+call, as a mapping {arfcn: energy} taken at the SMS's time, and
+classifies each ARFCN:
 
 * one positive (non-zero energy) report marks a channel occupied on the
   spot;
@@ -28,7 +29,8 @@ stays set until they have.
 
 The NGSM baseline in compare_ngsm runs the identical estimator fed only
 by organic traffic; the volunteer strategy adds paid periodic senders on
-top of the same organic trace.
+top of the same organic trace.  One call draws that trace and classifies
+the baseline once for all the volunteer ratios it is given.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ class DetectorConfig:
     evidence_ttl_s: float = 86400.0
 
 
-@dataclass
+@dataclass(slots=True)
 class ChannelState:
     arfcn: int
     verdict: Verdict = Verdict.UNKNOWN
@@ -133,38 +135,51 @@ class Detector:
             state.window_start = None
             state.t_verdict = None
 
-    def ingest_report(self, arfcn: int, energy: int, at: float) -> ChannelState:
-        """Fold in one measurement: the ``energy`` a phone read on
-        ``arfcn`` at time ``at``.  Reports for channels outside the scan
-        plan (other than the serving channel) are dropped and counted."""
-        state = self.states.get(arfcn)
-        if state is None or (arfcn not in self.plan and arfcn != self.serving):
-            self.dropped_unplanned += 1
-            raise UnplannedChannel(f"arfcn {arfcn} is not being scanned")
-        self._expire(state, at)
-        state.last_report_at = at
-        if at < self._evidence_floor:
+    def ingest_report(self, readings: dict[int, int], at: float) -> None:
+        """Fold in one SMS: ``readings`` maps each channel the phone
+        measured, in measurement order, to the energy it read there, all
+        at time ``at``.  Every reading is checked before any is folded: a
+        channel outside the scan plan (other than the serving channel)
+        drops the whole SMS, is counted and raises UnplannedChannel."""
+        states = self.states
+        for arfcn in readings:
+            if arfcn not in states or (arfcn not in self.plan and arfcn != self.serving):
+                self.dropped_unplanned += 1
+                raise UnplannedChannel(f"arfcn {arfcn} is not being scanned")
+        if readings and at < self._evidence_floor:
             self._evidence_floor = at
-        if energy > 0:
-            state.last_positive_at = at
-            state.zero_count = 0
-            state.window_start = None
-            if state.verdict is not Verdict.OCCUPIED:
-                self._set_verdict(state, Verdict.OCCUPIED)
-                state.t_verdict = at
-            self._ramp_on_occupancy(at)
-        else:
-            state.zero_count += 1
-            if state.window_start is None:
-                state.window_start = at
+        c = self.config
+        ttl, n_free, t_free_s = c.evidence_ttl_s, c.n_free, c.t_free_s
+        unknown, free = Verdict.UNKNOWN, Verdict.FREE
+        for arfcn, energy in readings.items():
+            state = states[arfcn]
+            last = state.last_report_at
             if (
-                state.verdict is not Verdict.FREE
-                and state.zero_count >= self.config.n_free
-                and at - state.window_start >= self.config.t_free_s
+                last is not None
+                and state.verdict is not unknown
+                and at - last > ttl
             ):
-                self._set_verdict(state, Verdict.FREE)
-                state.t_verdict = at
-        return state
+                self._expire(state, at)
+            state.last_report_at = at
+            if energy > 0:
+                state.last_positive_at = at
+                state.zero_count = 0
+                state.window_start = None
+                if state.verdict is not Verdict.OCCUPIED:
+                    self._set_verdict(state, Verdict.OCCUPIED)
+                    state.t_verdict = at
+                self._ramp_on_occupancy(at)
+            else:
+                state.zero_count += 1
+                if state.window_start is None:
+                    state.window_start = at
+                if (
+                    state.verdict is not free
+                    and state.zero_count >= n_free
+                    and at - state.window_start >= t_free_s
+                ):
+                    self._set_verdict(state, free)
+                    state.t_verdict = at
 
     def unknown_count(self) -> int:
         return len(self._holding[Verdict.UNKNOWN])
@@ -196,37 +211,29 @@ class Detector:
         slots = self.config.slots
         vacancies = slots - len(keep)
         chosen = list(keep)
+        # (key, arfcn) pairs: the arfcn breaks ties, so no two compare equal.
+        states = self.states
         if vacancies > 0:
             fresh = heapq.nsmallest(
                 vacancies,
-                (
-                    self.states[a]
+                [
+                    (-1.0 if (t := states[a].last_planned_at) is None else t, a)
                     for a in self._holding[Verdict.UNKNOWN]
                     if a not in chosen and a != self.serving
-                ),
-                key=lambda s: (
-                    s.last_planned_at if s.last_planned_at is not None else -1.0,
-                    s.arfcn,
-                ),
+                ],
             )
-            for state in fresh:
-                chosen.append(state.arfcn)
+            chosen.extend(a for _, a in fresh)
             vacancies = slots - len(chosen)
         if vacancies > 0:
             stale_free = heapq.nsmallest(
                 vacancies,
-                (
-                    self.states[a]
+                [
+                    (-1.0 if (t := states[a].last_report_at) is None else t, a)
                     for a in self._holding[Verdict.FREE]
                     if a not in chosen and a != self.serving
-                ),
-                key=lambda s: (
-                    s.last_report_at if s.last_report_at is not None else -1.0,
-                    s.arfcn,
-                ),
+                ],
             )
-            for state in stale_free:
-                chosen.append(state.arfcn)
+            chosen.extend(a for _, a in stale_free)
         for arfcn in chosen:
             if arfcn not in self.plan:
                 self.states[arfcn].last_planned_at = now
@@ -354,6 +361,15 @@ class RadioField:
         phone.x = min(1.0, max(0.0, phone.x + rng.uniform(-self.step, self.step)))
         phone.y = min(1.0, max(0.0, phone.y + rng.uniform(-self.step, self.step)))
 
+    def measure(self, phone: Phone, arfcns) -> dict[int, int]:
+        """One SMS worth of readings, ``{arfcn: energy}`` in the order of
+        ``arfcns``; a channel with no interferer reads 0 wherever the
+        phone is."""
+        readings = dict.fromkeys(arfcns, 0)
+        for a in self.interferers.keys() & readings.keys():
+            readings[a] = self.energy(phone, a)
+        return readings
+
     def energy(self, phone: Phone, arfcn: int) -> int:
         spot = self.interferers.get(arfcn)
         if spot is None:
@@ -439,20 +455,25 @@ def run_detection(
 
     Each traffic event is one SMS from one phone: the phone takes a step,
     measures the advertised channels (plus the serving channel) and the
-    batch is ingested; plans, serving choice and the power ramp update at
-    batch boundaries.  Stops when the band is fully classified or the
-    traffic runs out.
+    batch is folded in by one ``ingest_report`` call; plans, serving
+    choice and the power ramp update at batch boundaries.  Stops when the
+    band is fully classified or the traffic runs out.
+
+    ``rng`` feeds only the phones' walk.  On a field with no interferer
+    every reading is 0 wherever a phone stands, so nobody walks: the
+    phones and ``rng`` are left untouched.
     """
     run = DetectionRun(converged_at=None, batches=0)
     detector.plan_scan(traffic[0][0] if traffic else 0.0)
+    walking = bool(field_model.interferers)
     for at, phone_idx in traffic:
         phone = phones[phone_idx % len(phones)]
-        field_model.walk(phone, rng)
-        measured = list(detector.plan)
+        if walking:
+            field_model.walk(phone, rng)
+        measured = detector.plan
         if detector.serving is not None and detector.serving not in measured:
-            measured.append(detector.serving)
-        for arfcn in measured:
-            detector.ingest_report(arfcn, field_model.energy(phone, arfcn), at)
+            measured += (detector.serving,)
+        detector.ingest_report(field_model.measure(phone, measured), at)
         run.batches += 1
         if not detector.plan_is_current():
             detector.plan_scan(at)
@@ -472,16 +493,19 @@ def run_detection(
 
 def compare_ngsm(
     users: int,
-    volunteer_ratio: float,
+    volunteer_ratios: list[float],
     *,
     seed: int = 0,
     organic_period_s: float = 300.0,
     volunteer_period_s: float = 60.0,
-) -> tuple[float, float]:
+) -> tuple[float, list[float]]:
     """Time to classify the whole band: organic-only baseline vs the same
-    organic trace plus paid volunteers.  Returns seconds (ngsm, volunteer).
+    organic trace plus paid volunteers, at each ratio of volunteers to
+    users.  Returns seconds (ngsm, [volunteer time for each ratio]); a
+    ratio that rounds to no volunteer gets the baseline's time.
 
-    The bench band is truth-free everywhere, which makes classification
+    The organic trace is drawn, and the baseline classified, once.  The
+    bench band is truth-free everywhere, which makes classification
     purely evidence-count driven: identical organic traces guarantee the
     volunteer strategy can only be earlier.  The band has one channel per
     user, 1..users (one handset per household, band sized to the
@@ -497,19 +521,14 @@ def compare_ngsm(
         config.t_free_s * users / organic_period_s
     )
     need = groups * (per_group + 10) + 400
-    rng = random.Random(seed)
-    organic = organic_traffic(users, organic_period_s, need, rng)
-    volunteers = round(volunteer_ratio * users)
+    organic = organic_traffic(users, organic_period_s, need, random.Random(seed))
 
-    def classify(trace: list[tuple[float, int]]) -> float:
-        det = Detector(config)
-        field_model = RadioField({})
-        phones = make_phones(users + volunteers, random.Random(seed + 1))
+    def classify(trace: list[tuple[float, int]], senders: int) -> float:
         run = run_detection(
             trace,
-            det,
-            field_model,
-            phones,
+            Detector(config),
+            RadioField({}),
+            make_phones(senders, random.Random(seed + 1)),
             random.Random(seed + 2),
             manage_serving=False,
         )
@@ -517,9 +536,22 @@ def compare_ngsm(
             return float("inf")
         return run.converged_at
 
-    t_ngsm = classify(organic)
-    if volunteers == 0:
-        return t_ngsm, t_ngsm
+    t_ngsm = classify(organic, users)
     until_s = organic[-1][0]
-    merged = with_volunteers(organic, users, volunteers, volunteer_period_s, until_s)
-    return t_ngsm, classify(merged)
+    t_vols = []
+    for ratio in volunteer_ratios:
+        volunteers = round(ratio * users)
+        if volunteers == 0:
+            t_vols.append(t_ngsm)
+            continue
+        # Passed straight in, so one ratio's merged trace is freed before
+        # the next one is built.
+        t_vols.append(
+            classify(
+                with_volunteers(
+                    organic, users, volunteers, volunteer_period_s, until_s
+                ),
+                users + volunteers,
+            )
+        )
+    return t_ngsm, t_vols

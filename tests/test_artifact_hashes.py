@@ -13,7 +13,9 @@ which attempts and link flips reach the trace, the
 `market_edge_priority` case runs the lazy queue with SMS-sized payloads
 served ahead of files (`--priority-queue`), and the
 `whitespace` and `idbench` cases cover the shipped scenarios of those
-studies.  The library case drives the paths no CLI study reaches:
+studies.  The `whitespace_expiry` case shortens the evidence lifetime to
+300 s, so verdicts expire inside multi-reading SMS folds and in the
+`plan_scan` sweep, and the band never converges.  The library case drives the paths no CLI study reaches:
 store-and-forward messages, marketplace searches and issuance deferred
 by an outage, all under link failures.
 """
@@ -95,6 +97,13 @@ STUDY_EXPECTED = {
             "ngsm_compare.csv": "379f21894accdedfe3bcde6e3577682a246a57284ea038c72b614012430655b0",
         },
     ),
+    "whitespace_expiry": (
+        "whitespace",
+        {
+            "occupancy.csv": "2b11e0f228b91c5ff509ee65c49d8cd1413266aec24a53e423fcb8b38cf2f79c",
+            "ngsm_compare.csv": "21ba5bd884f7bb123c28f7fac60b1e67f09b7d12de26ca7be0ddd2296a2f0f24",
+        },
+    ),
     "idbench": (
         "idbench",
         {
@@ -141,7 +150,16 @@ def test_simulate_artifacts_match_pinned_hashes(case, tmp_path, capsys):
 @pytest.mark.parametrize("case", sorted(STUDY_EXPECTED))
 def test_study_artifacts_match_pinned_hashes(case, tmp_path, capsys):
     command, expected = STUDY_EXPECTED[case]
-    argv = [command, "--scenario", str(SCENARIOS / f"{case}.json"), "--seed", "3"]
+    if case == "whitespace_expiry":
+        data = json.loads((SCENARIOS / "whitespace_small.json").read_text())
+        data["whitespace"]["evidence_ttl_s"] = 300
+        scenario = tmp_path / "expiry.json"
+        scenario.write_text(json.dumps(data))
+        seed = "4"
+    else:
+        scenario = SCENARIOS / f"{case}.json"
+        seed = "3"
+    argv = [command, "--scenario", str(scenario), "--seed", seed]
     assert digests(argv, tmp_path / "out", expected) == expected
 
 

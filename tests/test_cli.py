@@ -391,7 +391,7 @@ def test_whitespace_artifacts_and_stdout(tmp_path, capsys):
     # more volunteers per user only speeds the survey up
     assert by_key[("10", "0.2")][1] <= by_key[("10", "0.1")][1]
     # artifact values are minutes; cross-check one cell against the library
-    t_ngsm_s, t_vol_s = compare_ngsm(10, 0.1, seed=0)
+    t_ngsm_s, (t_vol_s,) = compare_ngsm(10, [0.1], seed=0)
     assert by_key[("10", "0.1")] == (
         pytest.approx(t_ngsm_s / 60.0),
         pytest.approx(t_vol_s / 60.0),

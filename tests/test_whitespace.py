@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from greenlinks.errors import NoFreeChannel, UnplannedChannel
 from greenlinks.whitespace import (
     RAMP_INTERVAL_S,
+    DetectionRun,
     Detector,
     DetectorConfig,
     RadioField,
@@ -35,39 +36,43 @@ def small_detector(**kw):
 
 def test_one_positive_marks_occupied_immediately():
     det = small_detector()
-    state = det.ingest_report(3, 17, at=5.0)
+    det.ingest_report({3: 17}, at=5.0)
+    state = det.states[3]
     assert state.verdict is Verdict.OCCUPIED
     assert state.t_verdict == 5.0
 
 
 def test_free_needs_both_the_count_and_the_elapsed_window():
     det = small_detector(n_free=3, t_free_s=10.0)
+    state = det.states[1]
     for t in (0.0, 1.0, 2.0):
-        state = det.ingest_report(1, 0, at=t)
+        det.ingest_report({1: 0}, at=t)
     assert state.verdict is Verdict.UNKNOWN  # count met, window not
-    state = det.ingest_report(1, 0, at=11.0)
+    det.ingest_report({1: 0}, at=11.0)
     assert state.verdict is Verdict.FREE
     assert state.t_verdict == 11.0
 
 
 def test_positive_resets_the_zero_window():
     det = small_detector(n_free=3, t_free_s=10.0)
-    det.ingest_report(1, 0, at=0.0)
-    det.ingest_report(1, 0, at=1.0)
-    det.ingest_report(1, 9, at=2.0)  # burst of interference
+    det.ingest_report({1: 0}, at=0.0)
+    det.ingest_report({1: 0}, at=1.0)
+    det.ingest_report({1: 9}, at=2.0)  # burst of interference
     for t in (3.0, 4.0, 5.0):
-        state = det.ingest_report(1, 0, at=t)
+        det.ingest_report({1: 0}, at=t)
+    state = det.states[1]
     assert state.verdict is Verdict.OCCUPIED  # window restarted at t=3
-    state = det.ingest_report(1, 0, at=13.0)
+    det.ingest_report({1: 0}, at=13.0)
     assert state.verdict is Verdict.FREE  # re-verified after the burst
 
 
 def test_stale_evidence_decays_to_unknown():
     det = small_detector(n_free=3, t_free_s=10.0, evidence_ttl_s=100.0)
     for t in (0.0, 1.0, 11.0):
-        det.ingest_report(1, 0, at=t)
+        det.ingest_report({1: 0}, at=t)
     assert det.states[1].verdict is Verdict.FREE
-    state = det.ingest_report(1, 0, at=150.0)  # 139 s since last word
+    det.ingest_report({1: 0}, at=150.0)  # 139 s since last word
+    state = det.states[1]
     assert state.verdict is Verdict.UNKNOWN
     assert state.zero_count == 1  # the fresh report opens a new window
 
@@ -75,11 +80,17 @@ def test_stale_evidence_decays_to_unknown():
 def test_reports_outside_the_plan_are_dropped():
     det = small_detector()
     with pytest.raises(UnplannedChannel):
-        det.ingest_report(9, 0, at=1.0)  # plan covers 1..6
+        det.ingest_report({9: 0}, at=1.0)  # plan covers 1..6
     assert det.dropped_unplanned == 1
+    # one unplanned reading drops the whole SMS: nothing of it is folded
+    with pytest.raises(UnplannedChannel):
+        det.ingest_report({1: 0, 2: 30, 9: 0}, at=2.0)
+    assert det.dropped_unplanned == 2
+    assert det.states[1].last_report_at is None
+    assert det.states[2].verdict is Verdict.UNKNOWN
     fresh = Detector(DetectorConfig(first_arfcn=1, last_arfcn=4))
     with pytest.raises(UnplannedChannel):
-        fresh.ingest_report(1, 0, at=0.0)  # no plan yet at all
+        fresh.ingest_report({1: 0}, at=0.0)  # no plan yet at all
 
 
 # ---------------------------------------------------------------- scanning
@@ -89,19 +100,16 @@ def test_plan_walks_the_band_and_rotates_verified_channels():
     det = small_detector()  # band 1..12, slots 6, n_free 2, t_free 0
     assert det.plan == (1, 2, 3, 4, 5, 6)
 
-    for a in range(1, 7):
-        det.ingest_report(a, 0, at=1.0)
+    det.ingest_report({a: 0 for a in range(1, 7)}, at=1.0)
     assert det.plan_is_current()  # nothing classified yet
 
-    det.ingest_report(2, 40, at=2.0)  # occupied
-    for a in (1, 3, 4, 5, 6):
-        det.ingest_report(a, 0, at=2.0)  # second zero: all free
+    # 2 occupied; a second zero on the rest: all free
+    det.ingest_report({1: 0, 2: 40, 3: 0, 4: 0, 5: 0, 6: 0}, at=2.0)
     assert not det.plan_is_current()
     assert det.plan_scan(2.0) == (7, 8, 9, 10, 11, 12)
 
     for t in (3.0, 4.0):
-        for a in range(7, 13):
-            det.ingest_report(a, 0, at=t)
+        det.ingest_report({a: 0 for a in range(7, 13)}, at=t)
     # band fully mapped; the stalest free channels cycle back in for
     # re-verification and the occupied one never does
     assert det.plan_scan(4.0) == (1, 3, 4, 5, 6, 7)
@@ -111,8 +119,7 @@ def test_plan_walks_the_band_and_rotates_verified_channels():
 def test_serving_channel_is_never_advertised():
     det = small_detector()
     for t in (1.0, 2.0):
-        for a in range(1, 7):
-            det.ingest_report(a, 0, at=t)
+        det.ingest_report({a: 0 for a in range(1, 7)}, at=t)
     det.maybe_switch_channel(active_calls=0, now=2.0)
     assert det.serving == 1  # stalest free, arfcn order on ties
     plan = det.plan_scan(2.0)
@@ -128,7 +135,7 @@ def free_state(det, arfcn, last_report):
     reports at one instant: the detector needs t_free_s == 0)."""
     plan, det.plan = det.plan, (arfcn,)
     for _ in range(det.config.n_free):
-        det.ingest_report(arfcn, 0, at=last_report)
+        det.ingest_report({arfcn: 0}, at=last_report)
     det.plan = plan
     assert det.states[arfcn].verdict is Verdict.FREE
 
@@ -150,7 +157,7 @@ def test_switch_waits_for_calls_then_moves_to_stalest_free():
     det.maybe_switch_channel(active_calls=0, now=11.0)
     free_state(det, 6, 3.0)
     free_state(det, 7, 8.0)
-    det.ingest_report(5, 33, at=12.0)  # serving turns occupied
+    det.ingest_report({5: 33}, at=12.0)  # serving turns occupied
     decision = det.maybe_switch_channel(active_calls=2, now=12.0)
     assert decision.pending and det.serving == 5
     assert not (det.serving is not None and not det.switch_pending)
@@ -164,7 +171,7 @@ def test_no_free_channel_quiesces_the_station():
     det = small_detector()
     free_state(det, 4, 1.0)
     det.maybe_switch_channel(active_calls=0, now=2.0)
-    det.ingest_report(4, 50, at=3.0)
+    det.ingest_report({4: 50}, at=3.0)
     with pytest.raises(NoFreeChannel):
         det.maybe_switch_channel(active_calls=0, now=3.0)
     assert det.serving is None
@@ -176,9 +183,37 @@ def test_no_free_channel_quiesces_the_station():
 
 
 class ReferenceDetector(Detector):
-    """Planning and counting by scanning the whole band on every call, as
-    the detector originally did.  The kept per-verdict channel sets, the
-    evidence floor and the partial picks must give the same answers."""
+    """Folding one reading at a time, and planning and counting by
+    scanning the whole band on every call, as the detector originally
+    did.  The one-call-per-SMS fold, the kept per-verdict channel sets,
+    the evidence floor and the partial picks must give the same answers."""
+
+    def ingest_reading(self, arfcn, energy, at):
+        state = self.states.get(arfcn)
+        if state is None or (arfcn not in self.plan and arfcn != self.serving):
+            self.dropped_unplanned += 1
+            raise UnplannedChannel(f"arfcn {arfcn} is not being scanned")
+        self._expire(state, at)
+        state.last_report_at = at
+        if energy > 0:
+            state.last_positive_at = at
+            state.zero_count = 0
+            state.window_start = None
+            if state.verdict is not Verdict.OCCUPIED:
+                self._set_verdict(state, Verdict.OCCUPIED)
+                state.t_verdict = at
+            self._ramp_on_occupancy(at)
+        else:
+            state.zero_count += 1
+            if state.window_start is None:
+                state.window_start = at
+            if (
+                state.verdict is not Verdict.FREE
+                and state.zero_count >= self.config.n_free
+                and at - state.window_start >= self.config.t_free_s
+            ):
+                self._set_verdict(state, Verdict.FREE)
+                state.t_verdict = at
 
     def unknown_count(self):
         return sum(1 for s in self.states.values() if s.verdict is Verdict.UNKNOWN)
@@ -279,18 +314,25 @@ class ReferenceDetector(Detector):
         return SwitchDecision(switched=True, target=target)
 
 
-# One step: (kind, pick, energy, dt).  A report goes to channel
-# ``pick`` of the advertised plan plus the serving channel; a switch
-# check has ``pick % 2`` calls connected.  Time never runs backwards.
+# One step: (kind, pick, energies, dt).  A report is one SMS with one
+# reading per energy, on distinct channels of the advertised plan plus
+# the serving channel, starting at channel ``pick``; a switch check has
+# ``pick % 2`` calls connected.  Time never runs backwards.
 STEPS = st.lists(
     st.tuples(
         st.sampled_from(("report", "report", "plan", "plan", "switch")),
         st.integers(0, 6),
-        st.sampled_from((0, 0, 25)),
+        st.lists(st.sampled_from((0, 0, 25)), min_size=1, max_size=4),
         st.sampled_from((0.0, 1.0, 2.0, 6.0)),
     ),
     max_size=80,
 )
+
+
+def verdict_sets(det):
+    return {
+        v: {a for a, s in det.states.items() if s.verdict is v} for v in Verdict
+    }
 
 
 @settings(max_examples=500, deadline=None)
@@ -306,14 +348,17 @@ def test_kept_bookkeeping_matches_the_full_band_scans(steps):
     det.plan_scan(0.0)
     ref.plan_scan(0.0)
     now = 0.0
-    for kind, pick, energy, dt in steps:
+    for kind, pick, energies, dt in steps:
         now += dt
         if kind == "report":
-            heard = det.plan + ((det.serving,) if det.serving is not None else ())
-            if heard:
-                arfcn = heard[pick % len(heard)]
-                det.ingest_report(arfcn, energy, now)
-                ref.ingest_report(arfcn, energy, now)
+            heard = det.plan
+            if det.serving is not None and det.serving not in heard:
+                heard += (det.serving,)
+            picks = [heard[(pick + k) % len(heard)] for k in range(len(heard))]
+            readings = dict(zip(picks, energies))
+            det.ingest_report(readings, now)
+            for arfcn, energy in readings.items():
+                ref.ingest_reading(arfcn, energy, now)
         elif kind == "plan":
             det.plan_scan(now)
             ref.plan_scan(now)
@@ -327,6 +372,8 @@ def test_kept_bookkeeping_matches_the_full_band_scans(steps):
                 except NoFreeChannel:
                     decisions.append(NoFreeChannel)
             assert decisions[0] == decisions[1]
+        assert det.states == ref.states
+        assert det._holding == verdict_sets(ref)
         assert det.unknown_count() == ref.unknown_count()
         assert det.plan == ref.plan
         assert det.plan_is_current() == ref.plan_is_current()
@@ -367,7 +414,7 @@ def test_ramp_snaps_back_on_any_occupancy():
     det.maybe_ramp(1080.0)
     det.maybe_ramp(2160.0)
     assert det.tx_power_dbm == 16.0
-    det.ingest_report(det.plan[0], 12, at=2250.0)
+    det.ingest_report({det.plan[0]: 12}, at=2250.0)
     assert det.tx_power_dbm == 10.0
     assert not det.maybe_ramp(3141.0)  # the snap restarted the interval
     # the hit channel is occupied now; once the plan rotates it out the
@@ -456,18 +503,76 @@ def test_detection_is_deterministic():
     assert once() == once()
 
 
+def test_empty_field_leaves_phones_and_rng_untouched():
+    # Nothing to hear, so nobody walks: a run on an empty field draws
+    # nothing from rng, moves no phone, and matches a loop that walks
+    # every sender before its SMS as the detector originally did.
+    traffic = organic_traffic(4, 10.0, 400, random.Random(5))
+    config = DetectorConfig(first_arfcn=1, last_arfcn=9, n_free=5, t_free_s=20.0)
+    phones = make_phones(4, random.Random(6))
+    before = [(p.x, p.y) for p in phones]
+    rng = random.Random(7)
+    state = rng.getstate()
+    det = Detector(config)
+    run = run_detection(traffic, det, RadioField({}), phones, rng)
+    assert rng.getstate() == state
+    assert [(p.x, p.y) for p in phones] == before
+    assert run.converged_at is not None
+
+    walked = Detector(config)
+    field_model = RadioField({})
+    walkers = make_phones(4, random.Random(6))
+    walk_rng = random.Random(7)
+    expected = DetectionRun(converged_at=None, batches=0)
+    walked.plan_scan(traffic[0][0])
+    for at, idx in traffic:
+        phone = walkers[idx]
+        field_model.walk(phone, walk_rng)
+        measured = walked.plan
+        if walked.serving is not None and walked.serving not in measured:
+            measured += (walked.serving,)
+        walked.ingest_report(
+            {a: field_model.energy(phone, a) for a in measured}, at
+        )
+        expected.batches += 1
+        if not walked.plan_is_current():
+            walked.plan_scan(at)
+        try:
+            walked.maybe_switch_channel(active_calls=0, now=at)
+        except NoFreeChannel:
+            pass
+        walked.maybe_ramp(at)
+        if walked.unknown_count() == 0:
+            expected.converged_at = at
+            break
+    assert walk_rng.getstate() != state  # the reference loop did walk
+    assert run == expected
+    assert det.occupancy_rows() == walked.occupancy_rows()
+    assert det.switches == walked.switches
+
+
 # ------------------------------------------------------------ ngsm compare
 
 
 def test_volunteers_beat_the_organic_only_baseline():
-    t_ngsm, t_vol = compare_ngsm(20, 0.1, seed=3)
+    t_ngsm, (t_vol, t_vol2) = compare_ngsm(20, [0.1, 0.2], seed=3)
     assert 0 < t_vol < t_ngsm
-    again = compare_ngsm(20, 0.1, seed=3)
-    assert (t_ngsm, t_vol) == again
-    _, t_vol2 = compare_ngsm(20, 0.2, seed=3)
+    again = compare_ngsm(20, [0.1, 0.2], seed=3)
+    assert (t_ngsm, [t_vol, t_vol2]) == again
     assert t_vol2 <= t_vol
 
 
 def test_ngsm_degenerate_cases():
-    t_ngsm, t_vol = compare_ngsm(10, 0.0, seed=1)
+    t_ngsm, (t_vol,) = compare_ngsm(10, [0.0], seed=1)
     assert t_ngsm == t_vol
+
+
+def test_ngsm_ratios_share_one_baseline_and_keep_their_times():
+    # the baseline is classified once per call; asking for the ratios one
+    # call at a time or all at once gives the same numbers
+    t_one, (t_vol_1,) = compare_ngsm(10, [0.1], seed=3)
+    t_two, (t_vol_2,) = compare_ngsm(10, [0.2], seed=3)
+    both = compare_ngsm(10, [0.1, 0.2], seed=3)
+    assert t_one == t_two
+    assert both == (t_one, [t_vol_1, t_vol_2])
+    assert t_vol_1 != t_vol_2  # the ratios are told apart
