@@ -4,7 +4,7 @@ management, lazy/immediate sync primitives, crowd-sensed whitespace
 detection and the SMS-first applications built on top."""
 
 from .errors import GreenLinksError, ScenarioError
-from .simcore import Simulation, evaluate_dual, identity_latency_bench, monte_carlo
+from .simcore import Simulation, evaluate_dual, identity_latency_bench
 from .topology import build_topology
 
 __all__ = [
@@ -14,7 +14,6 @@ __all__ = [
     "build_topology",
     "evaluate_dual",
     "identity_latency_bench",
-    "monte_carlo",
 ]
 
 __version__ = "0.1.0"

@@ -126,7 +126,6 @@ class RunTrace:
 
 @dataclass
 class IntervalCounts:
-    index: int
     attempted: dict[str, int]
     dropped: dict[tuple[str, str], int]
 
@@ -153,7 +152,7 @@ class MetricsLedger:
         return attempted, dropped
 
     def overall(self, metric: str) -> float:
-        return IntervalCounts(-1, *self.totals()).rate(*METRICS[metric])
+        return IntervalCounts(*self.totals()).rate(*METRICS[metric])
 
 
 def interval_means(ledgers: list[MetricsLedger]) -> list[tuple]:
@@ -183,9 +182,7 @@ def evaluate_dual(trace: RunTrace) -> MetricsLedger:
     topo = trace.topology
     up = dict(trace.initial_links)
     intervals = max(1, interval_count(trace.horizon, trace.interval_s))
-    counts = [
-        IntervalCounts(index=i, attempted={}, dropped={}) for i in range(intervals)
-    ]
+    counts = [IntervalCounts(attempted={}, dropped={}) for _ in range(intervals)]
     violations = 0
     comp = topo.components(up)
     fresh = len(comp)  # components() labels are below the node count
@@ -575,7 +572,6 @@ def _run_once(
 
 @dataclass
 class MonteCarloResult:
-    runs: int
     per_run: dict[str, list[float]]
     containment_violations: int
 
@@ -594,24 +590,9 @@ class MonteCarloResult:
 def aggregate(ledgers: list[MetricsLedger]) -> MonteCarloResult:
     """Overall drop rates per run and the summed containment violations."""
     return MonteCarloResult(
-        runs=len(ledgers),
         per_run={m: [lg.overall(m) for lg in ledgers] for m in METRICS},
         containment_violations=sum(lg.containment_violations for lg in ledgers),
     )
-
-
-def monte_carlo(
-    scenario: dict,
-    runs: int,
-    horizon: float,
-    *,
-    base_seed: int = 0,
-) -> MonteCarloResult:
-    """replicate() summarized; every run must score attempts."""
-    results = list(replicate(scenario, runs, horizon, base_seed=base_seed))
-    if any(r.ledger is None for r in results):
-        raise ScenarioError("monte_carlo needs a traffic section")
-    return aggregate([r.ledger for r in results])
 
 
 # ------------------------------------------------------- identity bench

@@ -197,9 +197,6 @@ class CloudStore:
         self.handlers: dict[str, object] = {}
         # One entry per handler run, in execution order.
         self.handler_runs: list[tuple[float, str, str, str]] = []
-        # Upsert history: (at, app_type, key, request_id, version).
-        self.apply_log: list[tuple[float, str, str, str, int]] = []
-        self.apply_attempts: dict[str, int] = {}
         self._responses: dict[str, object] = {}
 
     def register_handler(self, app_type: str, handler) -> None:
@@ -229,7 +226,6 @@ class CloudStore:
         request_id: str,
         at: float,
     ):
-        self.apply_attempts[request_id] = self.apply_attempts.get(request_id, 0) + 1
         if request_id in self._responses:
             return self._responses[request_id]
         handler = self.handlers.get(app_type, CloudStore._upsert)
@@ -247,12 +243,11 @@ class CloudStore:
             updated_at=at,
         )
         self.records[slot] = rec
-        self.apply_log.append((at, app_type, key or "", request_id, rec.version))
         return {"ok": True, "version": rec.version}
 
     def applied_once(self) -> bool:
-        """True when no request id ran its handler more than once (the
-        attempt counter may exceed one; the effect must not)."""
+        """True when no request id ran its handler more than once (a
+        request may be applied again; its effect must not be)."""
         seen = {}
         for _, _, _, request_id in self.handler_runs:
             seen[request_id] = seen.get(request_id, 0) + 1

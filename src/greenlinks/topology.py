@@ -77,9 +77,6 @@ class Link:
     latency_ms: float
     state: LinkState = LinkState.UP
 
-    def other(self, node_id: int) -> int:
-        return self.b if node_id == self.a else self.a
-
     @property
     def up(self) -> bool:
         return self.state is LinkState.UP
@@ -102,12 +99,9 @@ class Topology:
         )
         # Node id -> cloud_route result, cleared on every link transition.
         self._cloud_routes: dict[int, tuple[float, float] | None] = {}
-        self._adj: dict[int, list[Link]] = {nid: [] for nid in nodes}
-        # (link id, far end) per node, in _adj order, for labelling.
+        # (link id, far end) per node, in link order.
         self._nbrs: dict[int, list[tuple[str, int]]] = {nid: [] for nid in nodes}
         for link in links.values():
-            self._adj[link.a].append(link)
-            self._adj[link.b].append(link)
             self._nbrs[link.a].append((link.link_id, link.b))
             self._nbrs[link.b].append((link.link_id, link.a))
 
@@ -140,14 +134,15 @@ class Topology:
             allowed = set(self.zones[within_zone].node_ids)
             if a not in allowed or b not in allowed:
                 return None
+        links = self.links
         seen = {a}
         frontier: deque[tuple[int, list[Link]]] = deque([(a, [])])
         while frontier:
             node, trail = frontier.popleft()
-            for link in self._adj[node]:
+            for lid, nxt in self._nbrs[node]:
+                link = links[lid]
                 if not link.up:
                     continue
-                nxt = link.other(node)
                 if nxt in seen:
                     continue
                 if allowed is not None and nxt not in allowed:

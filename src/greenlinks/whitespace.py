@@ -21,11 +21,9 @@ serving channel is never advertised as a fake neighbor but its own
 measurements are always accepted.
 
 The station starts quiesced (serving=None) and only transmits after a
-channel has been verified free; transmit power then ramps up from
-RAMP_START_DBM by RAMP_STEP_DB per clean RAMP_INTERVAL_S, up to
-RAMP_MAX_DBM, and snaps back to the start on any new occupancy signal.
-Channel switches wait for connected calls to finish, and switch_pending
-stays set until they have.
+channel has been verified free.  When its serving channel turns occupied
+it moves to the stalest verified-free channel, or quiesces again when
+there is none.
 
 The NGSM baseline in compare_ngsm runs the identical estimator fed only
 by organic traffic; the volunteer strategy adds paid periodic senders on
@@ -42,12 +40,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import NoFreeChannel, UnplannedChannel
-
-# The transmit power ramp (dBm, dB and seconds).
-RAMP_START_DBM = 10.0
-RAMP_STEP_DB = 3.0
-RAMP_INTERVAL_S = 900.0
-RAMP_MAX_DBM = 30.0
 
 
 class Verdict(str, Enum):
@@ -73,20 +65,13 @@ class ChannelState:
     zero_count: int = 0
     window_start: float | None = None
     last_report_at: float | None = None
-    last_positive_at: float | None = None
     last_planned_at: float | None = None
     t_verdict: float | None = None
 
 
-@dataclass
-class SwitchDecision:
-    switched: bool = False
-    pending: bool = False
-    target: int | None = None
-
-
 class Detector:
-    """Per-base-station channel estimator, scan planner and power control.
+    """Per-base-station channel estimator, scan planner and serving
+    channel picker.
 
     The channels holding each verdict, and a lower bound on the time of
     the reports behind the verdicts, are kept as verdicts change.  So
@@ -109,11 +94,8 @@ class Detector:
         # No channel with a verdict has last_report_at below this bound.
         self._evidence_floor = math.inf
         self.serving: int | None = None
-        self.switch_pending = False
         self.switches: list[tuple[float, int | None, int | None]] = []
         self.dropped_unplanned = 0
-        self.tx_power_dbm = RAMP_START_DBM
-        self._ramp_changed_at = 0.0
 
     # ---------------------------------------------------------- evidence
 
@@ -162,13 +144,11 @@ class Detector:
                 self._expire(state, at)
             state.last_report_at = at
             if energy > 0:
-                state.last_positive_at = at
                 state.zero_count = 0
                 state.window_start = None
                 if state.verdict is not Verdict.OCCUPIED:
                     self._set_verdict(state, Verdict.OCCUPIED)
                     state.t_verdict = at
-                self._ramp_on_occupancy(at)
             else:
                 state.zero_count += 1
                 if state.window_start is None:
@@ -251,22 +231,16 @@ class Detector:
 
     # --------------------------------------------------- serving channel
 
-    def maybe_switch_channel(self, active_calls: int, now: float) -> SwitchDecision:
-        """Move off an occupied serving channel (or claim a first one).
-
-        With calls connected the switch stays pending (switch_pending)
-        until a check finds none.  When nothing is verified free the
-        station quiesces and NoFreeChannel is raised.
-        """
+    def maybe_switch_channel(self, now: float) -> None:
+        """Move off an occupied serving channel (or claim a first one),
+        to the stalest verified-free channel.  When nothing is verified
+        free the station quiesces and NoFreeChannel is raised."""
         serving_bad = (
             self.serving is not None
             and self.states[self.serving].verdict is Verdict.OCCUPIED
         )
-        want_start = self.serving is None
-        if not serving_bad and not want_start:
-            if not self.switch_pending:
-                return SwitchDecision()
-            serving_bad = True  # pending from an earlier check
+        if not serving_bad and self.serving is not None:
+            return
         stalest = min(
             (
                 self.states[a]
@@ -283,47 +257,12 @@ class Detector:
             if serving_bad:
                 old = self.serving
                 self.serving = None
-                self.switch_pending = False
                 self.switches.append((now, old, None))
                 raise NoFreeChannel(f"no verified-free channel at t={now:.0f}")
-            return SwitchDecision()
-        if serving_bad and active_calls > 0:
-            self.switch_pending = True
-            return SwitchDecision(pending=True)
-        target = stalest.arfcn
+            return
         old = self.serving
-        self.serving = target
-        self.switch_pending = False
-        self.switches.append((now, old, target))
-        return SwitchDecision(switched=True, target=target)
-
-    # ------------------------------------------------------- power ramp
-
-    def _ramp_on_occupancy(self, now: float) -> None:
-        if self.tx_power_dbm != RAMP_START_DBM:
-            self.tx_power_dbm = RAMP_START_DBM
-            self._ramp_changed_at = now
-
-    def maybe_ramp(self, now: float) -> bool:
-        """One ramp step when the whole advertised neighborhood plus the
-        serving channel have stayed verified free over the last interval."""
-        if self.serving is None or self.tx_power_dbm >= RAMP_MAX_DBM:
-            return False
-        if now - self._ramp_changed_at < RAMP_INTERVAL_S:
-            return False
-        watched = list(self.plan) + [self.serving]
-        for arfcn in watched:
-            state = self.states[arfcn]
-            if state.verdict is not Verdict.FREE:
-                return False
-            if (
-                state.last_positive_at is not None
-                and now - state.last_positive_at < RAMP_INTERVAL_S
-            ):
-                return False
-        self.tx_power_dbm = min(RAMP_MAX_DBM, self.tx_power_dbm + RAMP_STEP_DB)
-        self._ramp_changed_at = now
-        return True
+        self.serving = stalest.arfcn
+        self.switches.append((now, old, stalest.arfcn))
 
     # ----------------------------------------------------------- export
 
@@ -455,9 +394,9 @@ def run_detection(
 
     Each traffic event is one SMS from one phone: the phone takes a step,
     measures the advertised channels (plus the serving channel) and the
-    batch is folded in by one ``ingest_report`` call; plans, serving
-    choice and the power ramp update at batch boundaries.  Stops when the
-    band is fully classified or the traffic runs out.
+    batch is folded in by one ``ingest_report`` call; plans and serving
+    choice update at batch boundaries.  Stops when the band is fully
+    classified or the traffic runs out.
 
     ``rng`` feeds only the phones' walk.  On a field with no interferer
     every reading is 0 wherever a phone stands, so nobody walks: the
@@ -479,10 +418,9 @@ def run_detection(
             detector.plan_scan(at)
         if manage_serving:
             try:
-                detector.maybe_switch_channel(active_calls=0, now=at)
+                detector.maybe_switch_channel(at)
             except NoFreeChannel:
                 pass
-            detector.maybe_ramp(at)
         if truth_occupied is not None and detector.serving in truth_occupied:
             run.collisions += 1
         if run.converged_at is None and detector.unknown_count() == 0:

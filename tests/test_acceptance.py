@@ -16,7 +16,12 @@ from greenlinks.apps import Marketplace, Workload
 from greenlinks.errors import GreenLinksError
 from greenlinks.identity import ResolverRing, hash32, resolver_for
 from greenlinks.scenario import SECTIONS, generate_tree
-from greenlinks.simcore import Simulation, identity_latency_bench, monte_carlo
+from greenlinks.simcore import (
+    Simulation,
+    aggregate,
+    identity_latency_bench,
+    replicate,
+)
 from greenlinks.whitespace import (
     Detector,
     DetectorConfig,
@@ -42,7 +47,7 @@ def test_criterion_01_availability_dominance():
     scenario["traffic"] = {}
     scenario["failures"] = {}
     t0 = time.perf_counter()
-    mc = monte_carlo(scenario, runs=100, horizon=3600.0, base_seed=0)
+    mc = aggregate([r.ledger for r in replicate(scenario, 100, 3600.0, base_seed=0)])
     elapsed = time.perf_counter() - t0
     pairs = [("vce", "cce"), ("vse", "cse"), ("vde", "cde")]
     dominated = all(mc.mean(v) < mc.mean(c) for v, c in pairs)
@@ -74,7 +79,9 @@ def test_criterion_02_scale_trend():
         # schedule (one outage draw per interval) stays fixed
         scenario["traffic"] = {"attempts": {"call": n, "sms": n, "data": n}}
         scenario["failures"] = {}
-        mc = monte_carlo(scenario, runs=40, horizon=1800.0, base_seed=0)
+        mc = aggregate(
+            [r.ledger for r in replicate(scenario, 40, 1800.0, base_seed=0)]
+        )
         means.append(mc.mean("vce"))
     ok = means[0] > means[1] > means[2]
     report(

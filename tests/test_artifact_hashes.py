@@ -12,12 +12,15 @@ and the marketplace workload's sync queue on node 1.  The single-run
 which attempts and link flips reach the trace, the
 `market_edge_priority` case runs the lazy queue with SMS-sized payloads
 served ahead of files (`--priority-queue`), and the
-`whitespace` and `idbench` cases cover the shipped scenarios of those
-studies.  The `whitespace_expiry` case shortens the evidence lifetime to
-300 s, so verdicts expire inside multi-reading SMS folds and in the
-`plan_scan` sweep, and the band never converges.  The library case drives the paths no CLI study reaches:
-store-and-forward messages, marketplace searches and issuance deferred
-by an outage, all under link failures.
+`whitespace_small` and `idbench` cases cover the shipped scenarios of
+those studies.  The `whitespace` case runs the built-in default: 124
+channels and the full NGSM sweep.  The `whitespace_expiry` case
+shortens the evidence lifetime to 300 s, so verdicts expire inside
+multi-reading SMS folds and in the `plan_scan` sweep, and the band never
+converges.  A whitespace case also pins its stdout summary line, which
+carries the serving-collision count.  The library case drives the paths
+no CLI study reaches: store-and-forward messages, marketplace searches
+and issuance deferred by an outage, all under link failures.
 """
 
 import hashlib
@@ -89,12 +92,22 @@ EXPECTED = {
     },
 }
 
+# "stdout" is the digest of what the command prints on stdout.
 STUDY_EXPECTED = {
+    "whitespace": (
+        "whitespace",
+        {
+            "occupancy.csv": "45767f7b612b46ab171655540e4bccc7ee09d364335cf1c305a3c0e5f4b19c2f",
+            "ngsm_compare.csv": "bfcad96f2c7e2fa9c96eeaf88d4847d538af5603a59588f485ec189f83bf129f",
+            "stdout": "9e988ff33f4915a77673af36c81b0d8c477bd13ed6ad97cfe882aacaa0651809",
+        },
+    ),
     "whitespace_small": (
         "whitespace",
         {
             "occupancy.csv": "9cb74db6865eb7c37266e7cedcea691f03e89dd5d63a5d8dc9829fa4a90e0f46",
             "ngsm_compare.csv": "379f21894accdedfe3bcde6e3577682a246a57284ea038c72b614012430655b0",
+            "stdout": "235adf8df58ebd93f039c04638a4b8e39e0ae8151533b694b2ae2a68577668f6",
         },
     ),
     "whitespace_expiry": (
@@ -102,6 +115,7 @@ STUDY_EXPECTED = {
         {
             "occupancy.csv": "2b11e0f228b91c5ff509ee65c49d8cd1413266aec24a53e423fcb8b38cf2f79c",
             "ngsm_compare.csv": "21ba5bd884f7bb123c28f7fac60b1e67f09b7d12de26ca7be0ddd2296a2f0f24",
+            "stdout": "4afdc4ea7155464fd90539005494f5fc7610b5702a5f0f0f35ba291a658daa36",
         },
     ),
     "idbench": (
@@ -114,15 +128,17 @@ STUDY_EXPECTED = {
 }
 
 
+def sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
 def digests(argv, out, artifacts):
     assert cli.main([*argv, "--out", str(out)]) == 0
-    return {
-        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-        for name in artifacts
-    }
+    return {name: sha256((out / name).read_bytes()) for name in artifacts}
 
 
-def run_case(case, tmp_path):
+def simulate_argv(case, tmp_path):
+    """The ``simulate`` command line of an EXPECTED case, without --out."""
     if case.startswith("tree_5_3"):
         scenario = tmp_path / "tree.json"
         scenario.write_text(json.dumps(tree_scenario()))
@@ -138,18 +154,14 @@ def run_case(case, tmp_path):
     else:
         scenario = SCENARIOS / f"{case}.json"
         extra = ["--runs", "2", "--seed", "3"]
-    argv = ["simulate", "--scenario", str(scenario), *extra]
-    return digests(argv, tmp_path / "out", EXPECTED[case])
+    return ["simulate", "--scenario", str(scenario), *extra]
 
 
-@pytest.mark.parametrize("case", sorted(EXPECTED))
-def test_simulate_artifacts_match_pinned_hashes(case, tmp_path, capsys):
-    assert run_case(case, tmp_path) == EXPECTED[case]
-
-
-@pytest.mark.parametrize("case", sorted(STUDY_EXPECTED))
-def test_study_artifacts_match_pinned_hashes(case, tmp_path, capsys):
-    command, expected = STUDY_EXPECTED[case]
+def study_argv(case, tmp_path):
+    """The command line of a STUDY_EXPECTED case, without --out."""
+    command = STUDY_EXPECTED[case][0]
+    if case == "whitespace":
+        return [command, "--seed", "3"]  # the built-in default band
     if case == "whitespace_expiry":
         data = json.loads((SCENARIOS / "whitespace_small.json").read_text())
         data["whitespace"]["evidence_ttl_s"] = 300
@@ -159,8 +171,31 @@ def test_study_artifacts_match_pinned_hashes(case, tmp_path, capsys):
     else:
         scenario = SCENARIOS / f"{case}.json"
         seed = "3"
-    argv = [command, "--scenario", str(scenario), "--seed", seed]
-    assert digests(argv, tmp_path / "out", expected) == expected
+    return [command, "--scenario", str(scenario), "--seed", seed]
+
+
+def cli_cases(tmp_path):
+    """(case, command line without --out) of every CLI case pinned here."""
+    for case in sorted(EXPECTED):
+        yield case, simulate_argv(case, tmp_path)
+    for case in sorted(STUDY_EXPECTED):
+        yield case, study_argv(case, tmp_path)
+
+
+@pytest.mark.parametrize("case", sorted(EXPECTED))
+def test_simulate_artifacts_match_pinned_hashes(case, tmp_path, capsys):
+    argv = simulate_argv(case, tmp_path)
+    assert digests(argv, tmp_path / "out", EXPECTED[case]) == EXPECTED[case]
+
+
+@pytest.mark.parametrize("case", sorted(STUDY_EXPECTED))
+def test_study_artifacts_match_pinned_hashes(case, tmp_path, capsys):
+    expected = STUDY_EXPECTED[case][1]
+    files = [name for name in expected if name != "stdout"]
+    got = digests(study_argv(case, tmp_path), tmp_path / "out", files)
+    if "stdout" in expected:
+        got["stdout"] = sha256(capsys.readouterr().out.encode())
+    assert got == expected
 
 
 LIBRARY_EXPECTED = {
@@ -228,7 +263,7 @@ def library_digest(seed):
         sim.engine.trace,
         outcomes,
     )
-    return hashlib.sha256(repr(state).encode()).hexdigest()
+    return sha256(repr(state).encode())
 
 
 @pytest.mark.parametrize("seed", sorted(LIBRARY_EXPECTED))

@@ -15,10 +15,11 @@ from greenlinks.simcore import (
     MonteCarloResult,
     RunTrace,
     Simulation,
+    aggregate,
     evaluate_dual,
     identity_latency_bench,
     interval_means,
-    monte_carlo,
+    replicate,
 )
 from greenlinks.topology import Role, build_topology
 
@@ -376,29 +377,35 @@ def test_monte_carlo_runs_and_reseeds_independently():
     scenario = generate_tree(2, 1)
     scenario["traffic"] = {"interval_s": 60.0}
     scenario["failures"] = {"interval_s": 150.0, "outage_mean_s": 120.0}
-    mc = monte_carlo(scenario, runs=3, horizon=600.0, base_seed=0)
+
+    def summary(base_seed):
+        runs = replicate(scenario, 3, 600.0, base_seed=base_seed)
+        return aggregate([r.ledger for r in runs])
+
+    mc = summary(0)
     assert all(len(vals) == 3 for vals in mc.per_run.values())
-    again = monte_carlo(scenario, runs=3, horizon=600.0, base_seed=0)
+    again = summary(0)
     assert again.per_run == mc.per_run
-    shifted = monte_carlo(scenario, runs=3, horizon=600.0, base_seed=100)
+    shifted = summary(100)
     assert shifted.per_run != mc.per_run
     assert mc.containment_violations == 0
 
 
 def test_monte_carlo_needs_traffic():
-    with pytest.raises(ScenarioError):
-        monte_carlo(generate_tree(1, 0), runs=1, horizon=60.0)
+    # Without a traffic section a run scores no attempt: it has no ledger.
+    runs = list(replicate(generate_tree(1, 0), 1, 60.0))
+    assert [r.ledger for r in runs] == [None]
 
 
 def test_confidence_interval_formula():
     vals = [0.1, 0.2, 0.4]
-    mc = MonteCarloResult(runs=3, per_run={"vce": vals}, containment_violations=0)
+    mc = MonteCarloResult(per_run={"vce": vals}, containment_violations=0)
     mean = sum(vals) / 3
     var = sum((v - mean) ** 2 for v in vals) / 2
     assert mc.mean("vce") == pytest.approx(mean)
     assert mc.stdev("vce") == pytest.approx(math.sqrt(var))
     assert mc.ci95("vce") == pytest.approx(1.96 * math.sqrt(var) / math.sqrt(3))
-    single = MonteCarloResult(runs=1, per_run={"vce": [0.3]}, containment_violations=0)
+    single = MonteCarloResult(per_run={"vce": [0.3]}, containment_violations=0)
     assert single.stdev("vce") == 0.0 and single.ci95("vce") == 0.0
 
 

@@ -93,7 +93,7 @@ def test_back_to_back_transfers_complete_mid_interval():
     done = server.advance(60.0)
     assert [c.request.transmit_end for c in done] == [20.0, 30.0]
     # apply order at the store matches enqueue order
-    assert [entry[3] for entry in server.store.apply_log] == [
+    assert [entry[3] for entry in server.store.handler_runs] == [
         c.request.request_id for c in done
     ]
 
@@ -378,7 +378,6 @@ def test_apply_is_idempotent_per_request_id():
     store.apply("kv", "k", b"v2", "r2", 2.0)
     replay = store.apply("kv", "k", b"v1-retransmit", "r1", 3.0)
     assert replay is first
-    assert store.apply_attempts == {"r1": 2, "r2": 1}
     assert len(store.handler_runs) == 2
     assert store.get("kv", "k").version == 2  # replay changed nothing
     assert store.applied_once()

@@ -1,4 +1,4 @@
-"""Whitespace detector tests: verdicts, scan plans, serving channel, ramp."""
+"""Whitespace detector tests: verdicts, scan plans, serving channel."""
 
 import random
 
@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 
 from greenlinks.errors import NoFreeChannel, UnplannedChannel
 from greenlinks.whitespace import (
-    RAMP_INTERVAL_S,
     DetectionRun,
     Detector,
     DetectorConfig,
     RadioField,
-    SwitchDecision,
     Verdict,
     compare_ngsm,
     make_phones,
@@ -120,7 +118,7 @@ def test_serving_channel_is_never_advertised():
     det = small_detector()
     for t in (1.0, 2.0):
         det.ingest_report({a: 0 for a in range(1, 7)}, at=t)
-    det.maybe_switch_channel(active_calls=0, now=2.0)
+    det.maybe_switch_channel(2.0)
     assert det.serving == 1  # stalest free, arfcn order on ties
     plan = det.plan_scan(2.0)
     assert det.serving not in plan
@@ -142,41 +140,37 @@ def free_state(det, arfcn, last_report):
 
 def test_bootstrap_stays_quiet_until_something_is_verified():
     det = small_detector()
-    decision = det.maybe_switch_channel(active_calls=0, now=1.0)
-    assert not decision.switched and det.serving is None
-    assert not (det.serving is not None and not det.switch_pending)
+    det.maybe_switch_channel(1.0)
+    assert det.serving is None and det.switches == []
     free_state(det, 5, 10.0)
-    decision = det.maybe_switch_channel(active_calls=0, now=11.0)
-    assert decision.switched and decision.target == 5
-    assert det.serving is not None and not det.switch_pending
+    det.maybe_switch_channel(11.0)
+    assert det.serving == 5
+    assert det.switches == [(11.0, None, 5)]
 
 
-def test_switch_waits_for_calls_then_moves_to_stalest_free():
+def test_switch_moves_to_stalest_free():
     det = small_detector()
     free_state(det, 5, 10.0)
-    det.maybe_switch_channel(active_calls=0, now=11.0)
+    det.maybe_switch_channel(11.0)
     free_state(det, 6, 3.0)
     free_state(det, 7, 8.0)
+    det.maybe_switch_channel(11.5)  # serving still free: no move
+    assert det.serving == 5 and len(det.switches) == 1
     det.ingest_report({5: 33}, at=12.0)  # serving turns occupied
-    decision = det.maybe_switch_channel(active_calls=2, now=12.0)
-    assert decision.pending and det.serving == 5
-    assert not (det.serving is not None and not det.switch_pending)
-    decision = det.maybe_switch_channel(active_calls=0, now=13.0)
-    assert decision.switched and decision.target == 6  # stalest first
-    assert det.switches[-1] == (13.0, 5, 6)
-    assert det.serving is not None and not det.switch_pending
+    det.maybe_switch_channel(12.0)
+    assert det.serving == 6  # stalest first
+    assert det.switches[-1] == (12.0, 5, 6)
 
 
 def test_no_free_channel_quiesces_the_station():
     det = small_detector()
     free_state(det, 4, 1.0)
-    det.maybe_switch_channel(active_calls=0, now=2.0)
+    det.maybe_switch_channel(2.0)
     det.ingest_report({4: 50}, at=3.0)
     with pytest.raises(NoFreeChannel):
-        det.maybe_switch_channel(active_calls=0, now=3.0)
+        det.maybe_switch_channel(3.0)
     assert det.serving is None
     assert det.switches[-1] == (3.0, 4, None)
-    assert not (det.serving is not None and not det.switch_pending)
 
 
 # ------------------------------------------------------------ bookkeeping
@@ -196,13 +190,11 @@ class ReferenceDetector(Detector):
         self._expire(state, at)
         state.last_report_at = at
         if energy > 0:
-            state.last_positive_at = at
             state.zero_count = 0
             state.window_start = None
             if state.verdict is not Verdict.OCCUPIED:
                 self._set_verdict(state, Verdict.OCCUPIED)
                 state.t_verdict = at
-            self._ramp_on_occupancy(at)
         else:
             state.zero_count += 1
             if state.window_start is None:
@@ -274,16 +266,13 @@ class ReferenceDetector(Detector):
             return False
         return all(self.states[a].verdict is Verdict.UNKNOWN for a in self.plan)
 
-    def maybe_switch_channel(self, active_calls, now):
+    def maybe_switch_channel(self, now):
         serving_bad = (
             self.serving is not None
             and self.states[self.serving].verdict is Verdict.OCCUPIED
         )
-        want_start = self.serving is None
-        if not serving_bad and not want_start:
-            if not self.switch_pending:
-                return SwitchDecision()
-            serving_bad = True
+        if not serving_bad and self.serving is not None:
+            return
         free = [
             s.arfcn
             for s in sorted(
@@ -299,25 +288,18 @@ class ReferenceDetector(Detector):
             if serving_bad:
                 old = self.serving
                 self.serving = None
-                self.switch_pending = False
                 self.switches.append((now, old, None))
                 raise NoFreeChannel(f"no verified-free channel at t={now:.0f}")
-            return SwitchDecision()
-        if serving_bad and active_calls > 0:
-            self.switch_pending = True
-            return SwitchDecision(pending=True)
-        target = free[0]
+            return
         old = self.serving
-        self.serving = target
-        self.switch_pending = False
-        self.switches.append((now, old, target))
-        return SwitchDecision(switched=True, target=target)
+        self.serving = free[0]
+        self.switches.append((now, old, free[0]))
 
 
 # One step: (kind, pick, energies, dt).  A report is one SMS with one
 # reading per energy, on distinct channels of the advertised plan plus
-# the serving channel, starting at channel ``pick``; a switch check has
-# ``pick % 2`` calls connected.  Time never runs backwards.
+# the serving channel, starting at channel ``pick``.  Time never runs
+# backwards.
 STEPS = st.lists(
     st.tuples(
         st.sampled_from(("report", "report", "plan", "plan", "switch")),
@@ -363,76 +345,21 @@ def test_kept_bookkeeping_matches_the_full_band_scans(steps):
             det.plan_scan(now)
             ref.plan_scan(now)
         else:
-            decisions = []
+            outcomes = []
             for d in (det, ref):
                 try:
-                    decisions.append(
-                        d.maybe_switch_channel(active_calls=pick % 2, now=now)
-                    )
+                    d.maybe_switch_channel(now)
+                    outcomes.append(None)
                 except NoFreeChannel:
-                    decisions.append(NoFreeChannel)
-            assert decisions[0] == decisions[1]
+                    outcomes.append(NoFreeChannel)
+            assert outcomes[0] == outcomes[1]
         assert det.states == ref.states
         assert det._holding == verdict_sets(ref)
         assert det.unknown_count() == ref.unknown_count()
         assert det.plan == ref.plan
         assert det.plan_is_current() == ref.plan_is_current()
         assert det.serving == ref.serving
-
-
-# ------------------------------------------------------------------- ramp
-
-
-def ramped_detector():
-    # whole band verified free, serving claimed, plan rotating free
-    # channels: the watched set is clean and ramping is legal
-    det = small_detector()
-    for a in range(1, 13):
-        free_state(det, a, 45.0)
-    det.maybe_switch_channel(active_calls=0, now=45.0)
-    det.plan_scan(45.0)
-    assert det.serving == 1 and det.plan == (2, 3, 4, 5, 6, 7)
-    return det
-
-
-def test_ramp_climbs_while_the_neighborhood_stays_clean():
-    assert RAMP_INTERVAL_S == 900.0  # the times below are its multiples
-    det = ramped_detector()
-    assert det.tx_power_dbm == 10.0
-    assert not det.maybe_ramp(450.0)  # interval not elapsed
-    assert det.maybe_ramp(1080.0)
-    assert det.tx_power_dbm == 13.0
-    assert not det.maybe_ramp(1170.0)  # interval restarts after each step
-    for t in (1980.0, 2880.0, 3780.0, 4680.0, 5580.0, 6480.0):
-        det.maybe_ramp(t)
-    assert det.tx_power_dbm == 30.0  # capped one step early: 28 -> 30
-    assert not det.maybe_ramp(7380.0)
-
-
-def test_ramp_snaps_back_on_any_occupancy():
-    det = ramped_detector()
-    det.maybe_ramp(1080.0)
-    det.maybe_ramp(2160.0)
-    assert det.tx_power_dbm == 16.0
-    det.ingest_report({det.plan[0]: 12}, at=2250.0)
-    assert det.tx_power_dbm == 10.0
-    assert not det.maybe_ramp(3141.0)  # the snap restarted the interval
-    # the hit channel is occupied now; once the plan rotates it out the
-    # climb restarts from the bottom
-    det.plan_scan(3150.0)
-    assert all(det.states[a].verdict is Verdict.FREE for a in det.plan)
-    assert det.maybe_ramp(3240.0)
-    assert det.tx_power_dbm == 13.0
-
-
-def test_ramp_needs_a_serving_channel_and_full_knowledge():
-    det = small_detector()
-    assert not det.maybe_ramp(4500.0)  # quiesced
-    free_state(det, 8, 45.0)
-    det.maybe_switch_channel(active_calls=0, now=45.0)
-    # plan still advertises unknowns: no ramp however long it waits
-    assert det.plan == (1, 2, 3, 4, 5, 6)
-    assert not det.maybe_ramp(9000.0)
+        assert det.switches == ref.switches
 
 
 # ------------------------------------------------------------ traffic model
@@ -538,10 +465,9 @@ def test_empty_field_leaves_phones_and_rng_untouched():
         if not walked.plan_is_current():
             walked.plan_scan(at)
         try:
-            walked.maybe_switch_channel(active_calls=0, now=at)
+            walked.maybe_switch_channel(at)
         except NoFreeChannel:
             pass
-        walked.maybe_ramp(at)
         if walked.unknown_count() == 0:
             expected.converged_at = at
             break
