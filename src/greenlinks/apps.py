@@ -32,7 +32,7 @@ from .errors import (
     UnknownIdentity,
 )
 from .scenario import section
-from .sync import LocalServer
+from .sync import LocalServer, encode_sorted
 
 SMS_LIMIT = 140
 # A recording plays from the local spool for this long after it was made.
@@ -126,7 +126,7 @@ def market_handler(store, app_type, key, payload, request_id, at):
         store._upsert(
             app_type,
             body["listing_id"],
-            json.dumps(listing, sort_keys=True).encode(),
+            encode_sorted(listing).encode(),
             request_id,
             at,
         )
@@ -190,7 +190,7 @@ class Marketplace:
             seller=seller,
             seller_number=entry.identity.number,
         )
-        payload = json.dumps(
+        payload = encode_sorted(
             {
                 "op": "sell",
                 "listing_id": listing_id,
@@ -199,8 +199,7 @@ class Marketplace:
                 "price": price,
                 "seller": seller,
                 "seller_number": entry.identity.number,
-            },
-            sort_keys=True,
+            }
         ).encode()
         ack = self.local.slowput(seller, "market", payload, key=listing_id)
         return listing, ack
@@ -209,8 +208,8 @@ class Marketplace:
         """Whole-listing purchase over fastget; the response carries the
         seller's contact so the deal closes over voice or SMS."""
         self._registered(buyer)
-        payload = json.dumps(
-            {"op": "buy", "listing_id": listing_id, "buyer": buyer}, sort_keys=True
+        payload = encode_sorted(
+            {"op": "buy", "listing_id": listing_id, "buyer": buyer}
         ).encode()
         response = self.local.fastget(buyer, "market", listing_id, payload)
         return response.value, response.at
@@ -282,7 +281,7 @@ class VoiceBoard:
             "audio": audio.decode("latin1"),
         }
         ack = self.local.slowput(
-            author, "voice", json.dumps(body, sort_keys=True).encode(), key=msg_id
+            author, "voice", encode_sorted(body).encode(), key=msg_id
         )
         self._session.append(body)
         return msg_id, ack
@@ -366,7 +365,11 @@ class Workload:
 
     Registers sellers and buyers on one community node, then schedules
     periodic SELLs (slowput, sms-class), BUYs (fastget) and optional
-    file-class slowputs that share the same lazy queue.
+    file-class slowputs that share the same lazy queue.  A file is
+    ``file_bytes`` of filler whose content is not modelled: every file
+    slowput passes the one immutable body built here, so the queue and
+    the store hold it once, and files differ by request id and key
+    (``file-<k>``).
     """
 
     def __init__(self, sim, config: dict | None = None):
@@ -385,6 +388,9 @@ class Workload:
         self.buyers = []
         self.listings: list[str] = []
         self.buy_errors = 0
+        self._file_body = (
+            b"\xa5" * self.cfg["file_bytes"] if self.cfg["file_count"] else b""
+        )
         engine = sim.engine
         engine.on("wl_sell", self._on_sell)
         engine.on("wl_buy", self._on_buy)
@@ -441,12 +447,10 @@ class Workload:
             self.buy_errors += 1
 
     def _on_file(self, index: int) -> None:
-        stamp = b"file:%d|" % index
-        payload = stamp + b"\xa5" * (max(1, self.cfg["file_bytes"]) - len(stamp))
         self.local.slowput(
             f"23320000000{index % max(1, self.cfg['sellers']):04d}",
             "file",
-            payload,
+            self._file_body,
             key=f"file-{index}",
         )
         self.sim.poke(self.node)

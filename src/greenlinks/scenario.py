@@ -78,13 +78,15 @@ SECTIONS = {
 
 # Range rules.  Every number in a scenario is finite and not negative, and
 # these must also be nonzero: the runtime steps a clock by them (an
-# unbounded loop at 0), divides by them or draws from that many phones.
+# unbounded loop at 0), divides by them, draws from that many phones or
+# uploads that many bytes (an empty slowput is an error).
 POSITIVE = {
     "traffic.interval_s",
     "failures.interval_s",
     "failures.outage_mean_s",
     "workload.sell_period_s",
     "workload.buy_period_s",
+    "workload.file_bytes",
     "whitespace.organic_period_s",
     "whitespace.volunteer_period_s",
     "whitespace.ngsm.user_counts",

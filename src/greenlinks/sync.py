@@ -38,6 +38,9 @@ from .errors import BackhaulDown, PayloadEmpty, SyncTimeout
 SMS_PRIORITY_MAX_BYTES = 1024
 
 _EPS = 1e-9
+# The encoder behind every sorted-key payload: json.dumps builds a new
+# one on each call that sets an option, and the options are the same.
+encode_sorted = json.JSONEncoder(sort_keys=True).encode
 
 
 @dataclass
@@ -510,7 +513,7 @@ class LocalServer:
                 )
             )
             return message_id
-        body = json.dumps(envelope, sort_keys=True).encode()
+        body = encode_sorted(envelope).encode()
         # A queued message uses up a request number too, so the
         # n<node>-q<k> ids issued after it count it.
         self._seq += 1

@@ -1,5 +1,9 @@
 """SMS marketplace, voice board, farm mapper, scripted workload."""
 
+import json
+import tracemalloc
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -24,7 +28,9 @@ from greenlinks.errors import (
     UnknownIdentity,
 )
 from greenlinks.scenario import generate_tree
-from greenlinks.simcore import Simulation
+from greenlinks.simcore import Simulation, replicate
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 # ----------------------------------------------------------------- grammar
@@ -330,3 +336,31 @@ def test_workload_is_deterministic_per_seed():
     records_a, _ = trace(8)
     records_b, _ = trace(9)
     assert records_a != records_b
+
+
+@pytest.mark.parametrize("file_bytes", [1, 5, 50000])
+def test_every_file_is_exactly_file_bytes(file_bytes):
+    sim = Simulation(generate_tree(1, 0), seed=8)
+    wl = Workload(sim, {**small_workload_config(), "file_bytes": file_bytes})
+    wl.schedule()
+    sim.run(40.0)
+    files = [r for r in sim.local(wl.node).records if r.app_type == "file"]
+    assert [f.size for f in files] == [file_bytes, file_bytes]
+    stored = [rec for (t, _), rec in sim.store.records.items() if t == "file"]
+    assert [len(rec.payload) for rec in stored] == [file_bytes, file_bytes]
+
+
+def test_memory_does_not_grow_with_the_files_queued():
+    scenario = json.loads((SCENARIOS / "market_edge.json").read_text())
+
+    def peak(file_count):
+        scenario["workload"]["file_count"] = file_count
+        tracemalloc.start()
+        try:
+            next(replicate(scenario, 1, 1200.0, base_seed=3))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # 40 files of 1 MB each are scheduled before the horizon.
+    assert peak(40) - peak(10) < scenario["workload"]["file_bytes"]

@@ -17,8 +17,11 @@ those studies.  The `whitespace` case runs the built-in default: 124
 channels and the full NGSM sweep.  The `whitespace_expiry` case
 shortens the evidence lifetime to 300 s, so verdicts expire inside
 multi-reading SMS folds and in the `plan_scan` sweep, and the band never
-converges.  A whitespace case also pins its stdout summary line, which
-carries the serving-collision count.  The library case drives the paths
+converges.  In the `whitespace_switch` case the serving channel moves:
+six of thirty channels are occupied and two verified-free channels
+suffice, so the first one claimed is soon reported occupied and
+`maybe_switch_channel` moves off it.  A whitespace case also pins its
+stdout summary line, which carries the serving-collision count.  The library case drives the paths
 no CLI study reaches: store-and-forward messages, marketplace searches
 and issuance deferred by an outage, all under link failures.
 """
@@ -92,6 +95,20 @@ EXPECTED = {
     },
 }
 
+# Serving channel 2 is claimed at 30 s and left for 3 at about 31.8 s.
+SWITCH_SCENARIO = {
+    "whitespace": {
+        "users": 4,
+        "volunteers": 2,
+        "band": {"first": 1, "last": 30},
+        "truth_occupied": [1, 2, 3, 4, 5, 6],
+        "n_free": 2,
+        "t_free_s": 30.0,
+        "radius": 0.3,
+        "ngsm": None,
+    }
+}
+
 # "stdout" is the digest of what the command prints on stdout.
 STUDY_EXPECTED = {
     "whitespace": (
@@ -116,6 +133,14 @@ STUDY_EXPECTED = {
             "occupancy.csv": "2b11e0f228b91c5ff509ee65c49d8cd1413266aec24a53e423fcb8b38cf2f79c",
             "ngsm_compare.csv": "21ba5bd884f7bb123c28f7fac60b1e67f09b7d12de26ca7be0ddd2296a2f0f24",
             "stdout": "4afdc4ea7155464fd90539005494f5fc7610b5702a5f0f0f35ba291a658daa36",
+        },
+    ),
+    "whitespace_switch": (
+        "whitespace",
+        {
+            "occupancy.csv": "7d6551ab115351835d7356f957f7750177a5922fdd7f2dc0111a2455f1d5b45c",
+            "ngsm_compare.csv": "63fb0f1d5bd4b03bbb154aff8328cac6d48515f5f20f6b1fde2d93edc81a354e",
+            "stdout": "90763e5305e65d934737a95da2d828c082227b10cfeea99edccf1766f86eb94f",
         },
     ),
     "idbench": (
@@ -168,6 +193,10 @@ def study_argv(case, tmp_path):
         scenario = tmp_path / "expiry.json"
         scenario.write_text(json.dumps(data))
         seed = "4"
+    elif case == "whitespace_switch":
+        scenario = tmp_path / "switch.json"
+        scenario.write_text(json.dumps(SWITCH_SCENARIO))
+        seed = "0"
     else:
         scenario = SCENARIOS / f"{case}.json"
         seed = "3"

@@ -230,6 +230,7 @@ MALFORMED = [
     ("outage-mean-negative", "simulate", _set("failures.outage_mean_s", -600.0)),
     ("sell-period-0", "simulate", _set("workload.sell_period_s", 0)),
     ("buy-period-0", "simulate", _set("workload.buy_period_s", 0)),
+    ("file-bytes-0", "simulate", _set("workload.file_bytes", 0)),
     ("workload-on-missing-node", "simulate", _set("workload.node", 99)),
     ("load-rps-0", "idbench", _set("identity_bench.load_rps", 0)),
     # The study ran the models before the bad one, then failed.
