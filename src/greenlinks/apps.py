@@ -101,7 +101,6 @@ class Listing:
     item: str
     qty: int
     price: float
-    seller: str
     seller_number: str
 
 
@@ -187,7 +186,6 @@ class Marketplace:
             item=item,
             qty=qty,
             price=price,
-            seller=seller,
             seller_number=entry.identity.number,
         )
         payload = encode_sorted(
@@ -201,7 +199,7 @@ class Marketplace:
                 "seller_number": entry.identity.number,
             }
         ).encode()
-        ack = self.local.slowput(seller, "market", payload, key=listing_id)
+        ack = self.local.slowput("market", payload, key=listing_id)
         return listing, ack
 
     def buy(self, buyer: str, listing_id: str):
@@ -211,7 +209,7 @@ class Marketplace:
         payload = encode_sorted(
             {"op": "buy", "listing_id": listing_id, "buyer": buyer}
         ).encode()
-        response = self.local.fastget(buyer, "market", listing_id, payload)
+        response = self.local.fastget("market", listing_id, payload)
         return response.value, response.at
 
     def search(self, imsi: str, item: str):
@@ -222,7 +220,7 @@ class Marketplace:
             body = json.loads(rec.payload.decode())
             return body.get("item") == item and body.get("qty", 0) > 0
 
-        response = self.local.fastsearch(imsi, "market", match)
+        response = self.local.fastsearch("market", match)
         listings = []
         for key, rec in response.value:
             body = json.loads(rec.payload.decode())
@@ -232,7 +230,6 @@ class Marketplace:
                     item=body["item"],
                     qty=body["qty"],
                     price=body["price"],
-                    seller=body["seller"],
                     seller_number=body["seller_number"],
                 )
             )
@@ -280,13 +277,11 @@ class VoiceBoard:
             "recorded_at": now,
             "audio": audio.decode("latin1"),
         }
-        ack = self.local.slowput(
-            author, "voice", encode_sorted(body).encode(), key=msg_id
-        )
+        ack = self.local.slowput("voice", encode_sorted(body).encode(), key=msg_id)
         self._session.append(body)
         return msg_id, ack
 
-    def fetch_latest(self, listener: str) -> Playback:
+    def fetch_latest(self) -> Playback:
         """Newest message.  Same-node recordings inside the session window
         play from the local spool with zero cloud traffic; otherwise one
         search plus one fetch against the cloud."""
@@ -304,7 +299,7 @@ class VoiceBoard:
                 audio=latest["audio"].encode("latin1"),
                 at=now,
             )
-        found = self.local.fastsearch(listener, "voice", lambda k, r: True)
+        found = self.local.fastsearch("voice", lambda k, r: True)
         if not found.value:
             raise NoMessages("nobody has recorded anything yet")
         newest_key, newest = max(
@@ -312,7 +307,6 @@ class VoiceBoard:
             key=lambda kv: json.loads(kv[1].payload.decode())["recorded_at"],
         )
         fetch = self.local.fastget(
-            listener,
             "voice",
             newest_key,
             json.dumps({"op": "fetch", "key": newest_key}).encode(),
@@ -343,7 +337,7 @@ class FarmMapper:
         self.local = local
         self._seq = 0
 
-    def upload_farm(self, surveyor: str, waypoints):
+    def upload_farm(self, waypoints):
         if len(waypoints) < 3:
             raise InvalidTrace("a boundary needs at least three waypoints")
         for point in waypoints:
@@ -351,9 +345,7 @@ class FarmMapper:
                 raise InvalidTrace(f"bad waypoint {point!r}")
         self._seq += 1
         farm_id = f"F{self.local.node_id}-{self._seq}"
-        ack = self.local.slowput(
-            surveyor, "farm", farm_payload(waypoints), key=farm_id
-        )
+        ack = self.local.slowput("farm", farm_payload(waypoints), key=farm_id)
         return farm_id, ack
 
 
@@ -447,10 +439,5 @@ class Workload:
             self.buy_errors += 1
 
     def _on_file(self, index: int) -> None:
-        self.local.slowput(
-            f"23320000000{index % max(1, self.cfg['sellers']):04d}",
-            "file",
-            self._file_body,
-            key=f"file-{index}",
-        )
+        self.local.slowput("file", self._file_body, key=f"file-{index}")
         self.sim.poke(self.node)

@@ -22,10 +22,6 @@ class DuplicateNodeId(ScenarioError):
     pass
 
 
-class MissingGateway(ScenarioError):
-    pass
-
-
 class OverlappingPrefix(ScenarioError):
     pass
 

@@ -29,12 +29,10 @@ SECTIONS = {
         "interval_s": 300.0,
         "outage_mean_s": 600.0,
         "target_mix": {"cloud": 0.5, "zone": 0.5},
-        "start_s": 0.0,
     },
     "sync": {
         "fastget_timeout_s": 30.0,
         "service_s": 0.01,
-        "service_jitter": 0.5,
     },
     "workload": {
         "sellers": 4,
@@ -117,15 +115,15 @@ MIXES = {
 # its type.  An empty link id or profile means none.
 TOPOLOGY = {
     "nodes": [{"id": 0, "role": "cloud"}],
-    "zones": [{"id": "", "nodes": [0], "gateway": 0, "prefix": ""}],
+    "zones": [{"id": "", "nodes": [0], "prefix": ""}],
     "links": [
         {"id": "", "a": 0, "b": 0, "profile": "", "bandwidth_kbps": None,
          "latency_ms": None, "state": "up"}
     ],
 }
 REQUIRED = {
-    "nodes.id", "nodes.role", "zones.id", "zones.nodes", "zones.gateway",
-    "zones.prefix", "links.a", "links.b",
+    "nodes.id", "nodes.role", "zones.id", "zones.nodes", "zones.prefix",
+    "links.a", "links.b",
     "identity_bench.models.model", "identity_bench.models.servers",
 }
 
@@ -205,14 +203,20 @@ def world(scenario: dict) -> dict[str, list[dict]]:
 
 
 def check_scenario(scenario: dict) -> None:
-    """Raise ScenarioError for an unknown section or for a section or
-    world-graph entry that does not fit its schema."""
+    """Raise ScenarioError for an unknown section, for a section that does
+    not fit its schema, or, when the scenario has a world-graph list, for
+    a world graph that topology.build_topology rejects: every study
+    checks the graph at load, not only the one that builds it."""
     for key, value in scenario.items():
         if key in SECTIONS:
             section(key, value)
         elif key not in TOPOLOGY:
             raise ScenarioError(f"unknown section {key!r}")
-    world(scenario)
+    if TOPOLOGY.keys() & scenario.keys():
+        # Imported here because topology imports world() from this module.
+        from .topology import build_topology
+
+        build_topology(scenario)
 
 
 def load_scenario(path: str | Path) -> dict:
@@ -268,7 +272,5 @@ def generate_tree(
             links.append(
                 {"id": f"z{i}n{j}", "a": gw, "b": child, "profile": "hsdpa"}
             )
-        zones.append(
-            {"id": f"z{i}", "nodes": members, "gateway": gw, "prefix": f"10.{i}"}
-        )
+        zones.append({"id": f"z{i}", "nodes": members, "prefix": f"10.{i}"})
     return {"nodes": nodes, "zones": zones, "links": links}

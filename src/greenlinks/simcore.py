@@ -54,6 +54,9 @@ METRICS = {
     "vde": ("data", "vc"),
     "cde": ("data", "cell"),
 }
+# The cloud's service time for one sync request is uniform within this
+# fraction either side of sync.service_s.
+SERVICE_JITTER = 0.5
 
 
 # ------------------------------------------------------------------ engine
@@ -296,11 +299,8 @@ class Simulation:
     # ------------------------------------------------------------ wiring
 
     def _service_time(self) -> float:
-        base = self.sync_config["service_s"]
-        j = self.sync_config["service_jitter"]
-        if j <= 0:
-            return base
-        return base * (1.0 + j * (2.0 * self.engine.rng.random() - 1.0))
+        jitter = SERVICE_JITTER * (2.0 * self.engine.rng.random() - 1.0)
+        return self.sync_config["service_s"] * (1.0 + jitter)
 
     def local(self, node_id: int) -> LocalServer:
         """The node's sync endpoint (created on first use)."""
@@ -438,7 +438,7 @@ class Simulation:
 
     # ------------------------------------------------------------ traffic
 
-    def _on_traffic_interval(self, index: int, config: dict) -> None:
+    def _on_traffic_interval(self, config: dict) -> None:
         """Draw the interval's attempts.  They are records, not events:
         each takes the heap sequence number scheduling it would have
         taken, and waits in the sorted buffer until _log_attempts_before
@@ -510,9 +510,9 @@ class Simulation:
         if tcfg:
             interval = tcfg["interval_s"]
             for i in range(interval_count(horizon, interval)):
-                self.engine.schedule(i * interval, "traffic_interval", index=i, config=tcfg)
+                self.engine.schedule(i * interval, "traffic_interval", config=tcfg)
         if fcfg:
-            t = fcfg["start_s"]
+            t = 0.0
             while t < horizon:
                 self.engine.schedule(
                     t,

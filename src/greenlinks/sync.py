@@ -17,6 +17,10 @@ Three data operations with different urgency and consistency needs:
                read-modify-write) lands whole at one simulated instant,
                so a search never sees a partial write.
 
+None of them names a caller: the layer only moves bytes, and the apps
+check who may act (the marketplace checks registration before every
+SELL, BUY and SEARCH).
+
 Transmission is modeled as a fluid queue: the head request drains at the
 uplink's byte rate, completions land mid-interval at exact times, and a
 partially sent payload survives an outage and resumes afterwards.  The
@@ -46,7 +50,6 @@ encode_sorted = json.JSONEncoder(sort_keys=True).encode
 @dataclass
 class SyncRequest:
     request_id: str
-    identity: str
     app_type: str
     key: str | None
     payload: bytes
@@ -70,7 +73,6 @@ class Ack:
 class Record:
     payload: bytes
     version: int
-    updated_at: float
 
 
 @dataclass
@@ -240,11 +242,7 @@ class CloudStore:
     def _upsert(self, app_type, key, payload, request_id, at):
         slot = (app_type, key)
         old = self.records.get(slot)
-        rec = Record(
-            payload=payload,
-            version=(old.version + 1) if old else 1,
-            updated_at=at,
-        )
+        rec = Record(payload=payload, version=(old.version + 1) if old else 1)
         self.records[slot] = rec
         return {"ok": True, "version": rec.version}
 
@@ -357,11 +355,7 @@ class LocalServer:
     # ------------------------------------------------------------- write
 
     def slowput(
-        self,
-        identity: str,
-        app_type: str,
-        payload: bytes,
-        key: str | None = None,
+        self, app_type: str, payload: bytes, key: str | None = None
     ) -> Ack:
         """Queue a durable write and ack immediately, backhaul or not."""
         if not payload:
@@ -369,7 +363,6 @@ class LocalServer:
         now = self.clock()
         req = SyncRequest(
             request_id=self._next_id(),
-            identity=identity,
             app_type=app_type,
             key=key,
             payload=payload,
@@ -423,9 +416,7 @@ class LocalServer:
         transfer = size / rate if rate > 0 else 0.0
         return transfer, latency, transfer + 2 * latency + self.service_time()
 
-    def fastget(
-        self, identity: str, app_type: str, key: str, payload: bytes
-    ) -> FastResponse:
+    def fastget(self, app_type: str, key: str, payload: bytes) -> FastResponse:
         """Immediate round trip; raises instead of faking local success."""
         if not payload:
             raise PayloadEmpty("fastget payload must be non-empty")
@@ -455,7 +446,7 @@ class LocalServer:
             )
         return FastResponse(value=value, at=now + sojourn)
 
-    def fastsearch(self, identity: str, app_type: str, match) -> FastResponse:
+    def fastsearch(self, app_type: str, match) -> FastResponse:
         """Immediate committed-snapshot query."""
         _, _, sojourn = self._round_trip(64)
         self.counters["fastsearch"] += 1
@@ -519,7 +510,6 @@ class LocalServer:
         self._seq += 1
         req = SyncRequest(
             request_id=message_id,
-            identity=sender,
             app_type="__msg__",
             key=message_id,
             payload=body,

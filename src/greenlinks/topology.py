@@ -9,9 +9,9 @@ caller gives.
 Levels follow the deployment shape: one cloud controller, level-2 community
 nodes with their own backhaul, and level-3 pico nodes that hang off a
 level-2 parent.  Zones group the nodes that one operator runs; each zone
-has a gateway node and a private address prefix.  Two links between the
-same pair of nodes are a redundant backhaul: path search and component
-labelling use whichever of them is up.
+has a private address prefix.  Two links between the same pair of nodes
+are a redundant backhaul: path search and component labelling use
+whichever of them is up.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from enum import Enum
 from .errors import (
     DanglingLinkEndpoint,
     DuplicateNodeId,
-    MissingGateway,
     OverlappingPrefix,
     ScenarioError,
     UnknownLink,
@@ -64,7 +63,6 @@ class Node:
 class Zone:
     zone_id: str
     node_ids: list[int]
-    gateway: int
     prefix: str
 
 
@@ -272,9 +270,9 @@ def build_topology(config: dict) -> Topology:
     scenario.world checks each entry on its own and fills its defaults.
     The rules here span entries or name a member of a fixed set: unique
     ids, exactly one cloud node, every non-cloud node in exactly one zone,
-    each zone's gateway a member, disjoint zone prefixes, link endpoints
-    that exist, level-3 nodes attached through some level-2 parent, and
-    known roles, profiles and link states.
+    disjoint zone prefixes, link endpoints that exist, level-3 nodes
+    attached through some level-2 parent, and known roles, profiles and
+    link states.
     """
     graph = world(config)
     if not graph["nodes"]:
@@ -295,13 +293,9 @@ def build_topology(config: dict) -> Topology:
 
     zones: dict[str, Zone] = {}
     for entry in graph["zones"]:
-        zid, members, gateway, prefix = (
-            entry["id"], entry["nodes"], entry["gateway"], entry["prefix"]
-        )
+        zid, members, prefix = entry["id"], entry["nodes"], entry["prefix"]
         if zid in zones:
             raise ScenarioError(f"zone id {zid!r} appears twice")
-        if gateway not in members:
-            raise MissingGateway(f"zone {zid!r} has no gateway among its nodes")
         for nid in members:
             if nid not in nodes:
                 raise ScenarioError(f"zone {zid!r} lists unknown node {nid}")
@@ -315,7 +309,7 @@ def build_topology(config: dict) -> Topology:
                 raise OverlappingPrefix(
                     f"zone {zid!r} prefix {prefix} overlaps {other.zone_id!r}"
                 )
-        zones[zid] = Zone(zone_id=zid, node_ids=members, gateway=gateway, prefix=prefix)
+        zones[zid] = Zone(zone_id=zid, node_ids=members, prefix=prefix)
 
     for node in nodes.values():
         if node.role is not Role.CLOUD and node.zone is None:

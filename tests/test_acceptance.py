@@ -319,9 +319,7 @@ def run_fault_schedule(seed):
 
     def put(node, index):
         size = rng.randrange(1, 40000)
-        servers[node].slowput(
-            f"23320000000{node}", "kv", b"\x5a" * size, key=f"k{node}-{index}"
-        )
+        servers[node].slowput("kv", b"\x5a" * size, key=f"k{node}-{index}")
         sim.poke(node)
 
     def send(src, dst):

@@ -200,7 +200,7 @@ def test_same_node_playback_stays_local(voice_sim):
     board = VoiceBoard(sim.local(1))
     audio = bytes(range(256))
     board.record_message("233200000001", audio, language="tw")
-    play = board.fetch_latest("233200000001")
+    play = board.fetch_latest()
     assert play.source == "local"
     assert play.audio == audio
     assert sim.local(1).counters["fastsearch"] == 0
@@ -214,7 +214,7 @@ def test_remote_playback_costs_a_search_and_a_fetch(voice_sim):
     sim.poke(1)
     sim.engine.run_until(None)
     listener = VoiceBoard(sim.local(2))
-    play = listener.fetch_latest("233200000002")
+    play = listener.fetch_latest()
     assert play.source == "cloud"
     assert play.audio == b"akwaaba"
     assert play.author == "233200000001"
@@ -231,9 +231,9 @@ def test_newest_message_wins(voice_sim):
     speaker.record_message("233200000001", b"second")
     sim.poke(1)
     sim.engine.run_until(None)
-    assert speaker.fetch_latest("233200000001").audio == b"second"
+    assert speaker.fetch_latest().audio == b"second"
     listener = VoiceBoard(sim.local(2))
-    assert listener.fetch_latest("233200000002").audio == b"second"
+    assert listener.fetch_latest().audio == b"second"
 
 
 def test_session_window_expiry_falls_back_to_the_cloud(voice_sim):
@@ -243,7 +243,7 @@ def test_session_window_expiry_falls_back_to_the_cloud(voice_sim):
     sim.poke(1)
     sim.engine.run_until(None)
     sim.engine.now = 700.0  # past the 600 s session window
-    play = board.fetch_latest("233200000001")
+    play = board.fetch_latest()
     assert play.source == "cloud"
     assert play.audio == b"hello"
     assert sim.local(1).counters["fastsearch"] == 1
@@ -255,7 +255,7 @@ def test_voice_edge_cases(voice_sim):
     with pytest.raises(InvalidTrace):
         board.record_message("233200000002", b"")
     with pytest.raises(NoMessages):
-        board.fetch_latest("233200000002")
+        board.fetch_latest()
 
 
 # -------------------------------------------------------------------- farm
@@ -272,7 +272,7 @@ def test_farm_upload_round_trip(voice_sim):
     sim = voice_sim
     mapper = FarmMapper(sim.local(1))
     points = [(6.0, -1.0), (6.1, -1.0), (6.1, -1.1), (6.0, -1.1)]
-    farm_id, ack = mapper.upload_farm("233200000001", points)
+    farm_id, ack = mapper.upload_farm(points)
     assert farm_id == "F1-1" and ack.request_id
     sim.poke(1)
     sim.engine.run_until(None)
@@ -282,9 +282,9 @@ def test_farm_upload_round_trip(voice_sim):
 def test_farm_trace_validation(voice_sim):
     mapper = FarmMapper(voice_sim.local(1))
     with pytest.raises(InvalidTrace):
-        mapper.upload_farm("233200000001", [(0.0, 0.0), (1.0, 1.0)])
+        mapper.upload_farm([(0.0, 0.0), (1.0, 1.0)])
     with pytest.raises(InvalidTrace):
-        mapper.upload_farm("233200000001", [(0.0, 0.0), (1.0,), (2.0, 2.0)])
+        mapper.upload_farm([(0.0, 0.0), (1.0,), (2.0, 2.0)])
 
 
 # ---------------------------------------------------------------- workload

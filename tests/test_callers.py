@@ -1,4 +1,5 @@
-"""Dead-name guard: every library definition has a reader in the program.
+"""Dead-name guard: every library definition, parameter and stored
+value has a reader in the program.
 
 A module-level function or class, or a method that is not a dunder,
 passes when its name occurs in the code of src/ or perfbench/ besides
@@ -8,6 +9,17 @@ literal whose text is an identifier or a dotted name, such as
 Prose in strings, such as help text, does not count, and neither do
 comments, docstrings or tests: code that only a test calls gets wired
 into a study or deleted.
+
+A parameter of a library function, other than ``self``/``cls``, passes
+when its function's body reads it (a nested function's read counts).
+A lambda is not checked: its caller fixes its signature.
+
+A dataclass field, or an attribute a method sets as ``self.<name>``,
+passes when ``.<name>`` is read somewhere in the code of src/ or
+perfbench/.  An augmented assignment such as ``self.n += 1`` is no
+read.  The check matches by name, not by owner, so a field whose name
+is read on another class still passes: ``.at`` is read on a
+FastResponse, so Playback.at passes too.
 """
 
 import ast
@@ -42,6 +54,36 @@ ALLOWED = {
     # The paper's three-stage identity resolution (zone caches, cloud
     # directory, egress); waits to be wired into a workload like VoiceBoard.
     "lookup",
+}
+
+
+# Parameters kept without a reader, per function, each for a reason.
+ALLOWED_PARAMETERS = {
+    # The store-handler signature (store, app_type, key, payload,
+    # request_id, at) that CloudStore.apply calls every handler with;
+    # the default upsert is called with the store as self.
+    "CloudStore._upsert",
+    "MessageBoard.handler",
+    # CloudStore.search calls its predicate as match(key, record).
+    "Marketplace.search.match",
+}
+
+# Stored values kept without a reader, each for a reason.
+ALLOWED_FIELDS = {
+    # The result of VoiceBoard.fetch_latest, which waits to be wired into
+    # a workload (see ALLOWED).
+    "Playback.audio",
+    "Playback.author",
+    "Playback.language",
+    "Playback.recorded_at",
+    "Playback.source",
+    # The result of IdentityService.lookup, which waits the same way.
+    "LookupResult.external",
+    "LookupResult.rtt_s",
+    "LookupResult.stage",
+    # Counters that wait to move into one stats object.
+    "Workload.buy_errors",
+    "Detector.dropped_unplanned",
 }
 
 
@@ -126,3 +168,95 @@ def test_every_definition_has_a_reader():
     assert [f"{o}.{n}" for o, n in unread if n not in ALLOWED] == []
     # The allowlist holds exactly the names it excuses.
     assert {n for _, n in unread} == ALLOWED
+
+
+def library_trees():
+    for path in sorted(SRC.glob("*.py")):
+        yield ast.parse(path.read_text())
+
+
+def unread_parameters():
+    """(qualified function, parameter) of every parameter, other than
+    self/cls, that its function's body does not read."""
+    unread = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = prefix + child.name
+                a = child.args
+                params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+                read = {
+                    n.id
+                    for statement in child.body
+                    for n in ast.walk(statement)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                }
+                unread.extend(
+                    (name, p.arg)
+                    for p in params
+                    if p and p.arg not in ("self", "cls") and p.arg not in read
+                )
+                visit(child, name + ".")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, prefix + child.name + ".")
+
+    for tree in library_trees():
+        visit(tree, "")
+    return unread
+
+
+def is_dataclass(cls):
+    for decorator in cls.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def stored_values():
+    """(class, name) of every dataclass field and every attribute a method
+    of the class sets as self.<name>."""
+    for tree in library_trees():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            names = {
+                node.attr
+                for node in ast.walk(cls)
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "self"
+            }
+            if is_dataclass(cls):
+                names |= {
+                    item.target.id
+                    for item in cls.body
+                    if isinstance(item, ast.AnnAssign)
+                    and isinstance(item.target, ast.Name)
+                }
+            yield from ((cls.name, name) for name in sorted(names))
+
+
+def unread_values():
+    read = {
+        node.attr
+        for top in READERS
+        for path in sorted(top.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(f"{owner}.{name}" for owner, name in stored_values() if name not in read)
+
+
+def test_every_parameter_is_read():
+    unread = unread_parameters()
+    assert [f"{f}({p})" for f, p in unread if f not in ALLOWED_PARAMETERS] == []
+    assert {f for f, _ in unread} == ALLOWED_PARAMETERS
+
+
+def test_every_stored_value_is_read():
+    unread = unread_values()
+    assert [v for v in unread if v not in ALLOWED_FIELDS] == []
+    assert set(unread) == ALLOWED_FIELDS

@@ -9,7 +9,7 @@ import pytest
 
 from greenlinks import cli
 from greenlinks.errors import GreenLinksError, ScenarioError
-from greenlinks.scenario import SECTIONS, generate_tree
+from greenlinks.scenario import SECTIONS, generate_tree, load_scenario
 from greenlinks.whitespace import compare_ngsm
 
 
@@ -244,6 +244,9 @@ MALFORMED = [
     )),
     # The lazy queue has no bound to set.
     ("queue-capacity", "simulate", _set("sync.queue_capacity", 5)),
+    # Failure draws start at 0 and the service jitter is a constant.
+    ("failures-start-s", "simulate", _set("failures.start_s", 120.0)),
+    ("sync-service-jitter", "simulate", _set("sync.service_jitter", 0.0)),
     # No study reads a message TTL from the scenario.
     ("sync-message-ttl", "simulate", _set("sync.message_ttl_s", 400.0)),
     ("key-typo", "simulate", _set("traffic.attemps", {"call": 1})),
@@ -264,6 +267,12 @@ MALFORMED = [
     ("latency-infinite", "simulate", _set("links.0.latency_ms", float("inf"))),
     ("zone-prefix-a-number", "simulate", _set("zones.0.prefix", 5)),
     ("link-id-a-list", "simulate", _set("links.0.id", [])),
+    # No code reads a zone gateway.
+    ("zone-gateway", "simulate", _set("zones.0.gateway", 1)),
+    # The rules that span entries hold for every subcommand, not only the
+    # one that builds the graph.
+    ("whitespace-dangling-link", "whitespace", _set("links.1.b", 99)),
+    ("idbench-duplicate-node-id", "idbench", _set("nodes.2.id", 1)),
     ("whitespace-band-empty", "whitespace", _set("whitespace.band", {"first": 10, "last": 2})),
     # Shares of one whole: the draws take the last key as the complement.
     ("target-mix-short", "simulate", _set("failures.target_mix", {"cloud": 0.5, "zone": 0.0})),
@@ -323,6 +332,18 @@ def test_malformed_scenarios_exit_2_without_traceback(
     assert captured.err.startswith("error:") and "Traceback" not in captured.err
     # Rejected before any study ran.
     assert captured.out == "" and not out.exists()
+
+
+def test_readme_example_scenario_runs_every_study(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    example = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
+    path = tmp_path / "readme.json"
+    path.write_text(example)
+    load_scenario(path)
+    for argv in (["simulate", "--horizon", "300"], ["whitespace"], ["idbench"]):
+        out = tmp_path / argv[0]
+        assert cli.main([*argv, "--scenario", str(path), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_runtime_invariant_failures_exit_3(tmp_path, monkeypatch):

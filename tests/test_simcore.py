@@ -192,7 +192,7 @@ class ReferenceDraws(Simulation):
             n.node_id for n in self.topology.nodes.values() if n.role is role
         )
 
-    def _on_traffic_interval(self, index, config):
+    def _on_traffic_interval(self, config):
         rng = self.engine.rng
         start = self.engine.now
         interval = config["interval_s"]
@@ -267,9 +267,7 @@ def lone_gateway_zone():
     # z1 holds only its gateway 4, so node 4 has no zone mates.
     scenario = generate_tree(1, 2)
     scenario["nodes"].append({"id": 4, "role": "level2"})
-    scenario["zones"].append(
-        {"id": "z1", "nodes": [4], "gateway": 4, "prefix": "10.1"}
-    )
+    scenario["zones"].append({"id": "z1", "nodes": [4], "prefix": "10.1"})
     scenario["links"].append({"id": "b1", "a": 0, "b": 4, "profile": "hsdpa"})
     return scenario
 
@@ -347,10 +345,10 @@ def test_outage_replay_applies_and_delivers_once():
     server = sim.local(1)
     sim.local(2)  # exists so deliveries can land there
 
-    server.slowput("1000", "kv", b"alpha", key="a")
+    server.slowput("kv", b"alpha", key="a")
     sim.poke(1)
     sim.set_link("b0", "down")
-    server.slowput("1000", "kv", b"beta", key="b")  # parked during outage
+    server.slowput("kv", b"beta", key="b")  # parked during outage
     server.store_and_forward("1000", "2000", b"hello there")
     sim.poke(1)
     sim.engine.schedule(30.0, "link_restore", link_id="b0")

@@ -60,7 +60,6 @@ def edge_server(**kw):
 def req(request_id, size, at=0.0):
     return SyncRequest(
         request_id=request_id,
-        identity="u",
         app_type="t",
         key=request_id,
         payload=b"x" * size,
@@ -74,7 +73,7 @@ def req(request_id, size, at=0.0):
 
 def test_one_megabyte_on_edge_takes_exactly_forty_seconds():
     server, _, _ = edge_server()
-    ack = server.slowput("u", "file", b"\0" * 1_000_000)
+    ack = server.slowput("file", b"\0" * 1_000_000)
     assert ack.enqueued_at == 0.0
     done = server.advance(100.0)
     assert len(done) == 1
@@ -88,8 +87,8 @@ def test_one_megabyte_on_edge_takes_exactly_forty_seconds():
 
 def test_back_to_back_transfers_complete_mid_interval():
     server, _, _ = edge_server()
-    server.slowput("u", "file", b"\0" * 500_000)
-    server.slowput("u", "file", b"\0" * 250_000)
+    server.slowput("file", b"\0" * 500_000)
+    server.slowput("file", b"\0" * 250_000)
     done = server.advance(60.0)
     assert [c.request.transmit_end for c in done] == [20.0, 30.0]
     # apply order at the store matches enqueue order
@@ -100,7 +99,7 @@ def test_back_to_back_transfers_complete_mid_interval():
 
 def test_partial_transfer_survives_an_outage_and_resumes():
     server, uplink, clock = edge_server()
-    server.slowput("u", "file", b"\0" * 1_000_000)
+    server.slowput("file", b"\0" * 1_000_000)
     assert server.advance(10.0) == []
     assert server.queue.in_flight.sent_bytes == pytest.approx(250_000)
     uplink.up = False
@@ -113,7 +112,7 @@ def test_partial_transfer_survives_an_outage_and_resumes():
 
 def test_advance_is_idempotent_at_a_fixed_time():
     server, _, _ = edge_server()
-    server.slowput("u", "file", b"\0" * 100_000)
+    server.slowput("file", b"\0" * 100_000)
     first = server.advance(50.0)
     assert len(first) == 1
     assert server.advance(50.0) == []
@@ -122,7 +121,7 @@ def test_advance_is_idempotent_at_a_fixed_time():
 
 def test_eta_predicts_the_exact_completion():
     server, uplink, _ = edge_server()
-    server.slowput("u", "file", b"\0" * 1_000_000)
+    server.slowput("file", b"\0" * 1_000_000)
     eta = server.eta(0.0)
     assert eta == 40.0
     done = server.advance(eta)
@@ -136,11 +135,11 @@ def test_priority_mode_preempts_only_at_request_boundaries():
     timings = {}
     for priority in (False, True):
         server, _, clock = edge_server(priority_mode=priority)
-        server.slowput("u", "file", b"\0" * 200_000)  # 8 s on the wire
+        server.slowput("file", b"\0" * 200_000)  # 8 s on the wire
         server.advance(1.0)  # file now in flight
         clock.t = 1.0
-        server.slowput("u", "file", b"\0" * 100_000)  # 4 s
-        server.slowput("u", "sms", b"\0" * 100)  # sms class
+        server.slowput("file", b"\0" * 100_000)  # 4 s
+        server.slowput("sms", b"\0" * 100)  # sms class
         done = server.advance(100.0)
         timings[priority] = [
             (c.request.app_type, c.request.transmit_end) for c in done
@@ -155,10 +154,10 @@ def test_queue_capacity_and_empty_payload():
     # The lazy queue has no bound; only an empty payload is refused.
     server, _, _ = edge_server()
     for i in range(1000):
-        server.slowput("u", "t", b"%d" % i)
+        server.slowput("t", b"%d" % i)
     assert len(server.queue) == 1000
     with pytest.raises(PayloadEmpty):
-        server.slowput("u", "t", b"")
+        server.slowput("t", b"")
 
 
 @settings(max_examples=100, deadline=None)
@@ -304,28 +303,28 @@ def test_class_deques_match_the_backlog_scan(priority_mode, first, steps):
 
 def test_fastget_round_trip_and_version_bump():
     server, _, clock = edge_server()
-    resp = server.fastget("u", "kv", "k", b"\0" * 64)
+    resp = server.fastget("kv", "k", b"\0" * 64)
     assert resp.value == {"ok": True, "version": 1}
     assert resp.at == pytest.approx(64 / EDGE_RATE + 0.6 + 0.01)
     clock.t = 5.0
-    resp = server.fastget("u", "kv", "k", b"\0" * 64)
+    resp = server.fastget("kv", "k", b"\0" * 64)
     assert resp.value["version"] == 2
     rec = server.store.get("kv", "k")
-    assert rec.version == 2 and rec.updated_at > 5.0
+    assert rec.version == 2
 
 
 def test_fastget_fails_fast_when_down_and_on_timeout():
     server, uplink, _ = edge_server()
     uplink.up = False
     with pytest.raises(BackhaulDown):
-        server.fastget("u", "kv", "k", b"x")
+        server.fastget("kv", "k", b"x")
     assert server.counters["fastget"] == 0
     assert server.store.handler_runs == []
     uplink.up = True
     # a megabyte at edge rate predicts a 40.61 s sojourn, over the 30 s
     # deadline; the attempt is counted but nothing reaches the store
     with pytest.raises(SyncTimeout):
-        server.fastget("u", "kv", "k", b"\0" * 1_000_000)
+        server.fastget("kv", "k", b"\0" * 1_000_000)
     assert server.counters["fastget"] == 1
     assert server.store.handler_runs == []
     assert server.store.get("kv", "k") is None
@@ -343,16 +342,16 @@ def test_no_cloud_work_or_service_draw_while_the_route_is_none():
     server, uplink, _ = edge_server(service_time=service_time)
     uplink.up = False
     with pytest.raises(BackhaulDown):
-        server.fastget("u", "kv", "k", b"x")
+        server.fastget("kv", "k", b"x")
     with pytest.raises(BackhaulDown):
-        server.fastsearch("u", "kv", lambda k, r: True)
+        server.fastsearch("kv", lambda k, r: True)
     assert server.counters["fastget"] == server.counters["fastsearch"] == 0
     assert server.store.handler_runs == []
     assert draws == []
     uplink.up = True
-    server.fastget("u", "kv", "k", b"x")
+    server.fastget("kv", "k", b"x")
     assert len(draws) == 1
-    server.fastsearch("u", "kv", lambda k, r: True)
+    server.fastsearch("kv", lambda k, r: True)
     assert len(draws) == 2
     assert server.counters["fastget"] == server.counters["fastsearch"] == 1
     assert len(server.store.handler_runs) == 1
@@ -362,10 +361,10 @@ def test_fastsearch_reads_committed_state():
     server, _, _ = edge_server()
     store = server.store
     store.apply("kv", "k", b"old", "r1", 1.0)
-    resp = server.fastsearch("u", "kv", lambda k, r: True)
+    resp = server.fastsearch("kv", lambda k, r: True)
     assert [(k, r.payload) for k, r in resp.value] == [("k", b"old")]
     store.apply("kv", "k", b"new", "r2", 2.0)
-    resp = server.fastsearch("u", "kv", lambda k, r: True)
+    resp = server.fastsearch("kv", lambda k, r: True)
     assert resp.value[0][1].payload == b"new"
 
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from greenlinks.errors import (
     DanglingLinkEndpoint,
     DuplicateNodeId,
-    MissingGateway,
     OverlappingPrefix,
     ScenarioError,
     UnknownLink,
@@ -27,7 +26,7 @@ def diamond():
             {"id": 2, "role": "level3"},
             {"id": 3, "role": "level3"},
         ],
-        "zones": [{"id": "z0", "nodes": [1, 2, 3], "gateway": 1, "prefix": "10.0"}],
+        "zones": [{"id": "z0", "nodes": [1, 2, 3], "prefix": "10.0"}],
         "links": [
             {"id": "b0", "a": 0, "b": 1, "bandwidth_kbps": 2000, "latency_ms": 100},
             {"id": "za", "a": 1, "b": 2, "bandwidth_kbps": 500, "latency_ms": 10},
@@ -70,13 +69,6 @@ def test_build_rejects_duplicate_node_id():
     cfg = diamond()
     cfg["nodes"].append({"id": 1, "role": "level3"})
     with pytest.raises(DuplicateNodeId):
-        build_topology(cfg)
-
-
-def test_build_rejects_missing_gateway():
-    cfg = diamond()
-    cfg["zones"][0]["gateway"] = 9
-    with pytest.raises(MissingGateway):
         build_topology(cfg)
 
 
@@ -333,8 +325,9 @@ def test_tree_generator_shape():
     assert roles.count(Role.LEVEL2) == 3
     assert roles.count(Role.LEVEL3) == 6
     for zone in topo.zones.values():
-        assert zone.gateway in zone.node_ids
-        # the gateway carries the zone's backhaul
-        assert topo.links[f"b{zone.zone_id[1:]}"].b == zone.gateway
+        # the zone's first node is its level2 node and carries the backhaul
+        head = zone.node_ids[0]
+        assert topo.nodes[head].role is Role.LEVEL2
+        assert topo.links[f"b{zone.zone_id[1:]}"].b == head
     with pytest.raises(ScenarioError):
         generate_tree(0, 1)
