@@ -19,7 +19,6 @@ The SMS grammar is the whole UI: ``SELL <item> <qty> <price>``,
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .errors import (
@@ -32,7 +31,7 @@ from .errors import (
     UnknownIdentity,
 )
 from .scenario import section
-from .sync import LocalServer, encode_sorted
+from .sync import LocalServer
 
 SMS_LIMIT = 140
 # A recording plays from the local spool for this long after it was made.
@@ -104,36 +103,27 @@ class Listing:
     seller_number: str
 
 
-def market_handler(store, app_type, key, payload, request_id, at):
-    """Cloud-side marketplace logic; a buy reads and rewrites the listing
-    in one apply, so no other write interleaves."""
-    body = json.loads(payload.decode())
+def market_handler(store, app_type, key, body, request_id, at):
+    """Cloud-side marketplace logic; a buy reads the listing and writes
+    its sold copy in one apply, so no other write interleaves."""
     op = body["op"]
     if op == "sell":
-        return store._upsert(app_type, key, payload, request_id, at)
+        return store._upsert(app_type, key, body, request_id, at)
     if op == "buy":
-        rec = store.get(app_type, body["listing_id"])
+        listing_id = body["listing_id"]
+        rec = store.get(app_type, listing_id)
         if rec is None:
-            raise ListingNotFound(f"no listing {body['listing_id']!r}")
-        listing = json.loads(rec.payload.decode())
-        if listing.get("qty", 0) <= 0:
-            raise SoldOut(f"listing {body['listing_id']!r} is sold out")
-        bought = listing["qty"]
-        listing["qty"] = 0
-        listing["sold_to"] = body["buyer"]
-        listing["sold_at"] = at
-        store._upsert(
-            app_type,
-            body["listing_id"],
-            encode_sorted(listing).encode(),
-            request_id,
-            at,
-        )
+            raise ListingNotFound(f"no listing {listing_id!r}")
+        listing = rec.value
+        if listing["qty"] <= 0:
+            raise SoldOut(f"listing {listing_id!r} is sold out")
+        sold = {**listing, "qty": 0, "sold_to": body["buyer"], "sold_at": at}
+        store._upsert(app_type, listing_id, sold, request_id, at)
         return {
             "ok": True,
-            "listing_id": body["listing_id"],
+            "listing_id": listing_id,
             "item": listing["item"],
-            "qty": bought,
+            "qty": listing["qty"],
             "price": listing["price"],
             "seller": listing["seller"],
             "seller_number": listing["seller_number"],
@@ -141,15 +131,14 @@ def market_handler(store, app_type, key, payload, request_id, at):
     raise ScenarioError(f"unknown market op {op!r}")
 
 
-def voice_handler(store, app_type, key, payload, request_id, at):
-    body = json.loads(payload.decode())
+def voice_handler(store, app_type, key, body, request_id, at):
     if body["op"] == "record":
-        return store._upsert(app_type, key, payload, request_id, at)
+        return store._upsert(app_type, key, body, request_id, at)
     if body["op"] == "fetch":
         rec = store.get(app_type, body["key"])
         if rec is None:
             raise NoMessages(f"no voice message under {body['key']!r}")
-        return json.loads(rec.payload.decode())
+        return rec.value
     raise ScenarioError(f"unknown voice op {body['op']!r}")
 
 
@@ -172,7 +161,7 @@ class Marketplace:
 
     def sell(self, seller: str, item: str, qty: int, price: float):
         """Queue a listing; the ack is immediate, the receipt lazy."""
-        if not item or any(c.isspace() for c in item):
+        if item.split() != [item]:
             raise InvalidListing(f"item must be a single token, got {item!r}")
         if qty <= 0:
             raise InvalidListing("quantity must be positive")
@@ -188,28 +177,24 @@ class Marketplace:
             price=price,
             seller_number=entry.identity.number,
         )
-        payload = encode_sorted(
-            {
-                "op": "sell",
-                "listing_id": listing_id,
-                "item": item,
-                "qty": qty,
-                "price": price,
-                "seller": seller,
-                "seller_number": entry.identity.number,
-            }
-        ).encode()
-        ack = self.local.slowput("market", payload, key=listing_id)
+        body = {
+            "op": "sell",
+            "listing_id": listing_id,
+            "item": item,
+            "qty": qty,
+            "price": price,
+            "seller": seller,
+            "seller_number": entry.identity.number,
+        }
+        ack = self.local.slowput("market", body, key=listing_id)
         return listing, ack
 
     def buy(self, buyer: str, listing_id: str):
         """Whole-listing purchase over fastget; the response carries the
         seller's contact so the deal closes over voice or SMS."""
         self._registered(buyer)
-        payload = encode_sorted(
-            {"op": "buy", "listing_id": listing_id, "buyer": buyer}
-        ).encode()
-        response = self.local.fastget("market", listing_id, payload)
+        body = {"op": "buy", "listing_id": listing_id, "buyer": buyer}
+        response = self.local.fastget("market", listing_id, body)
         return response.value, response.at
 
     def search(self, imsi: str, item: str):
@@ -217,13 +202,12 @@ class Marketplace:
         self._registered(imsi)
 
         def match(key, rec):
-            body = json.loads(rec.payload.decode())
-            return body.get("item") == item and body.get("qty", 0) > 0
+            return rec.value["item"] == item and rec.value["qty"] > 0
 
         response = self.local.fastsearch("market", match)
         listings = []
         for key, rec in response.value:
-            body = json.loads(rec.payload.decode())
+            body = rec.value
             listings.append(
                 Listing(
                     listing_id=body["listing_id"],
@@ -277,7 +261,7 @@ class VoiceBoard:
             "recorded_at": now,
             "audio": audio.decode("latin1"),
         }
-        ack = self.local.slowput("voice", encode_sorted(body).encode(), key=msg_id)
+        ack = self.local.slowput("voice", body, key=msg_id)
         self._session.append(body)
         return msg_id, ack
 
@@ -304,12 +288,10 @@ class VoiceBoard:
             raise NoMessages("nobody has recorded anything yet")
         newest_key, newest = max(
             found.value,
-            key=lambda kv: json.loads(kv[1].payload.decode())["recorded_at"],
+            key=lambda kv: kv[1].value["recorded_at"],
         )
         fetch = self.local.fastget(
-            "voice",
-            newest_key,
-            json.dumps({"op": "fetch", "key": newest_key}).encode(),
+            "voice", newest_key, {"op": "fetch", "key": newest_key}
         )
         body = fetch.value
         return Playback(

@@ -168,6 +168,19 @@ def interval_means(ledgers: list[MetricsLedger]) -> list[tuple]:
     return rows
 
 
+def choose(getrandbits, pool):
+    """``random.Random.choice(pool)`` for the generator whose getrandbits
+    is given: CPython's own draw (``_randbelow_with_getrandbits``) without
+    its two method calls, so the same element and the same generator
+    state.  ``pool`` must be non-empty."""
+    n = len(pool)
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return pool[r]
+
+
 def interval_count(horizon: float, interval_s: float) -> int:
     """Whole traffic intervals in a horizon: run() schedules this many and
     evaluate_dual() scores this many buckets."""
@@ -445,7 +458,7 @@ class Simulation:
         moves it into engine.trace."""
         self._log_attempts_before(self.engine.key)
         rng = self.engine.rng
-        choice, draw = rng.choice, rng.random
+        getrandbits, draw = rng.getrandbits, rng.random
         next_seq = self.engine.next_seq
         start = self.engine.now
         interval = config["interval_s"]
@@ -459,18 +472,19 @@ class Simulation:
         drawn = self._attempts
         for service in SERVICES:
             for _ in range(int(config["attempts"].get(service, 0))):
-                src = choice(level2 if (draw() < share2 or not level3) else level3)
+                pool = level2 if (draw() < share2 or not level3) else level3
+                src = choose(getrandbits, pool)
                 roll = draw()
                 if roll < local:
                     dst = src
                 else:
                     mates, outside = pools[src]
                     if roll < near and mates:
-                        dst = choice(mates)
+                        dst = choose(getrandbits, mates)
                     elif outside:
-                        dst = choice(outside)
+                        dst = choose(getrandbits, outside)
                     elif mates:
-                        dst = choice(mates)
+                        dst = choose(getrandbits, mates)
                     else:
                         dst = src
                 drawn.append((start + interval * draw(), next_seq(), src, dst, service))

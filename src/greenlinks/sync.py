@@ -17,9 +17,18 @@ Three data operations with different urgency and consistency needs:
                read-modify-write) lands whole at one simulated instant,
                so a search never sees a partial write.
 
-None of them names a caller: the layer only moves bytes, and the apps
+None of them names a caller: the layer only moves data, and the apps
 check who may act (the marketplace checks registration before every
 SELL, BUY and SEARCH).
+
+Every write carries a value, and the store applies that value: a JSON
+app hands over the dict it would send, a raw write (a file, a farm
+trace, a kv blob) its bytes.  Bytes matter only for time and size:
+wire_size() is what the value takes on the wire, its sorted-key JSON
+text or the raw bytes themselves, and that count sets the transfer
+time and fills the ``bytes`` column.  Nothing on the store side parses
+JSON; a stored value is never changed in place, and a write replaces
+it with a new one.
 
 Transmission is modeled as a fluid queue: the head request drains at the
 uplink's byte rate, completions land mid-interval at exact times, and a
@@ -47,20 +56,26 @@ _EPS = 1e-9
 encode_sorted = json.JSONEncoder(sort_keys=True).encode
 
 
+def wire_size(value) -> int:
+    """Bytes ``value`` takes on the wire: raw bytes travel as they are,
+    any other value as its sorted-key JSON text, which is ASCII, so one
+    byte per character."""
+    if isinstance(value, bytes):
+        return len(value)
+    return len(encode_sorted(value))
+
+
 @dataclass
 class SyncRequest:
     request_id: str
     app_type: str
     key: str | None
-    payload: bytes
+    value: object
+    size: int  # wire_size(value), taken once at construction
     klass: str  # "slowput" or "message"
     enqueued_at: float
     sent_bytes: float = 0.0
     transmit_end: float | None = None
-
-    @property
-    def size(self) -> int:
-        return len(self.payload)
 
 
 @dataclass(frozen=True)
@@ -71,7 +86,7 @@ class Ack:
 
 @dataclass
 class Record:
-    payload: bytes
+    value: object
     version: int
 
 
@@ -189,12 +204,15 @@ class LazyQueue:
 
 
 class CloudStore:
-    """Cloud-side versioned store.
+    """Cloud-side versioned store of values.
 
-    apply() is idempotent per request id: a duplicate transmission
-    returns the recorded response without re-running the handler.
-    Handlers registered per app_type interpret payloads (the default is
-    an upsert); they may raise, and the error is what the caller sees.
+    apply() takes the value a request carries, never its wire bytes, and
+    each Record holds one value: the dict a JSON app sent, or a raw
+    write's bytes.  It is idempotent per request id: a duplicate
+    transmission returns the recorded response without re-running the
+    handler.  Handlers registered per app_type interpret values (the
+    default is an upsert); they may raise, and the error is what the
+    caller sees.  No handler changes a stored value in place.
     """
 
     def __init__(self):
@@ -227,7 +245,7 @@ class CloudStore:
         self,
         app_type: str,
         key: str | None,
-        payload: bytes,
+        value,
         request_id: str,
         at: float,
     ):
@@ -235,14 +253,14 @@ class CloudStore:
             return self._responses[request_id]
         handler = self.handlers.get(app_type, CloudStore._upsert)
         self.handler_runs.append((at, app_type, key or "", request_id))
-        response = handler(self, app_type, key, payload, request_id, at)
+        response = handler(self, app_type, key, value, request_id, at)
         self._responses[request_id] = response
         return response
 
-    def _upsert(self, app_type, key, payload, request_id, at):
+    def _upsert(self, app_type, key, value, request_id, at):
         slot = (app_type, key)
         old = self.records.get(slot)
-        rec = Record(payload=payload, version=(old.version + 1) if old else 1)
+        rec = Record(value=value, version=(old.version + 1) if old else 1)
         self.records[slot] = rec
         return {"ok": True, "version": rec.version}
 
@@ -267,8 +285,7 @@ class MessageBoard:
         self.delivered: dict[str, float] = {}
         self.expired: list[str] = []
 
-    def handler(self, store, app_type, key, payload, request_id, at):
-        envelope = json.loads(payload.decode())
+    def handler(self, store, app_type, key, envelope, request_id, at):
         self.deposit(envelope)
         return {"ok": True, "message_id": envelope["id"]}
 
@@ -354,18 +371,19 @@ class LocalServer:
 
     # ------------------------------------------------------------- write
 
-    def slowput(
-        self, app_type: str, payload: bytes, key: str | None = None
-    ) -> Ack:
-        """Queue a durable write and ack immediately, backhaul or not."""
-        if not payload:
+    def slowput(self, app_type: str, value, key: str | None = None) -> Ack:
+        """Queue a durable write of ``value`` and ack immediately,
+        backhaul or not."""
+        size = wire_size(value)
+        if not size:
             raise PayloadEmpty("slowput payload must be non-empty")
         now = self.clock()
         req = SyncRequest(
             request_id=self._next_id(),
             app_type=app_type,
             key=key,
-            payload=payload,
+            value=value,
+            size=size,
             klass="slowput",
             enqueued_at=now,
         )
@@ -384,7 +402,7 @@ class LocalServer:
         for req in self.queue.advance(now, rate):
             apply_at = req.transmit_end + latency
             self.store.apply(
-                req.app_type, req.key, req.payload, req.request_id, apply_at
+                req.app_type, req.key, req.value, req.request_id, apply_at
             )
             self.records.append(
                 LatencyRecord(
@@ -416,11 +434,14 @@ class LocalServer:
         transfer = size / rate if rate > 0 else 0.0
         return transfer, latency, transfer + 2 * latency + self.service_time()
 
-    def fastget(self, app_type: str, key: str, payload: bytes) -> FastResponse:
-        """Immediate round trip; raises instead of faking local success."""
-        if not payload:
+    def fastget(self, app_type: str, key: str, value) -> FastResponse:
+        """Immediate round trip of ``value``; raises instead of faking
+        local success.  A predicted sojourn equal to the deadline still
+        succeeds; SyncTimeout is raised only for one strictly above it."""
+        size = wire_size(value)
+        if not size:
             raise PayloadEmpty("fastget payload must be non-empty")
-        transfer, latency, sojourn = self._round_trip(len(payload))
+        transfer, latency, sojourn = self._round_trip(size)
         self.counters["fastget"] += 1
         now = self.clock()
         if sojourn > self.fastget_timeout_s:
@@ -430,8 +451,8 @@ class LocalServer:
             )
         request_id = self._next_id()
         try:
-            value = self.store.apply(
-                app_type, key, payload, request_id, now + transfer + latency
+            response = self.store.apply(
+                app_type, key, value, request_id, now + transfer + latency
             )
         finally:
             self.records.append(
@@ -439,12 +460,12 @@ class LocalServer:
                     request_id=request_id,
                     klass="fastget",
                     app_type=app_type,
-                    size=len(payload),
+                    size=size,
                     enqueued_at=now,
                     delivered_at=now + sojourn,
                 )
             )
-        return FastResponse(value=value, at=now + sojourn)
+        return FastResponse(value=response, at=now + sojourn)
 
     def fastsearch(self, app_type: str, match) -> FastResponse:
         """Immediate committed-snapshot query."""
@@ -504,7 +525,6 @@ class LocalServer:
                 )
             )
             return message_id
-        body = encode_sorted(envelope).encode()
         # A queued message uses up a request number too, so the
         # n<node>-q<k> ids issued after it count it.
         self._seq += 1
@@ -512,7 +532,8 @@ class LocalServer:
             request_id=message_id,
             app_type="__msg__",
             key=message_id,
-            payload=body,
+            value=envelope,
+            size=wire_size(envelope),
             klass="message",
             enqueued_at=now,
         )

@@ -370,7 +370,7 @@ def run_fault_schedule(seed):
     if len(purchases) > 1 or sum(purchases) > 3:
         anomalies.append(f"oversell: {purchases}")
     rec = sim.store.get("market", listing.listing_id)
-    if rec is not None and json.loads(rec.payload.decode()).get("qty", 0) < 0:
+    if rec is not None and rec.value["qty"] < 0:
         anomalies.append("negative quantity")
     return anomalies
 

@@ -5,7 +5,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from greenlinks.apps import (
     SMS_LIMIT,
@@ -19,6 +19,7 @@ from greenlinks.apps import (
 )
 from greenlinks.errors import (
     BackhaulDown,
+    GreenLinksError,
     InvalidListing,
     InvalidTrace,
     ListingNotFound,
@@ -29,6 +30,7 @@ from greenlinks.errors import (
 )
 from greenlinks.scenario import generate_tree
 from greenlinks.simcore import Simulation, replicate
+from greenlinks.sync import CloudStore, Record, encode_sorted
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -136,6 +138,20 @@ def test_listing_validation(market_sim):
         market.sell("233200000001", "maize", 1, 0.0)
     with pytest.raises(UnknownIdentity):
         market.sell("233299999999", "maize", 1, 1.0)
+
+
+@given(st.text())
+def test_an_item_is_one_token_with_no_whitespace(item):
+    sim = Simulation(generate_tree(1, 0), seed=3)
+    sim.identity.issue_identity(1, "233200000001")
+    market = Marketplace(sim.local(1), sim.identity)
+    single_token = bool(item) and not any(c.isspace() for c in item)
+    try:
+        market.sell("233200000001", item, 1, 1.0)
+    except InvalidListing:
+        assert not single_token
+    else:
+        assert single_token
 
 
 def test_buy_closes_the_listing(market_sim):
@@ -276,7 +292,7 @@ def test_farm_upload_round_trip(voice_sim):
     assert farm_id == "F1-1" and ack.request_id
     sim.poke(1)
     sim.engine.run_until(None)
-    assert sim.store.get("farm", "F1-1").payload == farm_payload(points)
+    assert sim.store.get("farm", "F1-1").value == farm_payload(points)
 
 
 def test_farm_trace_validation(voice_sim):
@@ -347,7 +363,7 @@ def test_every_file_is_exactly_file_bytes(file_bytes):
     files = [r for r in sim.local(wl.node).records if r.app_type == "file"]
     assert [f.size for f in files] == [file_bytes, file_bytes]
     stored = [rec for (t, _), rec in sim.store.records.items() if t == "file"]
-    assert [len(rec.payload) for rec in stored] == [file_bytes, file_bytes]
+    assert [len(rec.value) for rec in stored] == [file_bytes, file_bytes]
 
 
 def test_memory_does_not_grow_with_the_files_queued():
@@ -364,3 +380,131 @@ def test_memory_does_not_grow_with_the_files_queued():
 
     # 40 files of 1 MB each are scheduled before the horizon.
     assert peak(40) - peak(10) < scenario["workload"]["file_bytes"]
+
+
+# ------------------------------------------------- values, not wire bytes
+
+
+class WireRoundTripStore(CloudStore):
+    """The store as it was when it kept wire bytes: every value that
+    arrives is encoded and parsed again before its handler runs, every
+    value written is kept as it parses back from its encoding, and every
+    record a handler or a search reads is parsed again."""
+
+    def __init__(self):
+        super().__init__()
+        self.sent: dict[str, object] = {}
+
+    @staticmethod
+    def round_trip(value):
+        return json.loads(encode_sorted(value))
+
+    def parsed(self, rec):
+        return Record(self.round_trip(rec.value), rec.version)
+
+    def apply(self, app_type, key, value, request_id, at):
+        self.sent[request_id] = value
+        return super().apply(app_type, key, self.round_trip(value), request_id, at)
+
+    def _upsert(self, app_type, key, value, request_id, at):
+        return super()._upsert(app_type, key, self.round_trip(value), request_id, at)
+
+    def get(self, app_type, key):
+        rec = super().get(app_type, key)
+        return rec and self.parsed(rec)
+
+    def search(self, app_type, match):
+        hits = super().search(app_type, lambda k, r: match(k, self.parsed(r)))
+        return [(key, self.parsed(rec)) for key, rec in hits]
+
+
+SELLERS = {1: "233200000001", 2: "233200000002"}
+nodes = st.sampled_from(sorted(SELLERS))
+items = st.sampled_from(["maize", "yam"])
+market_ops = st.lists(
+    st.tuples(
+        st.floats(min_value=0.0, max_value=40.0),
+        st.one_of(
+            st.tuples(
+                st.just("sell"),
+                nodes,
+                items,
+                st.integers(min_value=1, max_value=10**6),
+                st.floats(min_value=0.01, max_value=1e6),
+            ),
+            st.tuples(st.just("buy"), nodes, st.integers(0, 3)),
+            st.tuples(st.just("search"), nodes, items),
+            st.tuples(
+                st.just("flip"),
+                st.sampled_from(["b0", "z0n0"]),
+                st.sampled_from(["up", "down"]),
+            ),
+        ),
+    ),
+    max_size=24,
+)
+
+
+def run_market(ops, store):
+    """Schedule ``ops`` as (time, action) and run them to quiescence;
+    returns everything an outsider could see of the run.  The records
+    held after each action are read again at the end, so a stored value
+    changed in place later shows."""
+    sim = Simulation(generate_tree(1, 1), seed=11)
+    sim.store = store
+    store.register_handler("__msg__", sim.board.handler)
+    markets = {}
+    for node, imsi in SELLERS.items():
+        sim.identity.issue_identity(node, imsi)
+        markets[node] = Marketplace(sim.local(node), sim.identity)
+    seen, listings, held = [], [], []
+
+    def act(kind, *args):
+        try:
+            if kind == "sell":
+                node, item, qty, price = args
+                listing, ack = markets[node].sell(SELLERS[node], item, qty, price)
+                listings.append(listing.listing_id)
+                sim.poke(node)
+                seen.append((kind, listing, ack))
+            elif kind == "buy":
+                node, index = args
+                listing_id = listings[index % len(listings)] if listings else "L9-9"
+                seen.append((kind, markets[node].buy(SELLERS[node], listing_id)))
+            elif kind == "search":
+                node, item = args
+                seen.append((kind, markets[node].search(SELLERS[node], item)))
+            else:
+                sim.set_link(*args)
+        except GreenLinksError as exc:
+            seen.append((kind, type(exc).__name__, str(exc)))
+        held.append(dict(store.records))
+
+    sim.engine.on("act", lambda op: act(*op))
+    for at, op in ops:
+        sim.engine.schedule(at, "act", op=op)
+    for link in ("b0", "z0n0"):
+        sim.engine.schedule(50.0, "act", op=("flip", link, "up"))
+    sim.engine.run_until(None)
+    rows = [r for node in sorted(sim.locals) for r in sim.locals[node].records]
+    stored = [
+        {slot: (rec.value, rec.version) for slot, rec in records.items()}
+        for records in held + [store.records]
+    ]
+    return seen, stored, rows, list(store.handler_runs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(market_ops)
+def test_the_store_applies_what_the_wire_round_trip_would(ops):
+    shipped = run_market(ops, CloudStore())
+    reference_store = WireRoundTripStore()
+    reference = run_market(ops, reference_store)
+    assert shipped == reference
+    # Every write's bytes column is the length of its value's encoding.
+    _, _, rows, _ = reference
+    for row in rows:
+        if row.klass == "fastsearch":
+            continue
+        sent = reference_store.sent[row.request_id]
+        assert row.size == len(encode_sorted(sent).encode())

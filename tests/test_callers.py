@@ -59,9 +59,11 @@ ALLOWED = {
 
 # Parameters kept without a reader, per function, each for a reason.
 ALLOWED_PARAMETERS = {
-    # The store-handler signature (store, app_type, key, payload,
-    # request_id, at) that CloudStore.apply calls every handler with;
-    # the default upsert is called with the store as self.
+    # The store-handler signature (store, app_type, key, value,
+    # request_id, at) that CloudStore.apply calls every handler with:
+    # the value the request carries (a dict from a JSON app, a raw
+    # write's bytes), never its wire bytes; the default upsert is called
+    # with the store as self.
     "CloudStore._upsert",
     "MessageBoard.handler",
     # CloudStore.search calls its predicate as match(key, record).

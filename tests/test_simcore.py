@@ -16,6 +16,7 @@ from greenlinks.simcore import (
     RunTrace,
     Simulation,
     aggregate,
+    choose,
     evaluate_dual,
     identity_latency_bench,
     interval_means,
@@ -242,7 +243,8 @@ class CyclingRandom(random.Random):
     """random() cycles 0.0, 0.5, 0.25: attempts land on the same instants
     as each other, as traffic intervals and, through zero-length outages,
     as link flips, so every order among them is decided by heap sequence
-    numbers."""
+    numbers.  getrandbits(k) takes the same cycle scaled to k bits, so
+    randrange and the simulator's pool draws both go through it."""
 
     def __init__(self, seed):
         super().__init__(seed)
@@ -250,6 +252,9 @@ class CyclingRandom(random.Random):
 
     def random(self):
         return next(self.cycle)
+
+    def getrandbits(self, k):
+        return int(next(self.cycle) * (1 << k))
 
 
 def with_draws(scenario):
@@ -298,6 +303,16 @@ def test_pooled_draws_match_the_filtering_reference(build):
         pooled.run(900.0)
         reference.run(900.0)
         assert pooled.engine.trace == reference.engine.trace
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
+def test_choose_draws_what_random_choice_draws(seed):
+    kernel, stock = random.Random(seed), random.Random(seed)
+    for _ in range(5):
+        for n in range(1, 41):
+            pool = tuple(range(100, 100 + n))
+            assert choose(kernel.getrandbits, pool) == stock.choice(pool)
+            assert kernel.getstate() == stock.getstate()
 
 
 def test_attempts_off_the_heap_keep_the_heap_order_of_ties():
@@ -358,8 +373,8 @@ def test_outage_replay_applies_and_delivers_once():
     assert store.applied_once()
     applied_ids = {rid for _, _, _, rid in store.handler_runs}
     assert len(applied_ids) == 3
-    assert store.get("kv", "a").payload == b"alpha"
-    assert store.get("kv", "b").payload == b"beta"
+    assert store.get("kv", "a").value == b"alpha"
+    assert store.get("kv", "b").value == b"beta"
     assert list(sim.board.delivered) == ["m1-1"]
     assert sim.board.pending == {}
     # the recipient node recorded the delivery exactly once

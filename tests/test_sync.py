@@ -1,6 +1,6 @@
 """Sync primitive tests: fluid queue timing, store semantics, mailbox."""
 
-import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +14,8 @@ from greenlinks.sync import (
     LocalServer,
     MessageBoard,
     SyncRequest,
+    encode_sorted,
+    wire_size,
 )
 from greenlinks.topology import BYTES_PER_KBPS
 
@@ -62,10 +64,22 @@ def req(request_id, size, at=0.0):
         request_id=request_id,
         app_type="t",
         key=request_id,
-        payload=b"x" * size,
+        value=b"x" * size,
+        size=size,
         klass="slowput",
         enqueued_at=at,
     )
+
+
+# ------------------------------------------------------------ wire size
+
+
+json_scalars = st.one_of(st.text(), st.floats(allow_nan=False), st.integers())
+
+
+@given(st.dictionaries(st.text(), json_scalars))
+def test_a_value_takes_its_encoded_bytes_on_the_wire(value):
+    assert wire_size(value) == len(encode_sorted(value).encode())
 
 
 # ------------------------------------------------------------ fluid timing
@@ -330,6 +344,31 @@ def test_fastget_fails_fast_when_down_and_on_timeout():
     assert server.store.get("kv", "k") is None
 
 
+def test_fastget_deadline_is_inclusive():
+    # Exact binary numbers: 100 B at 100 B/s is 1.0 s of transfer, plus
+    # two 0.5 s legs and 1.0 s of service, a 3.0 s sojourn.
+    def server(service_s):
+        return LocalServer(
+            1,
+            lambda: (100.0, 0.5),
+            CloudStore(),
+            Clock(),
+            fastget_timeout_s=3.0,
+            service_time=lambda: service_s,
+            board=MessageBoard(),
+            resolve_local=lambda name: None,
+        )
+
+    at_deadline = server(1.0)
+    assert at_deadline.fastget("kv", "k", b"x" * 100).at == 3.0
+    assert len(at_deadline.store.handler_runs) == 1
+    # One step above the deadline: 2.0 + service is the next double after 3.0.
+    above = server(math.nextafter(3.0, math.inf) - 2.0)
+    with pytest.raises(SyncTimeout, match="3.000s exceeds 3s"):
+        above.fastget("kv", "k", b"x" * 100)
+    assert above.store.handler_runs == []
+
+
 def test_no_cloud_work_or_service_draw_while_the_route_is_none():
     # A draw ahead of the route check would shift every later draw of
     # the engine's seeded stream.
@@ -362,10 +401,10 @@ def test_fastsearch_reads_committed_state():
     store = server.store
     store.apply("kv", "k", b"old", "r1", 1.0)
     resp = server.fastsearch("kv", lambda k, r: True)
-    assert [(k, r.payload) for k, r in resp.value] == [("k", b"old")]
+    assert [(k, r.value) for k, r in resp.value] == [("k", b"old")]
     store.apply("kv", "k", b"new", "r2", 2.0)
     resp = server.fastsearch("kv", lambda k, r: True)
-    assert resp.value[0][1].payload == b"new"
+    assert resp.value[0][1].value == b"new"
 
 
 # ------------------------------------------------------------- cloud store
@@ -439,13 +478,13 @@ def test_wire_duplicates_deliver_once():
     board = MessageBoard()
     store = CloudStore()
     store.register_handler("__msg__", board.handler)
-    payload = json.dumps(envelope("m1", "bob")).encode()
-    store.apply("__msg__", "m1", payload, "r1", 1.0)
-    store.apply("__msg__", "m1", payload, "r2", 2.0)
+    sent = envelope("m1", "bob")
+    store.apply("__msg__", "m1", sent, "r1", 1.0)
+    store.apply("__msg__", "m1", sent, "r2", 2.0)
     assert len(store.handler_runs) == 2
     assert list(board.pending) == ["m1"]
     board.pull(7, lambda name: 7, now=3.0)
-    store.apply("__msg__", "m1", payload, "r3", 4.0)  # late straggler
+    store.apply("__msg__", "m1", sent, "r3", 4.0)  # late straggler
     assert board.pending == {}  # already delivered, not resurrected
 
 
