@@ -30,7 +30,6 @@ from .errors import (
     SoldOut,
     UnknownIdentity,
 )
-from .scenario import section
 from .sync import LocalServer
 
 SMS_LIMIT = 140
@@ -337,26 +336,21 @@ class FarmMapper:
 class Workload:
     """Scripted marketplace load for latency experiments.
 
-    Registers sellers and buyers on one community node, then schedules
-    periodic SELLs (slowput, sms-class), BUYs (fastget) and optional
-    file-class slowputs that share the same lazy queue.  A file is
-    ``file_bytes`` of filler whose content is not modelled: every file
+    Reads the scenario's loaded ``workload`` section.  Registers sellers
+    and buyers on its community node (``node``, checked at load), then
+    schedules periodic SELLs (slowput, sms-class), BUYs (fastget) and
+    optional file-class slowputs that share the same lazy queue.  A file
+    is ``file_bytes`` of filler whose content is not modelled: every file
     slowput passes the one immutable body built here, so the queue and
     the store hold it once, and files differ by request id and key
     (``file-<k>``).
     """
 
-    def __init__(self, sim, config: dict | None = None):
+    def __init__(self, sim):
         self.sim = sim
-        self.cfg = section("workload", config)
-        node = self.cfg["node"]
-        if node is None:
-            community = [n for n in sim.topology.nodes if n != sim.topology.cloud_id]
-            if not community:
-                raise ScenarioError("a workload section needs a community node")
-            node = min(community)
-        self.node = node
-        self.local = sim.local(node)
+        self.cfg = sim.scenario["workload"]
+        self.node = self.cfg["node"]
+        self.local = sim.local(self.node)
         self.market = Marketplace(self.local, sim.identity)
         self.sellers = []
         self.buyers = []

@@ -30,7 +30,7 @@ from pathlib import Path
 
 from . import apps as apps_mod
 from .errors import GreenLinksError, ScenarioError
-from .scenario import generate_tree, load_scenario, section
+from .scenario import check_scenario, generate_tree, load_scenario
 from .simcore import (
     METRICS,
     Simulation,
@@ -80,6 +80,11 @@ def resolve_seed(args) -> int:
     return 0
 
 
+def loaded_scenario(args, default: dict) -> dict:
+    """The --scenario file, loaded, or else ``default`` loaded."""
+    return load_scenario(args.scenario) if args.scenario else check_scenario(default)
+
+
 def out_dir(args) -> Path:
     path = Path(args.out)
     path.mkdir(parents=True, exist_ok=True)
@@ -97,7 +102,7 @@ def cmd_simulate(args) -> int:
         raise ScenarioError("--runs must be at least 1")
     horizon = args.horizon
     if horizon is None:
-        horizon = DEFAULT_HORIZON if "traffic" in scenario else None
+        horizon = DEFAULT_HORIZON if scenario["traffic"] is not None else None
 
     # Keep only each run's ledger and latency rows, and run 0's trace
     # events under --trace: no finished run stays alive while the next
@@ -173,8 +178,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_whitespace(args) -> int:
-    scenario = load_scenario(args.scenario) if args.scenario else {}
-    cfg = section("whitespace", scenario.get("whitespace"))
+    cfg = loaded_scenario(args, {})["whitespace"]
     seed = resolve_seed(args)
 
     band = cfg["band"]
@@ -261,8 +265,7 @@ def cmd_whitespace(args) -> int:
 
 
 def cmd_idbench(args) -> int:
-    scenario = load_scenario(args.scenario) if args.scenario else {}
-    cfg = section("identity_bench", scenario.get("identity_bench"))
+    cfg = loaded_scenario(args, {})["identity_bench"]
     seed = resolve_seed(args)
     sample_rows = []
     summary_rows = []
@@ -314,10 +317,10 @@ def cmd_idbench(args) -> int:
 
 def cmd_apps(args) -> int:
     command = apps_mod.parse_command(args.command)
-    scenario = load_scenario(args.scenario) if args.scenario else generate_tree(1, 0)
+    scenario = loaded_scenario(args, generate_tree(1, 0))
     seed = resolve_seed(args)
     sim = Simulation(scenario, seed=seed)
-    node = min(n for n in sim.topology.nodes if n != sim.topology.cloud_id)
+    node = sim.graph.community[0]
     local = sim.local(node)
     market = apps_mod.Marketplace(local, sim.identity)
     me = "233299990000"

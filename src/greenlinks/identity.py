@@ -250,14 +250,12 @@ class IdentityService:
 
     def __init__(self, topology: Topology):
         self.topology = topology
-        prefixes = {z.zone_id: z.prefix for z in topology.zones.values()}
+        graph = topology.graph
+        prefixes = {z.zone_id: z.prefix for z in graph.zones.values()}
         self.registry = CloudRegistry(prefixes, EgressAllocator())
         self.counters = {"cloud_messages": 0, "external_routes": 0}
         self.pending: list[_Pending] = []
-        self.caches: dict[int, IdentityCache] = {}
-        for node in topology.nodes.values():
-            if node.node_id != topology.cloud_id:
-                self.caches[node.node_id] = IdentityCache()
+        self.caches = {nid: IdentityCache() for nid in graph.community}
 
     # ---------------------------------------------------------- issuance
 
@@ -285,7 +283,7 @@ class IdentityService:
         return self._issue_now(node_id, imsi, kind, chosen_name)
 
     def _issue_now(self, node_id, imsi, kind, chosen_name) -> UserIdentity:
-        zone = self.topology.nodes[node_id].zone
+        zone = self.topology.graph.nodes[node_id].zone
         identity, address, _created = self.registry.issue(
             imsi, kind, zone, node_id, chosen_name
         )
@@ -309,13 +307,14 @@ class IdentityService:
     # ------------------------------------------------------------ lookup
 
     def lookup(self, origin_node: int, name: str) -> LookupResult:
-        zone = self.topology.nodes[origin_node].zone
+        graph = self.topology.graph
+        zone = graph.nodes[origin_node].zone
         # Stage 1: caches inside the zone, origin first, without touching
         # the backhaul.  Only zone mates reachable through live in-zone
         # links count.
         candidates = [origin_node]
         if zone is not None:
-            for nid in self.topology.zones[zone].node_ids:
+            for nid in graph.zones[zone].node_ids:
                 if nid != origin_node and self.topology.reachable(
                     origin_node, nid, within_zone=zone
                 ):

@@ -7,6 +7,9 @@ section's defaults, and a missing key of a world-graph entry to its
 TOPOLOGY template, so a scenario only states what it changes.  Both are
 also the schema: an unknown section or key, a missing required key, or a
 value whose JSON type differs from its default's, is a ScenarioError.
+
+check_scenario loads a scenario once; every study and run reads the
+mapping it returns.
 """
 
 from __future__ import annotations
@@ -104,6 +107,8 @@ NONEMPTY = {
 IDENTITY_MODELS = ("central", "dht")
 # Mapping-valued keys that null switches off.
 NULLABLE = {"whitespace.ngsm"}
+# Sections that load as None when the scenario leaves them out.
+OPTIONAL = ("traffic", "failures", "workload")
 # Shares of one whole: after the merge each must sum to 1.  The draws read
 # all but the last key and take that one as the complement.
 MIXES = {
@@ -202,26 +207,45 @@ def world(scenario: dict) -> dict[str, list[dict]]:
     return out
 
 
-def check_scenario(scenario: dict) -> None:
-    """Raise ScenarioError for an unknown section, for a section that does
-    not fit its schema, or, when the scenario has a world-graph list, for
-    a world graph that topology.build_topology rejects: every study
-    checks the graph at load, not only the one that builds it."""
+def check_scenario(scenario: dict) -> dict:
+    """The loaded scenario: every section of SECTIONS merged over its
+    defaults (None for an OPTIONAL one left out), and "graph", the
+    topology.build_topology Graph or None without a world-graph list.
+    Raises ScenarioError for an unknown section, a section that does not
+    fit its schema, a world graph build_topology rejects, and a section
+    the graph cannot serve: traffic without a level2 node, failures
+    without a link, a workload without a community node or whose node
+    (by default the lowest community node id) is not one."""
+    # Imported here because topology imports world() from this module.
+    from .topology import Role, build_topology
+
+    loaded = {name: None if name in OPTIONAL else section(name) for name in SECTIONS}
     for key, value in scenario.items():
         if key in SECTIONS:
-            section(key, value)
+            loaded[key] = section(key, value)
         elif key not in TOPOLOGY:
             raise ScenarioError(f"unknown section {key!r}")
-    if TOPOLOGY.keys() & scenario.keys():
-        # Imported here because topology imports world() from this module.
-        from .topology import build_topology
-
-        build_topology(scenario)
+    graph = build_topology(scenario) if TOPOLOGY.keys() & scenario.keys() else None
+    loaded["graph"] = graph
+    if loaded["traffic"] and not (graph and graph.role_pool[Role.LEVEL2]):
+        raise ScenarioError("a traffic section needs a level2 node")
+    if loaded["failures"] and not (graph and graph.links):
+        raise ScenarioError("a failures section needs a link")
+    workload = loaded["workload"]
+    if workload:
+        if not (graph and graph.community):
+            raise ScenarioError("a workload section needs a community node")
+        if workload["node"] is None:
+            workload["node"] = graph.community[0]
+        node = workload["node"]
+        if not isinstance(node, int) or node not in graph.community:
+            raise ScenarioError(f"workload.node {node} is not a community node")
+    return loaded
 
 
 def load_scenario(path: str | Path) -> dict:
-    """Parse and check a scenario file, raising ScenarioError with a file
-    (and, for JSON syntax, line) anchor."""
+    """Parse and load a scenario file (see check_scenario), raising
+    ScenarioError with a file (and, for JSON syntax, line) anchor."""
     path = Path(path)
     try:
         text = path.read_text()
@@ -234,10 +258,9 @@ def load_scenario(path: str | Path) -> dict:
     if not isinstance(scenario, dict):
         raise ScenarioError(f"{path}:1:1: scenario must be a JSON object")
     try:
-        check_scenario(scenario)
+        return check_scenario(scenario)
     except ScenarioError as exc:
         raise ScenarioError(f"{path}: {exc}") from None
-    return scenario
 
 
 def generate_tree(

@@ -5,6 +5,10 @@ by (time, insertion sequence) so ties break by scheduling order, and no
 wall-clock anywhere.  Two runs with the same scenario and seed produce
 identical traces, metrics and latency samples, byte for byte.
 
+A Simulation is one run of a loaded scenario (scenario.check_scenario):
+it shares the scenario's sections and world Graph with every other run
+and builds only per-run state, such as the Topology of its link states.
+
 A run produces a RunTrace (attempt and link-transition records).  Each
 traffic interval draws its attempts at once; they are records, not
 events, but each takes the heap sequence number scheduling it would
@@ -41,9 +45,10 @@ from dataclasses import dataclass, field
 from .apps import Workload
 from .errors import ScenarioError
 from .identity import IdentityService, ResolverRing, resolver_for
-from .scenario import IDENTITY_MODELS, SECTIONS, section
+from .scenario import IDENTITY_MODELS, SECTIONS
 from .sync import CloudStore, LatencyRecord, LocalServer, MessageBoard
-from .topology import LinkState, Role, Topology, build_topology
+from .topology import Graph, Role, Topology
+from .topology import build_topology  # unused here; perfbench/tracing.py wraps it
 
 SERVICES = ("call", "sms", "data")
 METRICS = {
@@ -120,10 +125,9 @@ class Engine:
 
 @dataclass
 class RunTrace:
-    topology: Topology
+    graph: Graph
     interval_s: float
     horizon: float
-    initial_links: dict[str, bool]
     events: list[tuple] = field(default_factory=list)
 
 
@@ -190,28 +194,29 @@ def interval_count(horizon: float, interval_s: float) -> int:
 def evaluate_dual(trace: RunTrace) -> MetricsLedger:
     """Score one fault timeline under both architectures.
 
-    Replays the trace with its own link-state sweep (independent of the
-    live topology object), labels connected components over the replayed
-    state once and then relabels only the side of a link that a
-    transition cuts off or joins, and buckets drops per interval.
+    Replays the trace with its own link-state sweep from the links'
+    initial state (independent of the run's Topology), labels connected
+    components over the replayed state once and then relabels only the
+    side of a link that a transition cuts off or joins, and buckets
+    drops per interval.
     """
-    topo = trace.topology
-    up = dict(trace.initial_links)
+    graph = trace.graph
+    up = {lid: link.up for lid, link in graph.links.items()}
     intervals = max(1, interval_count(trace.horizon, trace.interval_s))
     counts = [IntervalCounts(attempted={}, dropped={}) for _ in range(intervals)]
     violations = 0
-    comp = topo.components(up)
+    comp = graph.components(up)
     fresh = len(comp)  # components() labels are below the node count
     for event in trace.events:
         kind = event[0]
         if kind == "link":
             _, _, link_id, state = event
             if up[link_id] != (state == "up"):
-                topo.relabel(comp, up, link_id, fresh)
+                graph.relabel(comp, up, link_id, fresh)
                 fresh += 1
         elif kind == "attempt":
             _, at, src, dst, service = event
-            cloud = comp[topo.cloud_id]
+            cloud = comp[graph.cloud_id]
             vc_ok = comp[src] == comp[dst]
             cell_ok = comp[src] == cloud and comp[dst] == cloud
             if cell_ok and not vc_ok:
@@ -238,12 +243,14 @@ class RunResult:
 
 
 class Simulation:
-    """A scenario wired to an engine, ready to run.
+    """One run of a loaded scenario, wired to an engine.
 
     Sections drive behavior: ``traffic`` and ``failures`` (if present in
     the scenario) feed the dual-architecture availability study; app
     workloads are scheduled from outside through the public surface
-    (local(), identity, engine).
+    (local(), identity, engine).  The draws index the graph's pools,
+    which filtering the graph at draw time would give in the same order;
+    link state is read when a draw lands.
     """
 
     def __init__(
@@ -253,75 +260,39 @@ class Simulation:
         seed: int = 0,
         priority_queue: bool = False,
     ):
+        if scenario["graph"] is None:
+            raise ScenarioError("scenario defines no nodes")
         self.scenario = scenario
-        self.topology = build_topology(scenario)
+        self.graph = scenario["graph"]
+        self.topology = Topology(self.graph)
         self.engine = Engine(seed)
         self.priority_queue = priority_queue
-        self.sync_config = section("sync", scenario.get("sync"))
         self.store = CloudStore()
         self.board = MessageBoard()
         self.store.register_handler("__msg__", self.board.handler)
         self.identity = IdentityService(self.topology)
         self.locals: dict[int, LocalServer] = {}
         self._queue_gen: dict[int, int] = {}
-        self._initial_links = {
-            lid: link.up for lid, link in self.topology.links.items()
-        }
         # Drawn attempts not yet in engine.trace, as (at, seq, src, dst,
         # service) sorted by heap key; see _log_attempts_before.
         self._attempts: list[tuple] = []
-        self._build_draw_pools()
         e = self.engine
         e.on("traffic_interval", self._on_traffic_interval)
         e.on("failure_draw", self._on_failure_draw)
         e.on("link_restore", self._on_link_restore)
         e.on("queue_eta", self._on_queue_eta)
 
-    def _build_draw_pools(self) -> None:
-        """Precompute the node and link lists the traffic and failure
-        draws index into.  The graph is static after build_topology, so
-        the lists equal what filtering it at draw time would give, in the
-        same order; link state is still read when a draw lands."""
-        topo = self.topology
-        self._role_pool = {
-            role: tuple(
-                sorted(n.node_id for n in topo.nodes.values() if n.role is role)
-            )
-            for role in Role
-        }
-        links = [topo.links[lid] for lid in sorted(topo.links)]
-        self._failure_pool = {
-            side: tuple(
-                l for l in links if (topo.cloud_id in (l.a, l.b)) == side
-            )
-            for side in (True, False)
-        }
-        # Per source: its zone mates in Zone.node_ids order, and the nodes
-        # outside its zone in sorted(identity.caches) order.
-        cached = sorted(self.identity.caches)
-        outside = {
-            zid: tuple(n for n in cached if topo.nodes[n].zone != zid)
-            for zid in topo.zones
-        }
-        self._dest_pools = {
-            src: (tuple(n for n in zone.node_ids if n != src), outside[zid])
-            for zid, zone in topo.zones.items()
-            for src in zone.node_ids
-        }
-
     # ------------------------------------------------------------ wiring
 
     def _service_time(self) -> float:
         jitter = SERVICE_JITTER * (2.0 * self.engine.rng.random() - 1.0)
-        return self.sync_config["service_s"] * (1.0 + jitter)
+        return self.scenario["sync"]["service_s"] * (1.0 + jitter)
 
     def local(self, node_id: int) -> LocalServer:
         """The node's sync endpoint (created on first use)."""
         server = self.locals.get(node_id)
         if server is None:
-            cache = self.identity.caches.get(node_id)
-            if cache is None:  # the cloud, or no such node
-                raise ScenarioError(f"node {node_id} has no local server")
+            cache = self.identity.caches[node_id]
 
             def resolve_local(name, _cache=cache, _nid=node_id):
                 entry = _cache.get(name)
@@ -334,7 +305,7 @@ class Simulation:
                 functools.partial(self.topology.cloud_route, node_id),
                 self.store,
                 self.engine.clock,
-                fastget_timeout_s=self.sync_config["fastget_timeout_s"],
+                fastget_timeout_s=self.scenario["sync"]["fastget_timeout_s"],
                 service_time=self._service_time,
                 board=self.board,
                 resolve_local=resolve_local,
@@ -410,22 +381,21 @@ class Simulation:
     # ----------------------------------------------------------- failures
 
     def _failure_candidates(self, cloud_side: bool) -> tuple:
-        return self._failure_pool[cloud_side]
+        return self.graph.failure_pool[cloud_side]
 
-    def set_link(self, link_id: str, state: LinkState | str) -> None:
-        """Toggle a link with correct accounting: lazy queues are advanced
-        at the old rate first, then the state flips, then wake-ups and
-        (on restore) pending identity work and message delivery run."""
-        state = LinkState(state)
-        link = self.topology.links[link_id]
-        if link.state is state:
+    def set_link(self, link_id: str, up: bool) -> None:
+        """Bring a link up or down with correct accounting: lazy queues
+        are advanced at the old rate first, then the state flips, then
+        wake-ups and (on restore) pending identity work and message
+        delivery run.  The trace records the state as "up" or "down"."""
+        if self.topology.up[link_id] == up:
             return
         self._advance_all()
-        self.topology.set_link_state(link_id, state)
+        self.topology.set_link_state(link_id, up)
         self._log_attempts_before(self.engine.key)
-        self.engine.log(("link", self.engine.now, link_id, state.value))
+        self.engine.log(("link", self.engine.now, link_id, "up" if up else "down"))
         self._poke_all()
-        if state is LinkState.UP:
+        if up:
             self.identity.flush_pending()
             for node_id in sorted(self.locals):
                 self.identity.sync_node(node_id)
@@ -439,15 +409,15 @@ class Simulation:
             candidates = self._failure_candidates(not cloud_side)
         link = candidates[rng.randrange(len(candidates))]
         duration = rng.expovariate(1.0 / outage_mean_s)
-        if not link.up:
+        if not self.topology.up[link.link_id]:
             return  # already down; this draw fizzles
-        self.set_link(link.link_id, LinkState.DOWN)
+        self.set_link(link.link_id, False)
         self.engine.schedule(
             self.engine.now + duration, "link_restore", link_id=link.link_id
         )
 
     def _on_link_restore(self, link_id: str) -> None:
-        self.set_link(link_id, LinkState.UP)
+        self.set_link(link_id, True)
 
     # ------------------------------------------------------------ traffic
 
@@ -462,13 +432,13 @@ class Simulation:
         next_seq = self.engine.next_seq
         start = self.engine.now
         interval = config["interval_s"]
-        level2 = self._role_pool[Role.LEVEL2]
-        level3 = self._role_pool[Role.LEVEL3]
+        level2 = self.graph.role_pool[Role.LEVEL2]
+        level3 = self.graph.role_pool[Role.LEVEL3]
         share2 = config["level_share"]["level2"]
         mix = config["dest_mix"]
         local = mix["local"]
         near = mix["local"] + mix["zone"]
-        pools = self._dest_pools
+        pools = self.graph.dest_pools
         drawn = self._attempts
         for service in SERVICES:
             for _ in range(int(config["attempts"].get(service, 0))):
@@ -512,15 +482,9 @@ class Simulation:
         completion, but no new traffic or failure draw starts after it.
         horizon None needs a scenario without those sections.
         """
-        sc = self.scenario
-        tcfg = section("traffic", sc["traffic"]) if "traffic" in sc else None
-        fcfg = section("failures", sc["failures"]) if "failures" in sc else None
+        tcfg, fcfg = self.scenario["traffic"], self.scenario["failures"]
         if (tcfg or fcfg) and horizon is None:
             raise ScenarioError("traffic and failure sections need a finite horizon")
-        if tcfg and not self._role_pool[Role.LEVEL2]:
-            raise ScenarioError("a traffic section needs a level2 node")
-        if fcfg and not self.topology.links:
-            raise ScenarioError("a failures section needs a link")
         if tcfg:
             interval = tcfg["interval_s"]
             for i in range(interval_count(horizon, interval)):
@@ -539,10 +503,9 @@ class Simulation:
         self._log_attempts_before((math.inf,))
         effective = horizon if horizon is not None else self.engine.now
         trace = RunTrace(
-            topology=self.topology,
+            graph=self.graph,
             interval_s=(tcfg or SECTIONS["traffic"])["interval_s"],
             horizon=effective,
-            initial_links=self._initial_links,
             events=list(self.engine.trace),
         )
         ledger = None
@@ -566,8 +529,9 @@ def replicate(
     base_seed: int = 0,
     priority_queue: bool = False,
 ) -> Iterator[RunResult]:
-    """Independent replications, made one at a time as the caller asks
-    for them; run i uses seed base_seed + i.  A ``workload`` section is
+    """Independent replications of a loaded scenario, made one at a time
+    as the caller asks for them; run i uses seed base_seed + i.  All
+    share the scenario's graph and sections.  A ``workload`` section is
     scheduled, up to the horizon, before the run schedules its traffic
     and failures.  The generator keeps no finished run, so a caller that
     keeps only what it needs of each holds one Simulation at a time."""
@@ -579,8 +543,8 @@ def _run_once(
     scenario: dict, horizon: float | None, seed: int, priority_queue: bool
 ) -> RunResult:
     sim = Simulation(scenario, seed=seed, priority_queue=priority_queue)
-    if "workload" in scenario:
-        Workload(sim, scenario["workload"]).schedule(horizon)
+    if scenario["workload"] is not None:
+        Workload(sim).schedule(horizon)
     return sim.run(horizon)
 
 

@@ -1,10 +1,13 @@
-"""Network world model: nodes, zones and links.
+"""Network world model: the graph a scenario describes, and one run's
+link state over it.
 
-The graph is built once from a scenario mapping and is immutable afterwards
-except for link state, which failure injection toggles at runtime through
-set_link_state.  Each node's route to the cloud is cached until the next
-real link transition; component labelling works over a link-state map the
-caller gives.
+build_topology checks a scenario's world graph once per load and builds
+a Graph, immutable and shared by every run: nodes, zones, links with
+their initial state, adjacency, draw pools, and component labelling over
+a link-state map the caller gives.  A Topology is one run's view of it:
+the link-up map that failure injection toggles through set_link_state,
+and each node's route to the cloud, cached until the next real link
+transition.
 
 Levels follow the deployment shape: one cloud controller, level-2 community
 nodes with their own backhaul, and level-3 pico nodes that hang off a
@@ -36,11 +39,6 @@ class Role(str, Enum):
     LEVEL3 = "level3"
 
 
-class LinkState(str, Enum):
-    UP = "up"
-    DOWN = "down"
-
-
 # (bandwidth kbps, one-way latency ms) for the profiles used in experiments.
 LINK_PROFILES = {
     "edge": (200.0, 300.0),
@@ -52,136 +50,59 @@ LINK_PROFILES = {
 BYTES_PER_KBPS = 125.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class Node:
     node_id: int
     role: Role
-    zone: str | None = None
+    zone: str | None
 
 
 @dataclass(frozen=True)
 class Zone:
     zone_id: str
-    node_ids: list[int]
+    node_ids: tuple[int, ...]
     prefix: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class Link:
     link_id: str
     a: int
     b: int
     bandwidth_kbps: float
     latency_ms: float
-    state: LinkState = LinkState.UP
-
-    @property
-    def up(self) -> bool:
-        return self.state is LinkState.UP
+    up: bool  # when a run starts
 
 
-class Topology:
-    """Validated graph with reachability and path-metric queries."""
+@dataclass(frozen=True)
+class Graph:
+    """A checked world graph, shared by every run of its scenario.
 
-    def __init__(
-        self,
-        nodes: dict[int, Node],
-        zones: dict[str, Zone],
-        links: dict[str, Link],
-    ):
-        self.nodes = nodes
-        self.zones = zones
-        self.links = links
-        self.cloud_id = next(
-            n.node_id for n in nodes.values() if n.role is Role.CLOUD
-        )
-        # Node id -> cloud_route result, cleared on every link transition.
-        self._cloud_routes: dict[int, tuple[float, float] | None] = {}
-        # (link id, far end) per node, in link order.
-        self._nbrs: dict[int, list[tuple[str, int]]] = {nid: [] for nid in nodes}
-        for link in links.values():
-            self._nbrs[link.a].append((link.link_id, link.b))
-            self._nbrs[link.b].append((link.link_id, link.a))
+    ``community`` is the sorted non-cloud node ids and ``nbrs`` the
+    (link id, far end) pairs of each node, in link order.  The draw
+    pools: ``role_pool`` holds the sorted node ids of each role,
+    ``failure_pool`` the links in id order that touch the cloud (True)
+    or do not (False), and ``dest_pools`` each source's zone mates, in
+    Zone.node_ids order, and the community nodes outside its zone.
+    """
 
-    # ------------------------------------------------------------ queries
-
-    def set_link_state(self, link_id: str, state: LinkState | str) -> None:
-        link = self.links.get(link_id)
-        if link is None:
-            raise UnknownLink(f"no link with id {link_id!r}")
-        state = LinkState(state)
-        if link.state is not state:
-            link.state = state
-            self._cloud_routes.clear()
-
-    def reachable(self, a: int, b: int, *, within_zone: str | None = None) -> bool:
-        return self.path(a, b, within_zone=within_zone) is not None
-
-    def path(
-        self, a: int, b: int, *, within_zone: str | None = None
-    ) -> list[Link] | None:
-        """Shortest-hop path over live links, or None.
-
-        ``within_zone`` restricts the search to that zone's members, which
-        models resolution that must not leave the operator's island.
-        """
-        if a == b:
-            return []
-        allowed = None
-        if within_zone is not None:
-            allowed = set(self.zones[within_zone].node_ids)
-            if a not in allowed or b not in allowed:
-                return None
-        links = self.links
-        seen = {a}
-        frontier: deque[tuple[int, list[Link]]] = deque([(a, [])])
-        while frontier:
-            node, trail = frontier.popleft()
-            for lid, nxt in self._nbrs[node]:
-                link = links[lid]
-                if not link.up:
-                    continue
-                if nxt in seen:
-                    continue
-                if allowed is not None and nxt not in allowed:
-                    continue
-                hop = trail + [link]
-                if nxt == b:
-                    return hop
-                seen.add(nxt)
-                frontier.append((nxt, hop))
-        return None
-
-    def path_metrics(self, path: list[Link]) -> tuple[float, float]:
-        """(bottleneck kbps, total one-way latency seconds) of a path."""
-        if not path:
-            return (float("inf"), 0.0)
-        bw = min(link.bandwidth_kbps for link in path)
-        latency = sum(link.latency_ms for link in path) / 1000.0
-        return (bw, latency)
-
-    def cloud_route(self, node_id: int) -> tuple[float, float] | None:
-        """(bottleneck bytes/s, one-way latency s) of the node's path to
-        the cloud, or None when there is no live path; cached until the
-        next link transition.  Every reader of a site's uplink reads it
-        here: a LocalServer's route() and the identity service."""
-        if node_id not in self._cloud_routes:
-            path = self.path(node_id, self.cloud_id)
-            route = None
-            if path is not None:
-                kbps, latency = self.path_metrics(path)
-                route = (kbps * BYTES_PER_KBPS, latency)
-            self._cloud_routes[node_id] = route
-        return self._cloud_routes[node_id]
+    nodes: dict[int, Node]
+    zones: dict[str, Zone]
+    links: dict[str, Link]
+    cloud_id: int
+    community: tuple[int, ...]
+    nbrs: dict[int, list[tuple[str, int]]]
+    role_pool: dict[Role, tuple[int, ...]]
+    failure_pool: dict[bool, tuple[Link, ...]]
+    dest_pools: dict[int, tuple[tuple[int, ...], tuple[int, ...]]]
 
     def components(self, up: dict[str, bool]) -> dict[int, int]:
         """Connected-component label per node over ``up``, which maps every
-        link id to whether it is up; the live link state is not read
-        (evaluate_dual passes its replayed state).  Components are
-        numbered in the order ``self.nodes`` first reaches them; callers
-        only compare labels for equality.
+        link id to whether it is up (evaluate_dual passes its replayed
+        state).  Components are numbered in the order ``self.nodes``
+        first reaches them; callers only compare labels for equality.
         """
-        nbrs = self._nbrs
+        nbrs = self.nbrs
         label: dict[int, int] = {}
         mark = 0
         for start in self.nodes:
@@ -231,7 +152,7 @@ class Topology:
         """The nodes reachable over ``up`` from whichever of a and b runs
         out first in a lockstep search, with the other end; None when the
         two searches meet."""
-        nbrs = self._nbrs
+        nbrs = self.nbrs
         seen = ({a}, {b})
         todo = ([a], [b])
         while True:
@@ -248,6 +169,84 @@ class Topology:
                         stack.append(nxt)
 
 
+class Topology:
+    """One run's link state over a shared Graph, with reachability and
+    path-metric queries."""
+
+    def __init__(self, graph: Graph):
+        self.graph = graph
+        self.up = {lid: link.up for lid, link in graph.links.items()}
+        # Node id -> cloud_route result, cleared on every link transition.
+        self._cloud_routes: dict[int, tuple[float, float] | None] = {}
+
+    # ------------------------------------------------------------ queries
+
+    def set_link_state(self, link_id: str, up: bool) -> None:
+        if link_id not in self.up:
+            raise UnknownLink(f"no link with id {link_id!r}")
+        if self.up[link_id] != up:
+            self.up[link_id] = up
+            self._cloud_routes.clear()
+
+    def reachable(self, a: int, b: int, *, within_zone: str | None = None) -> bool:
+        return self.path(a, b, within_zone=within_zone) is not None
+
+    def path(
+        self, a: int, b: int, *, within_zone: str | None = None
+    ) -> list[Link] | None:
+        """Shortest-hop path over live links, or None.
+
+        ``within_zone`` restricts the search to that zone's members, which
+        models resolution that must not leave the operator's island.
+        """
+        if a == b:
+            return []
+        graph = self.graph
+        allowed = None
+        if within_zone is not None:
+            allowed = set(graph.zones[within_zone].node_ids)
+            if a not in allowed or b not in allowed:
+                return None
+        links, up = graph.links, self.up
+        seen = {a}
+        frontier: deque[tuple[int, list[Link]]] = deque([(a, [])])
+        while frontier:
+            node, trail = frontier.popleft()
+            for lid, nxt in graph.nbrs[node]:
+                if not up[lid] or nxt in seen:
+                    continue
+                if allowed is not None and nxt not in allowed:
+                    continue
+                hop = trail + [links[lid]]
+                if nxt == b:
+                    return hop
+                seen.add(nxt)
+                frontier.append((nxt, hop))
+        return None
+
+    def path_metrics(self, path: list[Link]) -> tuple[float, float]:
+        """(bottleneck kbps, total one-way latency seconds) of a path."""
+        if not path:
+            return (float("inf"), 0.0)
+        bw = min(link.bandwidth_kbps for link in path)
+        latency = sum(link.latency_ms for link in path) / 1000.0
+        return (bw, latency)
+
+    def cloud_route(self, node_id: int) -> tuple[float, float] | None:
+        """(bottleneck bytes/s, one-way latency s) of the node's path to
+        the cloud, or None when there is no live path; cached until the
+        next link transition.  Every reader of a site's uplink reads it
+        here: a LocalServer's route() and the identity service."""
+        if node_id not in self._cloud_routes:
+            path = self.path(node_id, self.graph.cloud_id)
+            route = None
+            if path is not None:
+                kbps, latency = self.path_metrics(path)
+                route = (kbps * BYTES_PER_KBPS, latency)
+            self._cloud_routes[node_id] = route
+        return self._cloud_routes[node_id]
+
+
 # -------------------------------------------------------------- building
 
 
@@ -257,14 +256,7 @@ def _prefixes_overlap(p: str, q: str) -> bool:
     return longer[: len(shorter)] == shorter
 
 
-def _member(kind: type[Enum], value: str, what: str):
-    try:
-        return kind(value)
-    except ValueError:
-        raise ScenarioError(f"{what} {value!r}") from None
-
-
-def build_topology(config: dict) -> Topology:
+def build_topology(config: dict) -> Graph:
     """Check a scenario mapping's world graph and build it.
 
     scenario.world checks each entry on its own and fills its defaults.
@@ -272,48 +264,54 @@ def build_topology(config: dict) -> Topology:
     ids, exactly one cloud node, every non-cloud node in exactly one zone,
     disjoint zone prefixes, link endpoints that exist, level-3 nodes
     attached through some level-2 parent, and known roles, profiles and
-    link states.
+    link states.  scenario.check_scenario is the one caller.
     """
     graph = world(config)
     if not graph["nodes"]:
         raise ScenarioError("scenario defines no nodes")
 
-    nodes: dict[int, Node] = {}
+    roles: dict[int, Role] = {}
     for entry in graph["nodes"]:
         nid = entry["id"]
-        if nid in nodes:
+        if nid in roles:
             raise DuplicateNodeId(f"node id {nid} appears twice")
-        nodes[nid] = Node(nid, _member(Role, entry["role"], f"node {nid}: unknown role"))
+        try:
+            roles[nid] = Role(entry["role"])
+        except ValueError:
+            raise ScenarioError(f"node {nid}: unknown role {entry['role']!r}") from None
 
-    clouds = [n for n in nodes.values() if n.role is Role.CLOUD]
+    clouds = [nid for nid, role in roles.items() if role is Role.CLOUD]
     if len(clouds) != 1:
         raise ScenarioError(
             f"scenario must define exactly one cloud node, found {len(clouds)}"
         )
+    cloud_id = clouds[0]
 
     zones: dict[str, Zone] = {}
+    zone_of: dict[int, str] = {}
     for entry in graph["zones"]:
         zid, members, prefix = entry["id"], entry["nodes"], entry["prefix"]
         if zid in zones:
             raise ScenarioError(f"zone id {zid!r} appears twice")
         for nid in members:
-            if nid not in nodes:
+            if nid not in roles:
                 raise ScenarioError(f"zone {zid!r} lists unknown node {nid}")
-            if nodes[nid].role is Role.CLOUD:
+            if nid == cloud_id:
                 raise ScenarioError(f"cloud node {nid} cannot belong to a zone")
-            if nodes[nid].zone is not None:
+            if nid in zone_of:
                 raise ScenarioError(f"node {nid} belongs to more than one zone")
-            nodes[nid].zone = zid
+            zone_of[nid] = zid
         for other in zones.values():
             if _prefixes_overlap(prefix, other.prefix):
                 raise OverlappingPrefix(
                     f"zone {zid!r} prefix {prefix} overlaps {other.zone_id!r}"
                 )
-        zones[zid] = Zone(zone_id=zid, node_ids=members, prefix=prefix)
+        zones[zid] = Zone(zone_id=zid, node_ids=tuple(members), prefix=prefix)
 
-    for node in nodes.values():
-        if node.role is not Role.CLOUD and node.zone is None:
-            raise ScenarioError(f"node {node.node_id} belongs to no zone")
+    for nid in roles:
+        if nid != cloud_id and nid not in zone_of:
+            raise ScenarioError(f"node {nid} belongs to no zone")
+    nodes = {nid: Node(nid, role, zone_of.get(nid)) for nid, role in roles.items()}
 
     links: dict[str, Link] = {}
     for i, entry in enumerate(graph["links"]):
@@ -335,20 +333,36 @@ def build_topology(config: dict) -> Topology:
             lat = entry["latency_ms"]
         if bw is None:
             raise ScenarioError(f"link {link_id!r} needs a profile or bandwidth_kbps")
-        state = _member(LinkState, entry["state"], f"link {link_id!r}: unknown state")
-        links[link_id] = Link(link_id, a, b, bw, lat, state)
+        if entry["state"] not in ("up", "down"):
+            raise ScenarioError(f"link {link_id!r}: unknown state {entry['state']!r}")
+        links[link_id] = Link(link_id, a, b, bw, lat, entry["state"] == "up")
 
-    level2_ids = {n.node_id for n in nodes.values() if n.role is Role.LEVEL2}
-    has_level2_neighbour = set()
+    nbrs: dict[int, list[tuple[str, int]]] = {nid: [] for nid in nodes}
     for link in links.values():
-        if link.a in level2_ids:
-            has_level2_neighbour.add(link.b)
-        if link.b in level2_ids:
-            has_level2_neighbour.add(link.a)
-    for node in nodes.values():
-        if node.role is Role.LEVEL3 and node.node_id not in has_level2_neighbour:
-            raise ScenarioError(
-                f"level3 node {node.node_id} has no link to a level2 parent"
-            )
+        nbrs[link.a].append((link.link_id, link.b))
+        nbrs[link.b].append((link.link_id, link.a))
+    for nid, role in roles.items():
+        if role is Role.LEVEL3 and not any(
+            roles[far] is Role.LEVEL2 for _, far in nbrs[nid]
+        ):
+            raise ScenarioError(f"level3 node {nid} has no link to a level2 parent")
 
-    return Topology(nodes, zones, links)
+    community = tuple(sorted(nid for nid in nodes if nid != cloud_id))
+    by_id = [links[lid] for lid in sorted(links)]
+    outside = {zid: tuple(n for n in community if zone_of[n] != zid) for zid in zones}
+    role_pool = {
+        role: tuple(sorted(n.node_id for n in nodes.values() if n.role is role))
+        for role in Role
+    }
+    failure_pool = {
+        side: tuple(l for l in by_id if (cloud_id in (l.a, l.b)) == side)
+        for side in (True, False)
+    }
+    dest_pools = {
+        src: (tuple(n for n in zone.node_ids if n != src), outside[zid])
+        for zid, zone in zones.items()
+        for src in zone.node_ids
+    }
+    return Graph(
+        nodes, zones, links, cloud_id, community, nbrs, role_pool, failure_pool, dest_pools
+    )

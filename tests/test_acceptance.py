@@ -15,7 +15,7 @@ from greenlinks import cli
 from greenlinks.apps import Marketplace, Workload
 from greenlinks.errors import GreenLinksError
 from greenlinks.identity import ResolverRing, hash32, resolver_for
-from greenlinks.scenario import SECTIONS, generate_tree
+from greenlinks.scenario import SECTIONS, check_scenario, generate_tree
 from greenlinks.simcore import (
     Simulation,
     aggregate,
@@ -47,7 +47,8 @@ def test_criterion_01_availability_dominance():
     scenario["traffic"] = {}
     scenario["failures"] = {}
     t0 = time.perf_counter()
-    mc = aggregate([r.ledger for r in replicate(scenario, 100, 3600.0, base_seed=0)])
+    runs = replicate(check_scenario(scenario), 100, 3600.0, base_seed=0)
+    mc = aggregate([r.ledger for r in runs])
     elapsed = time.perf_counter() - t0
     pairs = [("vce", "cce"), ("vse", "cse"), ("vde", "cde")]
     dominated = all(mc.mean(v) < mc.mean(c) for v, c in pairs)
@@ -80,7 +81,7 @@ def test_criterion_02_scale_trend():
         scenario["traffic"] = {"attempts": {"call": n, "sms": n, "data": n}}
         scenario["failures"] = {}
         mc = aggregate(
-            [r.ledger for r in replicate(scenario, 40, 1800.0, base_seed=0)]
+            [r.ledger for r in replicate(check_scenario(scenario), 40, 1800.0, base_seed=0)]
         )
         means.append(mc.mean("vce"))
     ok = means[0] > means[1] > means[2]
@@ -110,10 +111,9 @@ WORKLOAD = {
 
 def run_workload(profile, *, priority=False, file_count=20, seed=11):
     scenario = generate_tree(1, 0, backhaul_profile=profile)
-    sim = Simulation(scenario, seed=seed, priority_queue=priority)
-    cfg = dict(WORKLOAD)
-    cfg["file_count"] = file_count
-    workload = Workload(sim, cfg)
+    scenario["workload"] = {**WORKLOAD, "file_count": file_count}
+    sim = Simulation(check_scenario(scenario), seed=seed, priority_queue=priority)
+    workload = Workload(sim)
     workload.schedule()
     sim.run(600.0)
     records = sim.local(workload.node).records
@@ -302,7 +302,7 @@ def test_criterion_08_resolver_oracle_equivalence():
 
 def run_fault_schedule(seed):
     rng = random.Random(seed)
-    sim = Simulation(generate_tree(1, 1), seed=seed)
+    sim = Simulation(check_scenario(generate_tree(1, 1)), seed=seed)
     sim.identity.issue_identity(1, "233200000001")
     sim.identity.issue_identity(2, "233200000002")
     servers = {1: sim.local(1), 2: sim.local(2)}
@@ -315,7 +315,7 @@ def run_fault_schedule(seed):
     sim.engine.on("act", lambda fn: fn())
 
     def flip(link, state):
-        sim.set_link(link, state)
+        sim.set_link(link, state == "up")
 
     def put(node, index):
         size = rng.randrange(1, 40000)

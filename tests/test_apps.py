@@ -28,7 +28,7 @@ from greenlinks.errors import (
     SoldOut,
     UnknownIdentity,
 )
-from greenlinks.scenario import generate_tree
+from greenlinks.scenario import check_scenario, generate_tree
 from greenlinks.simcore import Simulation, replicate
 from greenlinks.sync import CloudStore, Record, encode_sorted
 
@@ -100,7 +100,7 @@ def test_chunking_is_lossless_when_no_line_overflows(lines):
 
 @pytest.fixture
 def market_sim():
-    sim = Simulation(generate_tree(1, 1), seed=3)
+    sim = Simulation(check_scenario(generate_tree(1, 1)), seed=3)
     sim.identity.issue_identity(1, "233200000001", chosen_name="ama")
     sim.identity.issue_identity(2, "233200000002", chosen_name="kofi")
     market = Marketplace(sim.local(1), sim.identity)
@@ -142,7 +142,7 @@ def test_listing_validation(market_sim):
 
 @given(st.text())
 def test_an_item_is_one_token_with_no_whitespace(item):
-    sim = Simulation(generate_tree(1, 0), seed=3)
+    sim = Simulation(check_scenario(generate_tree(1, 0)), seed=3)
     sim.identity.issue_identity(1, "233200000001")
     market = Marketplace(sim.local(1), sim.identity)
     single_token = bool(item) and not any(c.isspace() for c in item)
@@ -173,14 +173,14 @@ def test_buy_closes_the_listing(market_sim):
 
 def test_sell_works_offline_buy_and_search_do_not(market_sim):
     sim, market = market_sim
-    sim.set_link("b0", "down")
+    sim.set_link("b0", False)
     listing, ack = market.sell("233200000001", "maize", 5, 1.0)
     assert ack.request_id  # acked despite the outage
     with pytest.raises(BackhaulDown):
         market.buy("233200000001", listing.listing_id)
     with pytest.raises(BackhaulDown):
         market.search("233200000001", "maize")
-    sim.set_link("b0", "up")
+    sim.set_link("b0", True)
     sim.engine.run_until(None)
     hits, _, _ = market.search("233200000001", "maize")
     assert [l.listing_id for l in hits] == [listing.listing_id]
@@ -205,7 +205,7 @@ def test_each_action_maps_to_one_primitive(market_sim):
 
 @pytest.fixture
 def voice_sim():
-    sim = Simulation(generate_tree(1, 1), seed=4)
+    sim = Simulation(check_scenario(generate_tree(1, 1)), seed=4)
     sim.identity.issue_identity(1, "233200000001")
     sim.identity.issue_identity(2, "233200000002")
     return sim
@@ -319,9 +319,17 @@ def small_workload_config():
     }
 
 
+def workload_sim(seed, **changes):
+    """A run of generate_tree(1, 0) with small_workload_config(), as
+    changed, for its workload section."""
+    scenario = generate_tree(1, 0)
+    scenario["workload"] = {**small_workload_config(), **changes}
+    return Simulation(check_scenario(scenario), seed=seed)
+
+
 def test_workload_issues_the_scripted_load():
-    sim = Simulation(generate_tree(1, 0), seed=8)
-    wl = Workload(sim, small_workload_config())
+    sim = workload_sim(8)
+    wl = Workload(sim)
     wl.schedule()
     sim.run(40.0)
     server = sim.local(wl.node)
@@ -338,8 +346,8 @@ def test_workload_issues_the_scripted_load():
 
 def test_workload_is_deterministic_per_seed():
     def trace(seed):
-        sim = Simulation(generate_tree(1, 0), seed=seed)
-        wl = Workload(sim, small_workload_config())
+        sim = workload_sim(seed)
+        wl = Workload(sim)
         wl.schedule()
         sim.run(40.0)
         server = sim.local(wl.node)
@@ -356,8 +364,8 @@ def test_workload_is_deterministic_per_seed():
 
 @pytest.mark.parametrize("file_bytes", [1, 5, 50000])
 def test_every_file_is_exactly_file_bytes(file_bytes):
-    sim = Simulation(generate_tree(1, 0), seed=8)
-    wl = Workload(sim, {**small_workload_config(), "file_bytes": file_bytes})
+    sim = workload_sim(8, file_bytes=file_bytes)
+    wl = Workload(sim)
     wl.schedule()
     sim.run(40.0)
     files = [r for r in sim.local(wl.node).records if r.app_type == "file"]
@@ -371,9 +379,10 @@ def test_memory_does_not_grow_with_the_files_queued():
 
     def peak(file_count):
         scenario["workload"]["file_count"] = file_count
+        loaded = check_scenario(scenario)
         tracemalloc.start()
         try:
-            next(replicate(scenario, 1, 1200.0, base_seed=3))
+            next(replicate(loaded, 1, 1200.0, base_seed=3))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -437,7 +446,7 @@ market_ops = st.lists(
             st.tuples(
                 st.just("flip"),
                 st.sampled_from(["b0", "z0n0"]),
-                st.sampled_from(["up", "down"]),
+                st.booleans(),
             ),
         ),
     ),
@@ -450,7 +459,7 @@ def run_market(ops, store):
     returns everything an outsider could see of the run.  The records
     held after each action are read again at the end, so a stored value
     changed in place later shows."""
-    sim = Simulation(generate_tree(1, 1), seed=11)
+    sim = Simulation(check_scenario(generate_tree(1, 1)), seed=11)
     sim.store = store
     store.register_handler("__msg__", sim.board.handler)
     markets = {}
@@ -484,7 +493,7 @@ def run_market(ops, store):
     for at, op in ops:
         sim.engine.schedule(at, "act", op=op)
     for link in ("b0", "z0n0"):
-        sim.engine.schedule(50.0, "act", op=("flip", link, "up"))
+        sim.engine.schedule(50.0, "act", op=("flip", link, True))
     sim.engine.run_until(None)
     rows = [r for node in sorted(sim.locals) for r in sim.locals[node].records]
     stored = [

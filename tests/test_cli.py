@@ -232,8 +232,9 @@ MALFORMED = [
     ("buy-period-0", "simulate", _set("workload.buy_period_s", 0)),
     ("file-bytes-0", "simulate", _set("workload.file_bytes", 0)),
     ("workload-on-missing-node", "simulate", _set("workload.node", 99)),
+    # Node ids are integers: node 1.0 ran as node "1.0".
+    ("workload-node-a-float", "simulate", _set("workload.node", 1.0)),
     ("load-rps-0", "idbench", _set("identity_bench.load_rps", 0)),
-    # The study ran the models before the bad one, then failed.
     ("idbench-model-unknown", "idbench", _set(
         "identity_bench.models",
         [{"model": "central", "servers": 1}, {"model": "ring", "servers": 2}],
@@ -282,6 +283,9 @@ MALFORMED = [
     ("traffic-without-level2", "simulate", _only(1, "traffic")),
     ("failures-without-links", "simulate", _only(2, "traffic", "failures")),
     ("workload-without-community-node", "simulate", _only(1, "workload")),
+    # The rules a section sets the graph hold for every subcommand too.
+    ("whitespace-traffic-without-level2", "whitespace", _only(1, "traffic")),
+    ("idbench-workload-on-cloud", "idbench", _set("workload.node", 0)),
     ("workload-items-empty", "simulate", _set("workload.items", [])),
     ("ngsm-user-count-0", "whitespace", _set("whitespace.ngsm.user_counts", [0])),
     # Nothing to iterate: each wrote a header-only CSV.
@@ -330,6 +334,8 @@ def test_malformed_scenarios_exit_2_without_traceback(
     assert cli.main([command, "--scenario", path, "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    # Rejected at load, which names the file.
+    assert path in captured.err
     # Rejected before any study ran.
     assert captured.out == "" and not out.exists()
 

@@ -26,7 +26,7 @@ from greenlinks.identity import (
     resolver_for,
 )
 from greenlinks.scenario import generate_tree
-from greenlinks.topology import build_topology
+from greenlinks.topology import Topology, build_topology
 
 
 # ------------------------------------------------------------------- hash
@@ -163,7 +163,7 @@ def test_find_answers_to_every_name():
 
 
 def service_on(cfg):
-    topo = build_topology(cfg)
+    topo = Topology(build_topology(cfg))
     return IdentityService(topo), topo
 
 
@@ -219,7 +219,7 @@ def test_lookup_external_and_not_found():
 def test_lookup_falls_back_when_zone_path_is_cut():
     svc, topo = service_on(generate_tree(1, 1))  # z0={1,2}
     svc.issue_identity(2, "1111")
-    topo.set_link_state("z0n0", "down")
+    topo.set_link_state("z0n0", False)
     # node 1 cannot see node 2's cache but still has the cloud
     hit = svc.lookup(1, "1111")
     assert hit.stage == "inter_zone"
@@ -230,12 +230,12 @@ def test_lookup_falls_back_when_zone_path_is_cut():
 
 def test_deferred_issuance_queues_and_replays():
     svc, topo = service_on(generate_tree(1, 0))
-    topo.set_link_state("b0", "down")
+    topo.set_link_state("b0", False)
     with pytest.raises(BackhaulDown):
         svc.issue_identity(1, "1234", chosen_name="ama")
     assert len(svc.pending) == 1
     assert svc.flush_pending() == 0  # still down
-    topo.set_link_state("b0", "up")
+    topo.set_link_state("b0", True)
     assert svc.flush_pending() == 1
     assert svc.pending == []
     assert svc.lookup(1, "ama").stage == "intra_zone"
@@ -279,9 +279,9 @@ def test_sync_is_free_while_down_and_idempotent():
     svc, topo = service_on(generate_tree(1, 0))
     svc.issue_identity(1, "1111")
     msgs = svc.counters["cloud_messages"]
-    topo.set_link_state("b0", "down")
+    topo.set_link_state("b0", False)
     assert svc.sync_node(1) == 0
-    topo.set_link_state("b0", "up")
+    topo.set_link_state("b0", True)
     assert svc.sync_node(1) == 0  # nothing stale: no message spent
     assert svc.counters["cloud_messages"] == msgs
 
@@ -313,9 +313,9 @@ def test_random_ops_keep_identity_invariants():
     addrs = [b.local_addr for b in reg.bindings.values()]
     assert len(set(addrs)) == len(addrs)
     for imsi, binding in reg.bindings.items():
-        node = topo.nodes[binding.node]
+        node = topo.graph.nodes[binding.node]
         assert node.zone == binding.zone
-        assert binding.local_addr.startswith(topo.zones[binding.zone].prefix + ".")
+        assert binding.local_addr.startswith(topo.graph.zones[binding.zone].prefix + ".")
     # every active cache entry mirrors a registry identity
     for nid in community:
         for entry in svc.caches[nid].entries():

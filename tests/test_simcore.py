@@ -7,7 +7,7 @@ import random
 import pytest
 
 from greenlinks.errors import ScenarioError
-from greenlinks.scenario import generate_tree
+from greenlinks.scenario import check_scenario, generate_tree
 from greenlinks.simcore import (
     METRICS,
     SERVICES,
@@ -22,7 +22,7 @@ from greenlinks.simcore import (
     interval_means,
     replicate,
 )
-from greenlinks.topology import Role, build_topology
+from greenlinks.topology import Role, Topology, build_topology
 
 
 # ------------------------------------------------------------------ engine
@@ -56,7 +56,7 @@ def test_engine_horizon_is_inclusive_and_resumable():
 
 
 def hand_trace():
-    topo = build_topology(generate_tree(1, 1))  # cloud 0, level2 1, level3 2
+    graph = build_topology(generate_tree(1, 1))  # cloud 0, level2 1, level3 2
     events = [
         ("attempt", 1.0, 1, 1, "call"),
         ("attempt", 2.0, 2, 1, "sms"),
@@ -73,13 +73,7 @@ def hand_trace():
         ("attempt", 39.0, 1, 2, "sms"),
         ("attempt", 40.0, 1, 1, "call"),  # boundary: clamps to the last bucket
     ]
-    return RunTrace(
-        topology=topo,
-        interval_s=10.0,
-        horizon=40.0,
-        initial_links={"b0": True, "z0n0": True},
-        events=events,
-    )
+    return RunTrace(graph=graph, interval_s=10.0, horizon=40.0, events=events)
 
 
 def test_dual_scoring_matches_the_hand_scored_trace():
@@ -106,11 +100,25 @@ def test_attempted_totals_are_conserved():
         assert 0 <= n <= attempted[service]
 
 
+def test_scoring_starts_from_the_links_initial_state():
+    cfg = generate_tree(1, 0)
+    cfg["links"][0]["state"] = "down"
+    events = [
+        ("attempt", 1.0, 1, 1, "call"),  # local call survives, cell drops
+        ("link", 2.0, "b0", "up"),
+        ("attempt", 3.0, 1, 1, "call"),
+    ]
+    trace = RunTrace(graph=build_topology(cfg), interval_s=10.0, horizon=10.0, events=events)
+    ledger = evaluate_dual(trace)
+    assert ledger.overall("vce") == 0.0
+    assert ledger.overall("cce") == pytest.approx(1 / 2)
+
+
 # A causality check that never consults the scorer: times must not go
 # backwards, link records must be real transitions, attempts must name
 # community nodes and land inside the horizon.
 def validate_trace(trace):
-    state = dict(trace.initial_links)
+    state = {lid: link.up for lid, link in trace.graph.links.items()}
     t_prev = 0.0
     for ev in trace.events:
         assert ev[1] >= t_prev - 1e-9
@@ -122,8 +130,8 @@ def validate_trace(trace):
         else:
             _, at, src, dst, service = ev
             assert service in SERVICES
-            assert src in trace.topology.nodes and dst in trace.topology.nodes
-            cloud = trace.topology.cloud_id
+            assert src in trace.graph.nodes and dst in trace.graph.nodes
+            cloud = trace.graph.cloud_id
             assert src != cloud and dst != cloud
             assert 0.0 <= at <= trace.horizon
 
@@ -133,7 +141,7 @@ def test_simulated_traces_pass_the_causality_check():
     scenario["traffic"] = {"interval_s": 60.0}
     scenario["failures"] = {"interval_s": 120.0, "outage_mean_s": 90.0}
     for seed in range(5):
-        result = Simulation(scenario, seed=seed).run(600.0)
+        result = Simulation(check_scenario(scenario), seed=seed).run(600.0)
         validate_trace(result.trace)
         assert result.ledger.containment_violations == 0
 
@@ -147,7 +155,7 @@ def test_interval_counts_match_the_traffic_section():
             "interval_s": interval,
             "attempts": {"call": 4, "sms": 2, "data": 0},
         }
-        result = Simulation(scenario, seed=1).run(horizon)
+        result = Simulation(check_scenario(scenario), seed=1).run(horizon)
         attempted, dropped = result.ledger.totals()
         assert attempted == {"call": 4 * n, "sms": 2 * n}
         assert dropped == {}  # nothing ever failed
@@ -159,13 +167,14 @@ def test_traffic_needs_a_finite_horizon():
     scenario = generate_tree(1, 0)
     scenario["traffic"] = {}
     with pytest.raises(ScenarioError):
-        Simulation(scenario, seed=0).run(None)
+        Simulation(check_scenario(scenario), seed=0).run(None)
 
 
 def test_runs_are_reproducible_per_seed():
     scenario = generate_tree(2, 2)
     scenario["traffic"] = {}
     scenario["failures"] = {}
+    scenario = check_scenario(scenario)
     a = Simulation(scenario, seed=42).run(900.0)
     b = Simulation(scenario, seed=42).run(900.0)
     assert a.trace.events == b.trace.events
@@ -190,7 +199,7 @@ class ReferenceDraws(Simulation):
 
     def nodes_by_role(self, role):
         return sorted(
-            n.node_id for n in self.topology.nodes.values() if n.role is role
+            n.node_id for n in self.graph.nodes.values() if n.role is role
         )
 
     def _on_traffic_interval(self, config):
@@ -210,10 +219,10 @@ class ReferenceDraws(Simulation):
                 self.engine.schedule(at, "attempt", src=src, dst=dst, service=service)
 
     def _failure_candidates(self, cloud_side):
-        cloud = self.topology.cloud_id
+        cloud = self.graph.cloud_id
         links = []
-        for lid in sorted(self.topology.links):
-            link = self.topology.links[lid]
+        for lid in sorted(self.graph.links):
+            link = self.graph.links[lid]
             touches_cloud = cloud in (link.a, link.b)
             if touches_cloud == cloud_side:
                 links.append(link)
@@ -223,14 +232,14 @@ class ReferenceDraws(Simulation):
         roll = rng.random()
         if roll < mix["local"]:
             return src
-        zone = self.topology.nodes[src].zone
-        mates = [n for n in self.topology.zones[zone].node_ids if n != src]
+        zone = self.graph.nodes[src].zone
+        mates = [n for n in self.graph.zones[zone].node_ids if n != src]
         if roll < mix["local"] + mix["zone"] and mates:
             return mates[rng.randrange(len(mates))]
         outside = [
             n
             for n in sorted(self.identity.caches)
-            if self.topology.nodes[n].zone != zone
+            if self.graph.nodes[n].zone != zone
         ]
         if outside:
             return outside[rng.randrange(len(outside))]
@@ -296,7 +305,7 @@ def islanded_cloud():
     ids=["tree", "single_zone", "single_node", "lone_gateway", "islanded_cloud"],
 )
 def test_pooled_draws_match_the_filtering_reference(build):
-    scenario = with_draws(build())
+    scenario = check_scenario(with_draws(build()))
     for seed in range(4):
         pooled = Simulation(scenario, seed=seed)
         reference = ReferenceDraws(scenario, seed=seed)
@@ -316,7 +325,7 @@ def test_choose_draws_what_random_choice_draws(seed):
 
 
 def test_attempts_off_the_heap_keep_the_heap_order_of_ties():
-    scenario = with_draws(generate_tree(3, 2))
+    scenario = check_scenario(with_draws(generate_tree(3, 2)))
     pooled = Simulation(scenario, seed=0)
     reference = ReferenceDraws(scenario, seed=0)
     for sim in (pooled, reference):
@@ -334,7 +343,7 @@ def test_attempts_off_the_heap_keep_the_heap_order_of_ties():
 
 
 def test_uplink_reports_bottleneck_rate_and_summed_latency():
-    topo = build_topology(generate_tree(1, 1, backhaul_profile="edge"))
+    topo = Topology(build_topology(generate_tree(1, 1, backhaul_profile="edge")))
     rate, latency = topo.cloud_route(2)
     assert rate == 25000.0  # edge bottleneck: 200 kbps in bytes/s
     assert latency == pytest.approx(0.4)
@@ -342,10 +351,10 @@ def test_uplink_reports_bottleneck_rate_and_summed_latency():
     assert rate == 25000.0
     assert latency == pytest.approx(0.3)
 
-    topo.set_link_state("z0n0", "down")
+    topo.set_link_state("z0n0", False)
     assert topo.cloud_route(2) is None
     assert topo.cloud_route(1) is not None
-    topo.set_link_state("z0n0", "up")
+    topo.set_link_state("z0n0", True)
     assert topo.cloud_route(2)[1] == pytest.approx(0.4)
 
 
@@ -353,8 +362,7 @@ def test_uplink_reports_bottleneck_rate_and_summed_latency():
 
 
 def test_outage_replay_applies_and_delivers_once():
-    scenario = generate_tree(1, 1)
-    sim = Simulation(scenario, seed=5)
+    sim = Simulation(check_scenario(generate_tree(1, 1)), seed=5)
     sim.identity.issue_identity(1, "1000")
     sim.identity.issue_identity(2, "2000")
     server = sim.local(1)
@@ -362,7 +370,7 @@ def test_outage_replay_applies_and_delivers_once():
 
     server.slowput("kv", b"alpha", key="a")
     sim.poke(1)
-    sim.set_link("b0", "down")
+    sim.set_link("b0", False)
     server.slowput("kv", b"beta", key="b")  # parked during outage
     server.store_and_forward("1000", "2000", b"hello there")
     sim.poke(1)
@@ -390,6 +398,7 @@ def test_monte_carlo_runs_and_reseeds_independently():
     scenario = generate_tree(2, 1)
     scenario["traffic"] = {"interval_s": 60.0}
     scenario["failures"] = {"interval_s": 150.0, "outage_mean_s": 120.0}
+    scenario = check_scenario(scenario)
 
     def summary(base_seed):
         runs = replicate(scenario, 3, 600.0, base_seed=base_seed)
@@ -404,9 +413,31 @@ def test_monte_carlo_runs_and_reseeds_independently():
     assert mc.containment_violations == 0
 
 
+def test_runs_do_not_leak_into_the_shared_world():
+    # Runs share one loaded scenario: its sections and its graph.
+    raw = generate_tree(2, 1)
+    raw["traffic"] = {"interval_s": 60.0}
+    raw["failures"] = {"interval_s": 60.0, "outage_mean_s": 90.0}
+    raw["workload"] = {"sellers": 2, "buyers": 2, "until_s": 300.0, "file_count": 2}
+    loaded = check_scenario(raw)
+
+    def run(scenario, seed):
+        result = next(replicate(scenario, 1, 600.0, base_seed=seed))
+        return result.trace.events, result.ledger, result.latency
+
+    first, _, again = (run(loaded, seed) for seed in (5, 3, 5))
+    fresh = run(check_scenario(raw), 5)
+    assert first == fresh and again == fresh
+    events, _, latency = fresh
+    assert any(ev[0] == "link" for ev in events) and latency
+    assert loaded == check_scenario(raw)
+    assert all(link.up for link in loaded["graph"].links.values())
+    assert loaded["workload"]["node"] == 1
+
+
 def test_monte_carlo_needs_traffic():
     # Without a traffic section a run scores no attempt: it has no ledger.
-    runs = list(replicate(generate_tree(1, 0), 1, 60.0))
+    runs = list(replicate(check_scenario(generate_tree(1, 0)), 1, 60.0))
     assert [r.ledger for r in runs] == [None]
 
 

@@ -14,7 +14,7 @@ from greenlinks.errors import (
     UnknownLink,
 )
 from greenlinks.scenario import generate_tree
-from greenlinks.topology import BYTES_PER_KBPS, Role, build_topology
+from greenlinks.topology import BYTES_PER_KBPS, Role, Topology, build_topology
 
 
 def diamond():
@@ -36,21 +36,22 @@ def diamond():
     }
 
 
-def live(topo):
-    """The live link state, as components() takes it."""
-    return {lid: link.up for lid, link in topo.links.items()}
+def view(cfg):
+    """One run's view of cfg's graph, all links in their initial state."""
+    return Topology(build_topology(cfg))
 
 
 # Independent reachability oracle: boolean Floyd-Warshall closure over the
 # live links (or over an explicit link-id -> up map), nothing shared with
 # the graph search in the implementation.
 def closure(topo, up=None):
-    ids = sorted(topo.nodes)
+    up = topo.up if up is None else up
+    ids = sorted(topo.graph.nodes)
     idx = {n: i for i, n in enumerate(ids)}
     n = len(ids)
     reach = [[i == j for j in range(n)] for i in range(n)]
-    for link in topo.links.values():
-        if link.up if up is None else up[link.link_id]:
+    for link in topo.graph.links.values():
+        if up[link.link_id]:
             reach[idx[link.a]][idx[link.b]] = True
             reach[idx[link.b]][idx[link.a]] = True
     for k in range(n):
@@ -138,9 +139,10 @@ def test_explicit_bandwidth_and_latency_override_the_profile():
     cfg = generate_tree(1, 1, backhaul_profile="edge")
     cfg["links"][0]["bandwidth_kbps"] = 500
     cfg["links"][1]["latency_ms"] = 0
-    topo = build_topology(cfg)
-    assert topo.path_metrics([topo.links["b0"]]) == (500, 0.3)  # edge latency
-    assert topo.path_metrics([topo.links["z0n0"]]) == (2000.0, 0.0)  # hsdpa rate
+    topo = view(cfg)
+    links = topo.graph.links
+    assert topo.path_metrics([links["b0"]]) == (500, 0.3)  # edge latency
+    assert topo.path_metrics([links["z0n0"]]) == (2000.0, 0.0)  # hsdpa rate
     del cfg["links"][0]["profile"]
     assert build_topology(cfg).links["b0"].latency_ms == 0.0
     del cfg["links"][0]["bandwidth_kbps"]
@@ -198,11 +200,11 @@ def test_prefix_disjointness_matches_string_oracle(p, q):
 
 
 def test_shortest_hop_path_and_metrics():
-    topo = build_topology(diamond())
+    topo = view(diamond())
     path = topo.path(1, 3)
     assert [l.link_id for l in path] == ["zc"]
     assert topo.path_metrics(path) == (300.0, 0.010)
-    topo.set_link_state("zc", "down")
+    topo.set_link_state("zc", False)
     path = topo.path(1, 3)
     assert [l.link_id for l in path] == ["za", "zb"]
     bw, lat = topo.path_metrics(path)
@@ -210,12 +212,25 @@ def test_shortest_hop_path_and_metrics():
     assert topo.path_metrics([]) == (float("inf"), 0.0)
 
 
+def test_a_link_can_start_down_and_runs_do_not_move_it():
+    cfg = generate_tree(1, 1)
+    cfg["links"][0]["state"] = "down"
+    topo = view(cfg)
+    assert topo.up == {"b0": False, "z0n0": True}
+    assert topo.cloud_route(1) is None
+    topo.set_link_state("b0", True)
+    assert topo.cloud_route(2) is not None
+    # The shared graph keeps the initial state for the next run.
+    assert topo.graph.links["b0"].up is False
+    assert Topology(topo.graph).up["b0"] is False
+
+
 def test_within_zone_excludes_detours_through_the_cloud():
     cfg = generate_tree(2, 1)  # zones z0={1,2}, z1={3,4}
-    topo = build_topology(cfg)
+    topo = view(cfg)
     assert topo.reachable(1, 3)  # via the cloud
     assert not topo.reachable(1, 3, within_zone="z0")
-    topo.set_link_state("z0n0", "down")
+    topo.set_link_state("z0n0", False)
     # the tree has no second route into node 2
     assert topo.path(1, 2, within_zone="z0") is None
     assert topo.path(1, 2) is None
@@ -225,28 +240,29 @@ def test_parallel_backhauls_fail_over():
     # Two plain links between the same pair are a redundant backhaul.
     cfg = generate_tree(1, 0, backhaul_profile="edge")
     cfg["links"].append({"id": "b0x", "a": 0, "b": 1, "profile": "hsdpa"})
-    topo = build_topology(cfg)
+    topo = view(cfg)
     assert [l.link_id for l in topo.path(1, 0)] == ["b0"]
-    topo.set_link_state("b0", "down")
+    topo.set_link_state("b0", False)
     assert [l.link_id for l in topo.path(1, 0)] == ["b0x"]
-    comp = topo.components(live(topo))
+    comp = topo.graph.components(topo.up)
     assert comp[0] == comp[1]
-    topo.set_link_state("b0x", "down")
+    topo.set_link_state("b0x", False)
     assert topo.path(1, 0) is None
-    comp = topo.components(live(topo))
+    comp = topo.graph.components(topo.up)
     assert comp[0] != comp[1]
 
 
 def test_reachability_matches_closure_oracle_under_random_outages():
-    topo = build_topology(generate_tree(3, 2))
+    topo = view(generate_tree(3, 2))
+    graph = topo.graph
     rng = random.Random(7)
-    link_ids = sorted(topo.links)
+    link_ids = sorted(graph.links)
     for _ in range(60):
         # About half of these leave the link as it was: no-op transitions.
         for lid in link_ids:
-            topo.set_link_state(lid, "up" if rng.random() < 0.6 else "down")
+            topo.set_link_state(lid, rng.random() < 0.6)
         ids, idx, reach = closure(topo)
-        comp = topo.components(live(topo))
+        comp = graph.components(topo.up)
         for a in ids:
             for b in ids:
                 expect = reach[idx[a]][idx[b]]
@@ -257,28 +273,28 @@ def test_reachability_matches_closure_oracle_under_random_outages():
         # keeps them.
         routes = {a: topo.cloud_route(a) for a in ids}
         for a in ids:
-            path = topo.path(a, topo.cloud_id)
+            path = topo.path(a, graph.cloud_id)
             if path is None:
                 assert routes[a] is None
             else:
                 kbps, latency = topo.path_metrics(path)
                 assert routes[a] == (kbps * BYTES_PER_KBPS, latency)
-            assert (routes[a] is not None) is reach[idx[a]][idx[topo.cloud_id]]
+            assert (routes[a] is not None) is reach[idx[a]][idx[graph.cloud_id]]
         lid = rng.choice(link_ids)
-        topo.set_link_state(lid, topo.links[lid].state)
+        topo.set_link_state(lid, topo.up[lid])
         assert all(topo.cloud_route(a) is routes[a] for a in ids)
         # A replayed state that differs from the live one: the labels
         # must follow the map alone.
         up = {lid: rng.random() < 0.6 for lid in link_ids}
         flip = rng.choice(link_ids)
-        up[flip] = not topo.links[flip].up
+        up[flip] = not topo.up[flip]
         _, _, replayed = closure(topo, up)
-        comp = topo.components(up)
+        comp = graph.components(up)
         for a in ids:
             for b in ids:
                 assert (comp[a] == comp[b]) is replayed[idx[a]][idx[b]]
     with pytest.raises(UnknownLink):
-        topo.set_link_state("nope", "down")
+        topo.set_link_state("nope", False)
 
 
 def blocks(label):
@@ -298,17 +314,17 @@ def test_incremental_relabel_matches_a_full_labelling(data):
     # Extra links close cycles, or run parallel to a tree link.
     for i, (a, b) in enumerate(data.draw(st.lists(pairs, max_size=6))):
         cfg["links"].append({"id": f"x{i}", "a": a, "b": b, "profile": "hsdpa"})
-    topo = build_topology(cfg)
-    link_ids = sorted(topo.links)
+    graph = build_topology(cfg)
+    link_ids = sorted(graph.links)
     up = {lid: data.draw(st.booleans()) for lid in link_ids}
-    label = topo.components(up)
+    label = graph.components(up)
     fresh = len(label)
     for lid in data.draw(st.lists(st.sampled_from(link_ids), max_size=30)):
         was_up = up[lid]
-        topo.relabel(label, up, lid, fresh)
+        graph.relabel(label, up, lid, fresh)
         fresh += 1
         assert up[lid] is not was_up
-        assert blocks(label) == blocks(topo.components(up))
+        assert blocks(label) == blocks(graph.components(up))
 
 
 # ---------------------------------------------------------------- generator
@@ -316,18 +332,18 @@ def test_incremental_relabel_matches_a_full_labelling(data):
 
 def test_tree_generator_shape():
     cfg = generate_tree(3, 2)
-    topo = build_topology(cfg)
-    assert len(topo.nodes) == 10
-    assert len(topo.links) == 9
-    assert len(topo.zones) == 3
-    roles = [n.role for n in topo.nodes.values()]
+    graph = build_topology(cfg)
+    assert len(graph.nodes) == 10
+    assert len(graph.links) == 9
+    assert len(graph.zones) == 3
+    roles = [n.role for n in graph.nodes.values()]
     assert roles.count(Role.CLOUD) == 1
     assert roles.count(Role.LEVEL2) == 3
     assert roles.count(Role.LEVEL3) == 6
-    for zone in topo.zones.values():
+    for zone in graph.zones.values():
         # the zone's first node is its level2 node and carries the backhaul
         head = zone.node_ids[0]
-        assert topo.nodes[head].role is Role.LEVEL2
-        assert topo.links[f"b{zone.zone_id[1:]}"].b == head
+        assert graph.nodes[head].role is Role.LEVEL2
+        assert graph.links[f"b{zone.zone_id[1:]}"].b == head
     with pytest.raises(ScenarioError):
         generate_tree(0, 1)
