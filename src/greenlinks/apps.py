@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
+    GreenLinksError,
     InvalidListing,
     InvalidTrace,
     ListingNotFound,
@@ -400,11 +401,8 @@ class Workload:
         price = round(rng.uniform(0.5, 20.0), 2)
         listing, _ack = self.market.sell(seller, item, qty, price)
         self.listings.append(listing.listing_id)
-        self.sim.poke(self.node)
 
     def _on_buy(self, buyer: str) -> None:
-        from .errors import GreenLinksError
-
         rng = self.sim.engine.rng
         if not self.listings:
             return
@@ -416,4 +414,3 @@ class Workload:
 
     def _on_file(self, index: int) -> None:
         self.local.slowput("file", self._file_body, key=f"file-{index}")
-        self.sim.poke(self.node)

@@ -283,21 +283,10 @@ def cmd_idbench(args) -> int:
             sample_rows.append(
                 (bench.model, bench.servers, i, sample.arrival, sample.server, sample.sojourn)
             )
-        sojourns = bench.sojourns()
-        summary_rows.append(
-            (
-                bench.model,
-                bench.servers,
-                len(sojourns),
-                bench.quantile(0.5),
-                bench.quantile(0.95),
-                bench.mean(),
-            )
-        )
-        print(
-            f"{bench.model}/{bench.servers}: n={len(sojourns)} "
-            f"p50={bench.quantile(0.5):.6g}s p95={bench.quantile(0.95):.6g}s"
-        )
+        n = len(bench.samples)
+        p50, p95 = bench.quantile(0.5), bench.quantile(0.95)
+        summary_rows.append((bench.model, bench.servers, n, p50, p95, bench.mean()))
+        print(f"{bench.model}/{bench.servers}: n={n} p50={p50:.6g}s p95={p95:.6g}s")
     outdir = out_dir(args)
     write_csv(
         outdir / "idbench_samples.csv",
@@ -320,7 +309,11 @@ def cmd_apps(args) -> int:
     scenario = loaded_scenario(args, generate_tree(1, 0))
     seed = resolve_seed(args)
     sim = Simulation(scenario, seed=seed)
+    if not sim.graph.community:
+        raise ScenarioError("apps needs a community node")
     node = sim.graph.community[0]
+    if sim.topology.cloud_route(node) is None:
+        raise ScenarioError(f"apps: community node {node} has no route to the cloud")
     local = sim.local(node)
     market = apps_mod.Marketplace(local, sim.identity)
     me = "233299990000"
@@ -332,7 +325,6 @@ def cmd_apps(args) -> int:
         imsi = f"23329000000{i:02d}"
         sim.identity.issue_identity(node, imsi)
         market.sell(imsi, item, qty, price)
-    sim.poke(node)
     sim.engine.run_until(None)
 
     try:
@@ -340,7 +332,6 @@ def cmd_apps(args) -> int:
             listing, ack = market.sell(
                 me, command["item"], command["qty"], command["price"]
             )
-            sim.poke(node)
             sim.engine.run_until(None)
             receipt = next(
                 r for r in local.records if r.request_id == ack.request_id

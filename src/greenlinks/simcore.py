@@ -307,6 +307,7 @@ class Simulation:
                 self.engine.clock,
                 fastget_timeout_s=self.scenario["sync"]["fastget_timeout_s"],
                 service_time=self._service_time,
+                wake=functools.partial(self.poke, node_id),
                 board=self.board,
                 resolve_local=resolve_local,
                 priority_mode=self.priority_queue,
@@ -319,7 +320,9 @@ class Simulation:
 
     def poke(self, node_id: int) -> None:
         """Re-drain a node's lazy queue and reschedule its completion
-        wake-up.  Call after enqueuing work or changing link state."""
+        wake-up.  It runs as the node's LocalServer wake() when an
+        enqueue finds the queue idle, after every link transition
+        (set_link) and at each predicted completion (_on_queue_eta)."""
         server = self.locals[node_id]
         completions = server.advance(self.engine.now)
         self._after_completions(completions)

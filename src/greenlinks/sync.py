@@ -33,8 +33,12 @@ it with a new one.
 Transmission is modeled as a fluid queue: the head request drains at the
 uplink's byte rate, completions land mid-interval at exact times, and a
 partially sent payload survives an outage and resumes afterwards.  The
-owner must call advance() at every uplink up/down or rate transition so
-that each accounting window has one constant rate.
+owner must call advance() at every uplink up/down or rate transition,
+so that each accounting window has one constant rate, and at each head
+completion that eta() predicts.  An enqueue asks nothing of its caller:
+one that finds the queue idle calls the owner's wake(), and any other
+joins a queue already waiting on a predicted completion or on a rate
+transition.
 
 store_and_forward wraps slowput into a mailbox envelope for asynchronous
 user-to-user messages; delivery happens when the destination node syncs.
@@ -126,15 +130,14 @@ class LazyQueue:
         # has a single class, so both indexes name the same deque.
         self._classes = (deque(), deque()) if priority_mode else (deque(),)
         self.in_flight: SyncRequest | None = None
-        self._first_enqueued_at: float | None = None
-        self._cursor: float | None = None
+        # Accounting starts at the start of the simulation; the line
+        # sits idle until the first request arrives.
+        self._cursor = 0.0
 
     def __len__(self) -> int:
         return sum(map(len, self._classes)) + (1 if self.in_flight else 0)
 
     def enqueue(self, req: SyncRequest) -> None:
-        if self._first_enqueued_at is None:
-            self._first_enqueued_at = req.enqueued_at
         self._classes[0 if req.size <= SMS_PRIORITY_MAX_BYTES else -1].append(req)
 
     def _head(self) -> SyncRequest | None:
@@ -157,12 +160,6 @@ class LazyQueue:
         constant over the window (0 while the uplink is down); callers
         re-advance at every transition.
         """
-        if self._cursor is None:
-            # Accounting starts when the first request existed, not when
-            # the owner first bothered to call advance.
-            self._cursor = now
-            if self._first_enqueued_at is not None:
-                self._cursor = min(now, self._first_enqueued_at)
         start = self._cursor
         if now < start:
             now = start
@@ -328,7 +325,9 @@ class LocalServer:
     is down; each operation reads it once.  ``clock`` returns sim time;
     ``fastget_timeout_s`` is the fastget deadline; ``service_time`` draws
     the cloud's processing time for one request (inject the engine's
-    seeded stream for jitter); ``board`` is the cloud mailbox and
+    seeded stream for jitter); ``wake()`` is called when an enqueue finds
+    the lazy queue idle, so the owner drains it (advance, then eta) and
+    no caller has to; ``board`` is the cloud mailbox and
     ``resolve_local`` maps a message destination to this node's id when
     it is homed here, else None.
     """
@@ -342,6 +341,7 @@ class LocalServer:
         *,
         fastget_timeout_s: float,
         service_time,
+        wake,
         board: MessageBoard,
         resolve_local,
         priority_mode: bool = False,
@@ -352,6 +352,7 @@ class LocalServer:
         self.clock = clock
         self.fastget_timeout_s = fastget_timeout_s
         self.service_time = service_time
+        self.wake = wake
         self.board = board
         self.resolve_local = resolve_local
         self.queue = LazyQueue(priority_mode=priority_mode)
@@ -371,6 +372,11 @@ class LocalServer:
 
     # ------------------------------------------------------------- write
 
+    def _enqueue(self, req: SyncRequest) -> None:
+        self.queue.enqueue(req)
+        if len(self.queue) == 1:
+            self.wake()
+
     def slowput(self, app_type: str, value, key: str | None = None) -> Ack:
         """Queue a durable write of ``value`` and ack immediately,
         backhaul or not."""
@@ -387,7 +393,7 @@ class LocalServer:
             klass="slowput",
             enqueued_at=now,
         )
-        self.queue.enqueue(req)
+        self._enqueue(req)
         self.counters["slowput"] += 1
         return Ack(request_id=req.request_id, enqueued_at=now)
 
@@ -537,5 +543,5 @@ class LocalServer:
             klass="message",
             enqueued_at=now,
         )
-        self.queue.enqueue(req)
+        self._enqueue(req)
         return message_id

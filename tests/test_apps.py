@@ -374,6 +374,28 @@ def test_every_file_is_exactly_file_bytes(file_bytes):
     assert [len(rec.value) for rec in stored] == [file_bytes, file_bytes]
 
 
+@pytest.mark.parametrize("priority_queue", [False, True])
+def test_every_queue_wake_up_completes_a_write(priority_queue):
+    # A failure-free edge run: an enqueue wakes only an idle queue, so
+    # each completion-time dispatch is current and lands one slowput.
+    scenario = generate_tree(1, 0, backhaul_profile="edge")
+    scenario["workload"] = {"file_count": 3, "file_bytes": 20000}
+    sim = Simulation(check_scenario(scenario), seed=3, priority_queue=priority_queue)
+    dispatch = sim.engine.handlers["queue_eta"]
+    current = []
+
+    def counted(node, gen):
+        current.append(gen == sim._queue_gen[node])
+        dispatch(node=node, gen=gen)
+
+    sim.engine.on("queue_eta", counted)
+    Workload(sim).schedule(300.0)
+    rows = [r for r in sim.run(300.0).latency if r.klass == "slowput"]
+    assert len(rows) == 123  # 4 sellers x 30 rounds, plus 3 files
+    assert len(current) == len(rows)
+    assert all(current)
+
+
 def test_memory_does_not_grow_with_the_files_queued():
     scenario = json.loads((SCENARIOS / "market_edge.json").read_text())
 

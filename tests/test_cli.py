@@ -602,6 +602,25 @@ def test_apps_reports_domain_errors_without_failing(capsys):
     assert "no listings for nothing" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        {"nodes": [{"id": 0, "role": "cloud"}]},
+        {
+            "nodes": [{"id": 0, "role": "cloud"}, {"id": 1, "role": "level2"}],
+            "zones": [{"id": "z0", "nodes": [1], "prefix": "10.0"}],
+        },
+    ],
+    ids=["no-community-node", "site-cut-off"],
+)
+def test_apps_on_a_scenario_it_cannot_serve_exits_2(tmp_path, capsys, scenario):
+    path = write_scenario(tmp_path, "apps.json", scenario)
+    assert cli.main(["apps", "--scenario", path, "SEARCH maize"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_apps_grammar_errors_exit_2(capsys):
     assert cli.main(["apps", "LEND maize"]) == 2
     assert "error:" in capsys.readouterr().err

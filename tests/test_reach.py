@@ -27,6 +27,12 @@ APPS = [
     ["apps", "SEARCH maize"],
     ["apps", "BUY L1-1"],
     ["apps", "SELL maize 3 2.0"],
+    [
+        "apps",
+        "--scenario",
+        str(Path(__file__).resolve().parents[1] / "scenarios" / "market_edge.json"),
+        "SEARCH maize",
+    ],
 ]
 
 # Kept without a study, each for a reason.
@@ -58,8 +64,6 @@ ALLOWED = {
     "identity._looks_external",
     "identity.EgressAllocator.allocate",
     "identity.IdentityCache.drop",
-    # The benchmark reads the queue depth through it.
-    "sync.LazyQueue.__len__",
     # The store's exactly-once invariant, which the sync and acceptance
     # tests assert after faulty runs.
     "sync.CloudStore.applied_once",

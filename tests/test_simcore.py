@@ -361,6 +361,26 @@ def test_uplink_reports_bottleneck_rate_and_summed_latency():
 # ----------------------------------------------------- exactly-once smoke
 
 
+def test_a_write_made_without_a_poke_is_delivered():
+    sim = Simulation(check_scenario(generate_tree(1, 0)), seed=5)
+    server = sim.local(1)
+
+    def write():
+        server.slowput("kv", b"alpha", key="a")
+        server.store_and_forward("1000", "2000", b"hello there")
+
+    sim.engine.on("write", write)
+    sim.engine.schedule(5.0, "write")
+    sim.run(None)
+    assert len(server.queue) == 0
+    assert [(r.klass, r.enqueued_at) for r in server.records] == [
+        ("slowput", 5.0),
+        ("message", 5.0),
+    ]
+    assert all(r.delivered_at > 5.0 for r in server.records)
+    assert sim.store.get("kv", "a").value == b"alpha"
+
+
 def test_outage_replay_applies_and_delivers_once():
     sim = Simulation(check_scenario(generate_tree(1, 1)), seed=5)
     sim.identity.issue_identity(1, "1000")

@@ -52,6 +52,7 @@ def edge_server(**kw):
         clock,
         fastget_timeout_s=30.0,
         service_time=kw.pop("service_time", lambda: 0.01),
+        wake=lambda: None,
         board=kw.pop("board", MessageBoard()),
         resolve_local=kw.pop("resolve_local", lambda name: None),
         **kw,
@@ -355,6 +356,7 @@ def test_fastget_deadline_is_inclusive():
             Clock(),
             fastget_timeout_s=3.0,
             service_time=lambda: service_s,
+            wake=lambda: None,
             board=MessageBoard(),
             resolve_local=lambda name: None,
         )
