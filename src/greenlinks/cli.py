@@ -54,17 +54,13 @@ DEFAULT_HORIZON = 3600.0
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
-    """Floats as 6 significant digits, None as an empty cell, the rest
-    through str()."""
+    """Floats as 6 significant digits; csv.writer writes None as an empty
+    cell and the rest through str()."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(
-            [
-                f"{c:.6g}" if isinstance(c, float) else "" if c is None else str(c)
-                for c in row
-            ]
-            for row in rows
+            [f"{c:.6g}" if isinstance(c, float) else c for c in row] for row in rows
         )
 
 
@@ -267,26 +263,27 @@ def cmd_whitespace(args) -> int:
 def cmd_idbench(args) -> int:
     cfg = loaded_scenario(args, {})["identity_bench"]
     seed = resolve_seed(args)
-    sample_rows = []
+    benches = identity_latency_bench(
+        [(spec["model"], spec["servers"]) for spec in cfg["models"]],
+        cfg["load_rps"],
+        duration_s=cfg["duration_s"],
+        service_s=cfg["service_s"],
+        latency_s=cfg["latency_s"],
+        seed=seed,
+    )
     summary_rows = []
-    for spec in cfg["models"]:
-        bench = identity_latency_bench(
-            spec["model"],
-            spec["servers"],
-            cfg["load_rps"],
-            duration_s=cfg["duration_s"],
-            service_s=cfg["service_s"],
-            latency_s=cfg["latency_s"],
-            seed=seed,
-        )
-        for i, sample in enumerate(bench.samples):
-            sample_rows.append(
-                (bench.model, bench.servers, i, sample.arrival, sample.server, sample.sojourn)
-            )
-        n = len(bench.samples)
+    for bench in benches:
+        n = len(bench.sojourns)
         p50, p95 = bench.quantile(0.5), bench.quantile(0.95)
         summary_rows.append((bench.model, bench.servers, n, p50, p95, bench.mean()))
         print(f"{bench.model}/{bench.servers}: n={n} p50={p50:.6g}s p95={p95:.6g}s")
+    sample_rows = (
+        (bench.model, bench.servers, i, arrival, server, sojourn)
+        for bench in benches
+        for i, (arrival, server, sojourn) in enumerate(
+            zip(bench.arrivals, bench.routed, bench.sojourns)
+        )
+    )
     outdir = out_dir(args)
     write_csv(
         outdir / "idbench_samples.csv",

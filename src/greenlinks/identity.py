@@ -130,15 +130,15 @@ class ResolverRing:
         return hashes, owners
 
 
-def resolver_for(ring: ResolverRing, value: UserIdentity | str) -> int:
-    """Ring member responsible for value; see the module docstring."""
+def resolver_for(ring: ResolverRing, key_hash: int) -> int:
+    """Ring member responsible for the key whose hash32 with the ring's
+    seed is ``key_hash``; see the module docstring."""
     if not ring.members:
         raise EmptyRing("resolver ring has no members")
-    key = value.imsi if isinstance(value, UserIdentity) else str(value)
     hashes, owners = ring.points
     # The nearest point at or below the key; index -1 wraps to the
     # largest point when the key lies below every point.
-    return owners[bisect_right(hashes, hash32(key, ring.seed)) - 1]
+    return owners[bisect_right(hashes, key_hash) - 1]
 
 
 # External numbers the egress gateway can hand out.

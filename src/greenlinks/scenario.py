@@ -193,6 +193,11 @@ def section(name: str, override: dict | None = None) -> dict:
                 raise ScenarioError(
                     f"identity_bench.models[{i}]: unknown model {spec['model']!r}"
                 )
+            if spec["model"] == "central" and spec["servers"] != 1:
+                raise ScenarioError(
+                    f"identity_bench.models[{i}]: central has one directory "
+                    f"server, not {spec['servers']}"
+                )
     return out
 
 

@@ -29,6 +29,12 @@ virtual operator also completes (src-cloud plus cloud-dst is itself a
 source-destination path), so per-attempt failure containment holds by
 construction; the evaluator still counts violations rather than assuming
 them away.
+
+The identity bench, identity_latency_bench(), is no Simulation: it
+draws one Poisson stream of lookups, hashes each IMSI once, and replays
+that stream through the FIFO servers of every (model, servers) spec it
+is given, so the models differ only in routing (common random numbers).
+Its results are columns that share one arrivals list.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ import statistics
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
+from . import identity
 from .apps import Workload
 from .errors import ScenarioError
 from .identity import IdentityService, ResolverRing, resolver_for
@@ -580,71 +587,80 @@ def aggregate(ledgers: list[MetricsLedger]) -> MonteCarloResult:
 
 
 @dataclass
-class BenchSample:
-    arrival: float
-    server: int
-    sojourn: float
-
-
-@dataclass
 class BenchResult:
+    """One model's lookups as columns: ``arrivals`` is the stream every
+    model of the bench shares (the same list object), ``routed`` and
+    ``sojourns`` are this model's server and sojourn per arrival."""
+
     model: str
     servers: int
-    samples: list[BenchSample]
-
-    def sojourns(self) -> list[float]:
-        return [s.sojourn for s in self.samples]
+    arrivals: list[float]
+    routed: list[int]
+    sojourns: list[float]
 
     def mean(self) -> float:
-        vals = self.sojourns()
-        return statistics.fmean(vals) if vals else 0.0
+        return statistics.fmean(self.sojourns) if self.sojourns else 0.0
 
     def quantile(self, q: float) -> float:
-        vals = sorted(self.sojourns())
+        vals = sorted(self.sojourns)
         if not vals:
             return 0.0
         return vals[min(len(vals) - 1, int(round(q * (len(vals) - 1))))]
 
 
 def identity_latency_bench(
-    model: str,
-    servers: int,
+    specs: list[tuple[str, int]],
     load_rps: float,
     *,
     duration_s: float = 60.0,
     service_s: float = 0.01,
     latency_s: float = 0.1,
     seed: int = 0,
-) -> BenchResult:
-    """Lookup latency under load: one shared Poisson arrival stream,
-    routed to a single directory server (central) or sharded over a
-    resolver ring (dht).  Identical seeds give identical arrival and
-    identity draws in both models, so dht with one server reproduces
-    central sample for sample.
+) -> list[BenchResult]:
+    """Lookup latency under load, one BenchResult per (model, servers)
+    spec, in spec order.
+
+    One Poisson arrival stream with one IMSI per arrival is drawn from
+    random.Random(seed), and every model replays that same stream
+    (common random numbers): central queues each lookup on its single
+    directory server, dht on the resolver ring member that owns the
+    IMSI.  Each IMSI is hashed once, with the seed every bench ring
+    has (ResolverRing's default), and each server is FIFO.  So dht with one server reproduces central
+    sample for sample, and a spec listed twice gives equal columns.
     """
-    if model not in IDENTITY_MODELS:
-        raise ScenarioError(f"unknown identity model {model!r}")
-    if servers < 1:
-        raise ScenarioError("identity bench needs at least one server")
+    for model, servers in specs:
+        if model not in IDENTITY_MODELS:
+            raise ScenarioError(f"unknown identity model {model!r}")
+        if servers < 1:
+            raise ScenarioError("identity bench needs at least one server")
+        if model == "central" and servers != 1:
+            raise ScenarioError(f"central has one directory server, not {servers}")
+    hashed = any(model == "dht" for model, _ in specs)
     rng = random.Random(seed)
-    ring = ResolverRing(members=tuple(range(servers)))
-    free_at = [0.0] * servers
-    samples = []
+    arrivals: list[float] = []
+    hashes: list[int] = []
     t = 0.0
     while True:
         t += rng.expovariate(load_rps)
         if t >= duration_s:
             break
-        imsi = f"{rng.randrange(10 ** 15):015d}"
+        arrivals.append(t)
+        imsi = rng.randrange(10 ** 15)
+        if hashed:
+            hashes.append(identity.hash32(f"{imsi:015d}", ResolverRing.seed))
+    results = []
+    for model, servers in specs:
         if model == "central":
-            server = 0
+            routed = [0] * len(arrivals)
         else:
-            server = resolver_for(ring, imsi)
-        reach = t + latency_s
-        start = max(reach, free_at[server])
-        done = start + service_s
-        free_at[server] = done
-        samples.append(
-            BenchSample(arrival=t, server=server, sojourn=done + latency_s - t)
-        )
-    return BenchResult(model=model, servers=servers, samples=samples)
+            ring = ResolverRing(members=tuple(range(servers)))
+            routed = [resolver_for(ring, h) for h in hashes]
+        free_at = [0.0] * servers
+        sojourns = []
+        for t, server in zip(arrivals, routed):
+            start = max(t + latency_s, free_at[server])
+            done = start + service_s
+            free_at[server] = done
+            sojourns.append(done + latency_s - t)
+        results.append(BenchResult(model, servers, arrivals, routed, sojourns))
+    return results

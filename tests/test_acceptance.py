@@ -249,12 +249,12 @@ def test_criterion_06_volunteer_speedup():
 
 def test_criterion_07_identity_bench():
     # service_s 0.01 puts one server's capacity at 100 rps; 150 is 1.5x
-    central = identity_latency_bench("central", 1, 150.0, duration_s=60.0, seed=0)
-    dht = identity_latency_bench("dht", 10, 150.0, duration_s=60.0, seed=0)
-    dht_single = identity_latency_bench("dht", 1, 150.0, duration_s=60.0, seed=0)
+    central, dht, dht_single = identity_latency_bench(
+        [("central", 1), ("dht", 10), ("dht", 1)], 150.0, duration_s=60.0, seed=0
+    )
     p50_ok = dht.quantile(0.5) < central.quantile(0.5)
     p95_ok = dht.quantile(0.95) < central.quantile(0.95)
-    same = dht_single.samples == central.samples
+    same = (dht_single.routed, dht_single.sojourns) == (central.routed, central.sojourns)
     ok = p50_ok and p95_ok and same
     report(
         7,
@@ -290,7 +290,7 @@ def test_criterion_08_resolver_oracle_equivalence():
         members = tuple(rng.sample(range(1, 1000000), size))
         ring = ResolverRing(members, seed=rng.randrange(1 << 16))
         key = str(rng.randrange(10**6, 10**15))
-        if resolver_for(ring, key) != oracle(ring, key):
+        if resolver_for(ring, hash32(key, ring.seed)) != oracle(ring, key):
             mismatches += 1
     report(8, "resolver oracle equivalence", mismatches == 0,
            f"{mismatches} mismatches in 10000 random ring/key pairs")

@@ -1,11 +1,15 @@
 """End-to-end CLI checks: artifacts, exit codes, seeding, reproducibility."""
 
+import csv
 import json
 import re
 import resource
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from greenlinks import cli
 from greenlinks.errors import GreenLinksError, ScenarioError
@@ -242,6 +246,11 @@ MALFORMED = [
     ("idbench-servers-0", "idbench", _set(
         "identity_bench.models",
         [{"model": "central", "servers": 1}, {"model": "dht", "servers": 0}],
+    )),
+    # central is one directory server: more queued every lookup on server 0.
+    ("idbench-central-servers", "idbench", _set(
+        "identity_bench.models",
+        [{"model": "central", "servers": 3}, {"model": "dht", "servers": 10}],
     )),
     # The lazy queue has no bound to set.
     ("queue-capacity", "simulate", _set("sync.queue_capacity", 5)),
@@ -520,6 +529,37 @@ def test_idbench_artifacts(tmp_path, capsys):
     assert (again / "idbench_samples.csv").read_bytes() == (
         out / "idbench_samples.csv"
     ).read_bytes()
+
+
+# -------------------------------------------------------------- write_csv
+
+
+def write_csv_three_way(path, header, rows):
+    """write_csv as it was: every cell converted to a string first."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(
+            [
+                f"{c:.6g}" if isinstance(c, float) else "" if c is None else str(c)
+                for c in row
+            ]
+            for row in rows
+        )
+
+
+CELLS = st.one_of(st.floats(), st.integers(), st.text(), st.none(), st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@example(rows=[[None], [""], [1.0], [True], [None, None]])
+@given(rows=st.lists(st.lists(CELLS, min_size=1, max_size=4), max_size=6))
+def test_write_csv_converts_only_floats_and_writes_the_same_bytes(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        new, old = Path(tmp) / "new.csv", Path(tmp) / "old.csv"
+        cli.write_csv(new, ["a", "b"], iter(rows))
+        write_csv_three_way(old, ["a", "b"], rows)
+        assert new.read_bytes() == old.read_bytes()
 
 
 # ------------------------------------------------------ integer-valued floats

@@ -21,7 +21,6 @@ from greenlinks.identity import (
     EgressAllocator,
     IdentityService,
     ResolverRing,
-    UserIdentity,
     hash32,
     resolver_for,
 )
@@ -74,7 +73,8 @@ def test_resolver_matches_predecessor_oracle():
         ring = ResolverRing(members=members, seed=seed)
         for _ in range(3):  # later lookups reuse the ring's sorted points
             key = f"{rng.randrange(10 ** 15):015d}"
-            assert resolver_for(ring, key) == ring_oracle(members, seed, key)
+            key_hash = hash32(key, ring.seed)
+            assert resolver_for(ring, key_hash) == ring_oracle(members, seed, key)
 
 
 def test_resolver_tie_breaks_to_smaller_member(monkeypatch):
@@ -87,26 +87,23 @@ def test_resolver_tie_breaks_to_smaller_member(monkeypatch):
 
     monkeypatch.setattr(identity_mod, "hash32", pinned)
     ring = ResolverRing(members=(9, 7, 3))
-    fake["key"] = 100  # distance 0 to members 7 and 3
-    assert resolver_for(ring, "key") == 3
-    fake["key"] = 30  # below everyone: wraps to the tied pair at 100
-    assert resolver_for(ring, "key") == 3
+    assert resolver_for(ring, 100) == 3  # distance 0 to members 7 and 3
+    assert resolver_for(ring, 30) == 3  # below everyone: wraps to the tied pair at 100
 
 
 def test_resolver_edge_cases():
     with pytest.raises(EmptyRing):
-        resolver_for(ResolverRing(members=()), "x")
+        resolver_for(ResolverRing(members=()), hash32("x"))
     only = ResolverRing(members=(42,))
-    assert resolver_for(only, "anything") == 42
-    ident = UserIdentity(imsi="123", kind="local", number="5000001")
-    assert resolver_for(only, ident) == 42
+    assert resolver_for(only, hash32("anything")) == 42
+    assert resolver_for(only, 0) == resolver_for(only, 0xFFFFFFFF) == 42
 
 
 def test_resolver_load_is_roughly_balanced():
     ring = ResolverRing(members=tuple(range(10)))
     counts = [0] * 10
     for i in range(20000):
-        counts[resolver_for(ring, f"{i:015d}")] += 1
+        counts[resolver_for(ring, hash32(f"{i:015d}", ring.seed))] += 1
     assert min(counts) > 400  # a broken ring starves members entirely
 
 

@@ -5,8 +5,13 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import greenlinks.identity as identity_mod
+from greenlinks import simcore
 from greenlinks.errors import ScenarioError
+from greenlinks.identity import ResolverRing, hash32, resolver_for
 from greenlinks.scenario import check_scenario, generate_tree
 from greenlinks.simcore import (
     METRICS,
@@ -381,6 +386,28 @@ def test_a_write_made_without_a_poke_is_delivered():
     assert sim.store.get("kv", "a").value == b"alpha"
 
 
+def test_a_write_parked_in_an_outage_goes_out_at_the_restore():
+    # Priority mode: a file-class write parked while the uplink is down
+    # is on the line from the restore on, so an SMS-sized write that
+    # arrives while it is sending waits behind it and costs it nothing.
+    sim = Simulation(check_scenario(generate_tree(1, 0)), seed=5, priority_queue=True)
+    server = sim.local(1)
+    rate, latency = sim.topology.cloud_route(1)
+    sim.set_link("b0", False)
+    server.slowput("kv", b"x" * 5000, key="bulk")
+    restore = 10.0
+    bulk_end = restore + 5000 / rate
+    sim.engine.schedule(restore, "link_restore", link_id="b0")
+    sim.engine.on("small", lambda: server.slowput("kv", b"sms", key="small"))
+    sim.engine.schedule((restore + bulk_end) / 2, "small")
+    sim.engine.run_until(None)
+    applied = {key: at for at, _, key, _ in sim.store.handler_runs}
+    assert applied == {
+        "bulk": bulk_end + latency,
+        "small": bulk_end + 3 / rate + latency,
+    }
+
+
 def test_outage_replay_applies_and_delivers_once():
     sim = Simulation(check_scenario(generate_tree(1, 1)), seed=5)
     sim.identity.issue_identity(1, "1000")
@@ -477,37 +504,129 @@ def test_confidence_interval_formula():
 
 
 def test_dht_with_one_server_reproduces_central_exactly():
-    central = identity_latency_bench("central", 1, 150.0, duration_s=20.0, seed=2)
-    dht1 = identity_latency_bench("dht", 1, 150.0, duration_s=20.0, seed=2)
-    assert central.samples == dht1.samples
+    central, dht1 = identity_latency_bench(
+        [("central", 1), ("dht", 1)], 150.0, duration_s=20.0, seed=2
+    )
+    assert central.routed == dht1.routed
+    assert central.sojourns == dht1.sojourns
 
 
 def test_sharding_absorbs_load_a_single_server_cannot():
-    central = identity_latency_bench("central", 1, 150.0, duration_s=30.0, seed=0)
-    dht = identity_latency_bench("dht", 10, 150.0, duration_s=30.0, seed=0)
-    # arrivals are the identical stream either way
-    assert [s.arrival for s in central.samples] == [s.arrival for s in dht.samples]
-    assert {s.server for s in central.samples} == {0}
-    assert len({s.server for s in dht.samples}) == 10
+    central, dht = identity_latency_bench(
+        [("central", 1), ("dht", 10)], 150.0, duration_s=30.0, seed=0
+    )
+    # arrivals are the identical stream either way: one shared column
+    assert central.arrivals is dht.arrivals
+    assert len(central.sojourns) == len(dht.sojourns) == len(dht.arrivals)
+    assert set(central.routed) == {0}
+    assert len(set(dht.routed)) == 10
     # 1.5x a single server's capacity: the central queue only grows
     assert central.quantile(0.5) > 1.0
     assert dht.quantile(0.5) < 0.5
     floor = 2 * 0.1 + 0.01
-    assert all(s.sojourn >= floor - 1e-9 for s in dht.samples)
+    assert all(s >= floor - 1e-9 for s in dht.sojourns)
 
 
 def test_bench_rejects_bad_setups():
     with pytest.raises(ScenarioError):
-        identity_latency_bench("mesh", 2, 10.0)
+        identity_latency_bench([("mesh", 2)], 10.0)
     with pytest.raises(ScenarioError):
-        identity_latency_bench("dht", 0, 10.0)
+        identity_latency_bench([("central", 1), ("dht", 0)], 10.0)
+    # central is one directory server; more would be an input with no effect
+    with pytest.raises(ScenarioError):
+        identity_latency_bench([("central", 3)], 10.0)
 
 
 def test_bench_quantiles_and_determinism():
-    bench = identity_latency_bench("dht", 4, 80.0, duration_s=10.0, seed=7)
-    again = identity_latency_bench("dht", 4, 80.0, duration_s=10.0, seed=7)
-    assert bench.samples == again.samples
-    sojourns = sorted(bench.sojourns())
+    (bench,) = identity_latency_bench([("dht", 4)], 80.0, duration_s=10.0, seed=7)
+    (again,) = identity_latency_bench([("dht", 4)], 80.0, duration_s=10.0, seed=7)
+    assert (bench.arrivals, bench.routed, bench.sojourns) == (
+        again.arrivals,
+        again.routed,
+        again.sojourns,
+    )
+    sojourns = sorted(bench.sojourns)
     assert bench.quantile(0.0) == sojourns[0]
     assert bench.quantile(1.0) == sojourns[-1]
     assert sojourns[0] >= 0.21 - 1e-9
+    assert bench.mean() == pytest.approx(sum(sojourns) / len(sojourns))
+
+
+def reference_bench(model, servers, load_rps, duration_s, service_s, latency_s, seed):
+    """One model on its own, as (arrival, server, sojourn) rows: a fresh
+    random.Random(seed) for the model and hash32 of the IMSI string per
+    lookup."""
+    rng = random.Random(seed)
+    ring = ResolverRing(members=tuple(range(servers)))
+    free_at = [0.0] * servers
+    rows = []
+    t = 0.0
+    while True:
+        t += rng.expovariate(load_rps)
+        if t >= duration_s:
+            break
+        imsi = f"{rng.randrange(10 ** 15):015d}"
+        server = 0 if model == "central" else resolver_for(ring, hash32(imsi, ring.seed))
+        reach = t + latency_s
+        start = max(reach, free_at[server])
+        done = start + service_s
+        free_at[server] = done
+        rows.append((t, server, done + latency_s - t))
+    return rows
+
+
+BENCH_SPECS = st.lists(
+    st.one_of(
+        st.just(("central", 1)),
+        st.tuples(st.just("dht"), st.integers(min_value=1, max_value=120)),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    specs=BENCH_SPECS,
+    seed=st.integers(min_value=0, max_value=2**32),
+    load_rps=st.floats(min_value=1.0, max_value=300.0),
+    duration_s=st.floats(min_value=0.0, max_value=4.0),
+    service_s=st.floats(min_value=0.001, max_value=0.05),
+    latency_s=st.floats(min_value=0.0, max_value=0.2),
+)
+def test_bench_replays_one_stream_as_each_model_alone(
+    specs, seed, load_rps, duration_s, service_s, latency_s
+):
+    benches = identity_latency_bench(
+        specs,
+        load_rps,
+        duration_s=duration_s,
+        service_s=service_s,
+        latency_s=latency_s,
+        seed=seed,
+    )
+    assert [(b.model, b.servers) for b in benches] == specs
+    for bench, (model, servers) in zip(benches, specs):
+        assert bench.arrivals is benches[0].arrivals
+        expected = reference_bench(
+            model, servers, load_rps, duration_s, service_s, latency_s, seed
+        )
+        assert list(zip(bench.arrivals, bench.routed, bench.sojourns)) == expected
+
+
+def test_bench_hashes_each_imsi_once(monkeypatch):
+    calls = []
+
+    def counted(value, seed=0):
+        calls.append(value)
+        return hash32(value, seed)
+
+    monkeypatch.setattr(identity_mod, "hash32", counted)
+    benches = identity_latency_bench(
+        [("central", 1), ("dht", 10), ("dht", 100)], 150.0, duration_s=10.0, seed=3
+    )
+    # once per arrival of the shared stream, plus once per ring point
+    assert len(calls) == len(benches[0].arrivals) + 10 + 100
+    calls.clear()
+    identity_latency_bench([("central", 1)], 150.0, duration_s=10.0, seed=3)
+    assert calls == []  # no ring, no hashing
