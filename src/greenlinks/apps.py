@@ -31,11 +31,14 @@ from .errors import (
     SoldOut,
     UnknownIdentity,
 )
+from .draws import choose
 from .sync import LocalServer
 
 SMS_LIMIT = 140
 # A recording plays from the local spool for this long after it was made.
 SESSION_WINDOW_S = 600.0
+# A workload SELL offers a quantity drawn from this range.
+QTY_RANGE = range(1, 50)
 
 
 # ------------------------------------------------------------- sms grammar
@@ -396,8 +399,8 @@ class Workload:
 
     def _on_sell(self, seller: str) -> None:
         rng = self.sim.engine.rng
-        item = self.cfg["items"][rng.randrange(len(self.cfg["items"]))]
-        qty = rng.randrange(1, 50)
+        item = choose(rng.getrandbits, self.cfg["items"])
+        qty = choose(rng.getrandbits, QTY_RANGE)
         price = round(rng.uniform(0.5, 20.0), 2)
         listing, _ack = self.market.sell(seller, item, qty, price)
         self.listings.append(listing.listing_id)
@@ -406,7 +409,7 @@ class Workload:
         rng = self.sim.engine.rng
         if not self.listings:
             return
-        listing_id = self.listings[rng.randrange(len(self.listings))]
+        listing_id = choose(rng.getrandbits, self.listings)
         try:
             self.market.buy(buyer, listing_id)
         except GreenLinksError:

@@ -26,6 +26,7 @@ import math
 import os
 import random
 import sys
+from itertools import repeat
 from pathlib import Path
 
 from . import apps as apps_mod
@@ -51,17 +52,70 @@ from .whitespace import (
 )
 
 DEFAULT_HORIZON = 3600.0
+# A column of one of these types is a constant repeated down its block.
+CONSTANT = (str, int, float)
 
 
-def write_csv(path: Path, header: list[str], rows) -> None:
-    """Floats as 6 significant digits; csv.writer writes None as an empty
-    cell and the rest through str()."""
+def write_csv(path: Path, header: list[str], blocks) -> None:
+    """Write a table given as blocks of columns.
+
+    ``blocks`` is an iterable of blocks, each a tuple with one column per
+    header field.  A column is a sequence (a list, tuple or range) or a
+    str, int or float constant repeated down its block; every sequence of
+    a block has the block's length, and a block has at least one.  An
+    empty list writes the header alone.
+
+    Cells: floats as 6 significant digits; csv.writer writes None as an
+    empty cell and the rest through str().  Each column object is
+    formatted once per call.  A column held by one block is formatted
+    lazily as its rows are written; one held more often (every idbench
+    model's block holds the one arrivals list) is formatted into a list
+    that is dropped after the last block that holds it.
+    """
+    blocks = list(blocks)
+    uses: dict[int, int] = {}
+    for block in blocks:
+        for column in block:
+            if not isinstance(column, CONSTANT):
+                uses[id(column)] = uses.get(id(column), 0) + 1
+    # id(column) -> (column, its cells): the column is held so that its
+    # id cannot be reused by another object during the call.
+    formatted: dict[int, tuple] = {}
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(
-            [f"{c:.6g}" if isinstance(c, float) else c for c in row] for row in rows
-        )
+        for block in blocks:
+            lengths = {len(c) for c in block if not isinstance(c, CONSTANT)}
+            if len(lengths) != 1:
+                raise ValueError(f"block sequence lengths {sorted(lengths)}; need one")
+            (n,) = lengths
+            cells = []
+            for column in block:
+                if isinstance(column, CONSTANT):
+                    if isinstance(column, float):
+                        column = f"{column:.6g}"
+                    cells.append(repeat(column, n))
+                    continue
+                key = id(column)
+                if key not in formatted:
+                    once = _cells(column)
+                    formatted[key] = (column, once if uses[key] == 1 else list(once))
+                cells.append(formatted[key][1])
+                uses[key] -= 1
+                if not uses[key]:
+                    del formatted[key]
+            writer.writerows(zip(*cells))
+
+
+def _cells(column):
+    """A column's cells for csv.writer, lazily: floats formatted, the rest
+    as they are.  A column without floats is returned unchanged."""
+    types = set(map(type, column))
+    if types == {float}:
+        return map(format, column, repeat(".6g"))
+    if not any(issubclass(t, float) for t in types):
+        return column
+    return (f"{c:.6g}" if isinstance(c, float) else c for c in column)
 
 
 def resolve_seed(args) -> int:
@@ -100,11 +154,11 @@ def cmd_simulate(args) -> int:
     if horizon is None:
         horizon = DEFAULT_HORIZON if scenario["traffic"] is not None else None
 
-    # Keep only each run's ledger and latency rows, and run 0's trace
+    # Keep only each run's ledger and latency columns, and run 0's trace
     # events under --trace: no finished run stays alive while the next
     # one runs.
     ledgers = []
-    latency_rows = []
+    latency_blocks = []
     trace_events = None
     i = 0
     for result in replicate(
@@ -113,17 +167,16 @@ def cmd_simulate(args) -> int:
         if result.ledger is not None:
             ledgers.append(result.ledger)
         prefix = f"r{i}-" if runs > 1 else ""
-        for rec in result.latency:
-            latency_rows.append(
-                (
-                    prefix + rec.request_id,
-                    rec.klass,
-                    rec.app_type,
-                    rec.size,
-                    rec.enqueued_at,
-                    rec.delivered_at,
-                )
+        latency_blocks.append(
+            (
+                [prefix + rec.request_id for rec in result.latency],
+                [rec.klass for rec in result.latency],
+                [rec.app_type for rec in result.latency],
+                [rec.size for rec in result.latency],
+                [rec.enqueued_at for rec in result.latency],
+                [rec.delivered_at for rec in result.latency],
             )
+        )
         if args.trace and i == 0:
             trace_events = result.trace.events
         del result  # the loop name would hold this run through the next one
@@ -133,22 +186,24 @@ def cmd_simulate(args) -> int:
     write_csv(
         outdir / "metrics.csv",
         ["interval", *METRICS.keys()],
-        interval_means(ledgers),
+        [interval_means(ledgers)],
     )
     write_csv(
         outdir / "latency.csv",
         ["request_id", "class", "app_type", "bytes", "enqueued_at", "delivered_at"],
-        latency_rows,
+        latency_blocks,
     )
 
     mc = aggregate(ledgers)
     violations = mc.containment_violations
-    summary_rows = [
-        (metric, mc.mean(metric), mc.stdev(metric), mc.ci95(metric))
-        for metric in (METRICS if ledgers else ())
-    ]
-    summary_rows.append(("containment_violations", float(violations), 0.0, 0.0))
-    write_csv(outdir / "summary.csv", ["metric", "mean", "stdev", "ci95"], summary_rows)
+    metrics = list(METRICS) if ledgers else []
+    summary = (
+        [*metrics, "containment_violations"],
+        [*map(mc.mean, metrics), float(violations)],
+        [*map(mc.stdev, metrics), 0.0],
+        [*map(mc.ci95, metrics), 0.0],
+    )
+    write_csv(outdir / "summary.csv", ["metric", "mean", "stdev", "ci95"], [summary])
 
     if args.trace:
         with open(outdir / "trace.log", "w") as fh:
@@ -232,7 +287,7 @@ def cmd_whitespace(args) -> int:
         f"converged at {when}; serving collisions {collisions}"
     )
 
-    compare_rows = []
+    compare_blocks = []
     ngsm = cfg.get("ngsm")
     if ngsm:
         for users_n in ngsm["user_counts"]:
@@ -243,16 +298,17 @@ def cmd_whitespace(args) -> int:
                 organic_period_s=cfg["organic_period_s"],
                 volunteer_period_s=cfg["volunteer_period_s"],
             )
-            for ratio, t_vol in zip(ngsm["ratios"], t_vols):
-                compare_rows.append(
-                    (users_n, ratio, t_ngsm / 60.0, t_vol / 60.0)
-                )
+            compare_blocks.append(
+                (users_n, ngsm["ratios"], t_ngsm / 60.0, [t / 60.0 for t in t_vols])
+            )
     outdir = out_dir(args)
-    write_csv(outdir / "occupancy.csv", ["arfcn", "verdict", "t_verdict"], rows)
+    write_csv(
+        outdir / "occupancy.csv", ["arfcn", "verdict", "t_verdict"], [tuple(zip(*rows))]
+    )
     write_csv(
         outdir / "ngsm_compare.csv",
         ["users", "ratio", "t_ngsm", "t_volunteer"],
-        compare_rows,
+        compare_blocks,
     )
     return 0
 
@@ -271,29 +327,38 @@ def cmd_idbench(args) -> int:
         latency_s=cfg["latency_s"],
         seed=seed,
     )
-    summary_rows = []
+    p50s, p95s = [], []
     for bench in benches:
-        n = len(bench.sojourns)
-        p50, p95 = bench.quantile(0.5), bench.quantile(0.95)
-        summary_rows.append((bench.model, bench.servers, n, p50, p95, bench.mean()))
-        print(f"{bench.model}/{bench.servers}: n={n} p50={p50:.6g}s p95={p95:.6g}s")
-    sample_rows = (
-        (bench.model, bench.servers, i, arrival, server, sojourn)
-        for bench in benches
-        for i, (arrival, server, sojourn) in enumerate(
-            zip(bench.arrivals, bench.routed, bench.sojourns)
+        p50, p95 = bench.quantiles(0.5, 0.95)
+        p50s.append(p50)
+        p95s.append(p95)
+        print(
+            f"{bench.model}/{bench.servers}: n={len(bench.sojourns)} "
+            f"p50={p50:.6g}s p95={p95:.6g}s"
         )
-    )
     outdir = out_dir(args)
+    # One block per model; they share one arrivals list, formatted once.
     write_csv(
         outdir / "idbench_samples.csv",
         ["model", "servers", "index", "arrival", "server", "sojourn"],
-        sample_rows,
+        [
+            (b.model, b.servers, range(len(b.arrivals)), b.arrivals, b.routed,
+             b.sojourns)
+            for b in benches
+        ],
+    )
+    summary = (
+        [b.model for b in benches],
+        [b.servers for b in benches],
+        [len(b.sojourns) for b in benches],
+        p50s,
+        p95s,
+        [b.mean() for b in benches],
     )
     write_csv(
         outdir / "idbench_summary.csv",
         ["model", "servers", "count", "p50", "p95", "mean"],
-        summary_rows,
+        [summary],
     )
     return 0
 

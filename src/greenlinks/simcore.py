@@ -50,6 +50,7 @@ from dataclasses import dataclass, field
 
 from . import identity
 from .apps import Workload
+from .draws import choose
 from .errors import ScenarioError
 from .identity import IdentityService, ResolverRing, resolver_for
 from .scenario import IDENTITY_MODELS, SECTIONS
@@ -58,6 +59,7 @@ from .topology import Graph, Role, Topology
 from .topology import build_topology  # unused here; perfbench/tracing.py wraps it
 
 SERVICES = ("call", "sms", "data")
+SERVICE_INDEX = {service: i for i, service in enumerate(SERVICES)}
 METRICS = {
     "vce": ("call", "vc"),
     "cce": ("call", "cell"),
@@ -169,27 +171,21 @@ class MetricsLedger:
         return IntervalCounts(*self.totals()).rate(*METRICS[metric])
 
 
-def interval_means(ledgers: list[MetricsLedger]) -> list[tuple]:
-    """Per-interval drop rates averaged over replications: one
-    (index, *rates in METRICS order) row per interval."""
-    rows = []
-    for idx in range(len(ledgers[0].intervals) if ledgers else 0):
-        rates = [[lg.intervals[idx].rate(*METRICS[m]) for lg in ledgers] for m in METRICS]
-        rows.append((idx, *map(statistics.fmean, rates)))
-    return rows
-
-
-def choose(getrandbits, pool):
-    """``random.Random.choice(pool)`` for the generator whose getrandbits
-    is given: CPython's own draw (``_randbelow_with_getrandbits``) without
-    its two method calls, so the same element and the same generator
-    state.  ``pool`` must be non-empty."""
-    n = len(pool)
-    k = n.bit_length()
-    r = getrandbits(k)
-    while r >= n:
-        r = getrandbits(k)
-    return pool[r]
+def interval_means(ledgers: list[MetricsLedger]) -> tuple:
+    """Per-interval drop rates averaged over replications, as columns:
+    (range of interval indexes, *one list of means per metric in METRICS
+    order)."""
+    n = len(ledgers[0].intervals) if ledgers else 0
+    return (
+        range(n),
+        *(
+            [
+                statistics.fmean([lg.intervals[idx].rate(*key) for lg in ledgers])
+                for idx in range(n)
+            ]
+            for key in METRICS.values()
+        ),
+    )
 
 
 def interval_count(horizon: float, interval_s: float) -> int:
@@ -204,38 +200,60 @@ def evaluate_dual(trace: RunTrace) -> MetricsLedger:
     Replays the trace with its own link-state sweep from the links'
     initial state (independent of the run's Topology), labels connected
     components over the replayed state once and then relabels only the
-    side of a link that a transition cuts off or joins, and buckets
-    drops per interval.
+    side of a link that a transition cuts off or joins, and counts
+    attempts and drops in flat (interval, service) slots, turned into one
+    IntervalCounts per interval at the end.
     """
     graph = trace.graph
     up = {lid: link.up for lid, link in graph.links.items()}
-    intervals = max(1, interval_count(trace.horizon, trace.interval_s))
-    counts = [IntervalCounts(attempted={}, dropped={}) for _ in range(intervals)]
+    interval_s = trace.interval_s
+    intervals = max(1, interval_count(trace.horizon, interval_s))
+    last = intervals - 1
+    # Flat counters, one slot per (interval, service): slot
+    # interval * len(SERVICES) + SERVICE_INDEX[service].
+    width = len(SERVICES)
+    attempted = [0] * (intervals * width)
+    dropped_vc = attempted.copy()
+    dropped_cell = attempted.copy()
     violations = 0
     comp = graph.components(up)
+    cloud = comp[graph.cloud_id]
     fresh = len(comp)  # components() labels are below the node count
     for event in trace.events:
-        kind = event[0]
-        if kind == "link":
+        if event[0] == "link":
             _, _, link_id, state = event
             if up[link_id] != (state == "up"):
                 graph.relabel(comp, up, link_id, fresh)
                 fresh += 1
-        elif kind == "attempt":
+                cloud = comp[graph.cloud_id]
+        else:
             _, at, src, dst, service = event
-            cloud = comp[graph.cloud_id]
-            vc_ok = comp[src] == comp[dst]
-            cell_ok = comp[src] == cloud and comp[dst] == cloud
+            src_c = comp[src]
+            dst_c = comp[dst]
+            vc_ok = src_c == dst_c
+            cell_ok = src_c == cloud and dst_c == cloud
             if cell_ok and not vc_ok:
                 violations += 1
-            bucket = counts[min(int(at / trace.interval_s), intervals - 1)]
-            bucket.attempted[service] = bucket.attempted.get(service, 0) + 1
+            interval = int(at / interval_s)
+            if interval > last:
+                interval = last
+            slot = interval * width + SERVICE_INDEX[service]
+            attempted[slot] += 1
             if not vc_ok:
-                key = (service, "vc")
-                bucket.dropped[key] = bucket.dropped.get(key, 0) + 1
+                dropped_vc[slot] += 1
             if not cell_ok:
-                key = (service, "cell")
-                bucket.dropped[key] = bucket.dropped.get(key, 0) + 1
+                dropped_cell[slot] += 1
+    counts = []
+    for base in range(0, intervals * width, width):
+        iv = IntervalCounts(attempted={}, dropped={})
+        for service, slot in zip(SERVICES, range(base, base + width)):
+            if attempted[slot]:
+                iv.attempted[service] = attempted[slot]
+            if dropped_vc[slot]:
+                iv.dropped[(service, "vc")] = dropped_vc[slot]
+            if dropped_cell[slot]:
+                iv.dropped[(service, "cell")] = dropped_cell[slot]
+        counts.append(iv)
     return MetricsLedger(intervals=counts, containment_violations=violations)
 
 
@@ -283,6 +301,7 @@ class Simulation:
         # Drawn attempts not yet in engine.trace, as (at, seq, src, dst,
         # service) sorted by heap key; see _log_attempts_before.
         self._attempts: list[tuple] = []
+        self._drew_attempts = False
         e = self.engine
         e.on("traffic_interval", self._on_traffic_interval)
         e.on("failure_draw", self._on_failure_draw)
@@ -468,7 +487,9 @@ class Simulation:
                     else:
                         dst = src
                 drawn.append((start + interval * draw(), next_seq(), src, dst, service))
-        drawn.sort()
+        if drawn:
+            self._drew_attempts = True
+            drawn.sort()
 
     def _log_attempts_before(self, key: tuple) -> None:
         """Move the drawn attempts whose (at, seq) is below ``key`` into
@@ -518,9 +539,7 @@ class Simulation:
             horizon=effective,
             events=list(self.engine.trace),
         )
-        ledger = None
-        if any(ev[0] == "attempt" for ev in trace.events):
-            ledger = evaluate_dual(trace)
+        ledger = evaluate_dual(trace) if self._drew_attempts else None
         latency: list[LatencyRecord] = []
         for node_id in sorted(self.locals):
             latency.extend(self.locals[node_id].records)
@@ -601,11 +620,14 @@ class BenchResult:
     def mean(self) -> float:
         return statistics.fmean(self.sojourns) if self.sojourns else 0.0
 
-    def quantile(self, q: float) -> float:
+    def quantiles(self, *qs: float) -> list[float]:
+        """Nearest-rank sojourn quantiles, one per q, from one sort: the
+        sample at rank round(q * (n - 1)); 0.0 each with no samples."""
         vals = sorted(self.sojourns)
         if not vals:
-            return 0.0
-        return vals[min(len(vals) - 1, int(round(q * (len(vals) - 1))))]
+            return [0.0] * len(qs)
+        top = len(vals) - 1
+        return [vals[min(top, int(round(q * top)))] for q in qs]
 
 
 def identity_latency_bench(

@@ -1,11 +1,14 @@
 """End-to-end CLI checks: artifacts, exit codes, seeding, reproducibility."""
 
+import contextlib
 import csv
+import io
 import json
 import re
 import resource
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +17,7 @@ from hypothesis import strategies as st
 from greenlinks import cli
 from greenlinks.errors import GreenLinksError, ScenarioError
 from greenlinks.scenario import SECTIONS, generate_tree, load_scenario
+from greenlinks.simcore import identity_latency_bench
 from greenlinks.whitespace import compare_ngsm
 
 
@@ -549,17 +553,132 @@ def write_csv_three_way(path, header, rows):
 
 
 CELLS = st.one_of(st.floats(), st.integers(), st.text(), st.none(), st.booleans())
+CONSTANTS = st.one_of(st.floats(), st.integers(), st.text(), st.booleans())
+
+
+def is_constant(column):
+    return isinstance(column, (str, int, float))
+
+
+def expand(blocks):
+    """The rows a table of column blocks stands for, one at a time."""
+    rows = []
+    for block in blocks:
+        n = next(len(c) for c in block if not is_constant(c))
+        rows.extend(zip(*([c] * n if is_constant(c) else list(c) for c in block)))
+    return rows
+
+
+@st.composite
+def tables(draw):
+    """(width, blocks): each block is 0-5 rows of cell lists, ranges,
+    constants and lists shared with other blocks of the same length."""
+    width = draw(st.integers(1, 4))
+    shared = {}
+    blocks = []
+    for _ in range(draw(st.integers(0, 4))):
+        n = draw(st.integers(0, 5))
+        block = []
+        for _ in range(width):
+            kind = draw(st.sampled_from(["cells", "shared", "range", "constant"]))
+            if kind == "constant":
+                block.append(draw(CONSTANTS))
+            elif kind == "range":
+                start = draw(st.integers(-3, 3))
+                block.append(range(start, start + n))
+            else:
+                cells = draw(st.lists(CELLS, min_size=n, max_size=n))
+                block.append(shared.setdefault(n, cells) if kind == "shared" else cells)
+        if all(map(is_constant, block)):
+            block[0] = draw(st.lists(CELLS, min_size=n, max_size=n))
+        blocks.append(tuple(block))
+    return width, blocks
+
+
+SHARED = [0.5, None, 2.0]
 
 
 @settings(max_examples=200, deadline=None)
-@example(rows=[[None], [""], [1.0], [True], [None, None]])
-@given(rows=st.lists(st.lists(CELLS, min_size=1, max_size=4), max_size=6))
-def test_write_csv_converts_only_floats_and_writes_the_same_bytes(rows):
+@example(table=(1, [([None],), ([""],), ([1.0],), ([True],), ([None, None],)]))
+@example(table=(2, []))  # a header-only table
+@example(table=(3, [(["x"] * 3, SHARED, 1.5), ("dht", SHARED, [1, 2, 3])]))
+@example(table=(4, [("central", 1, range(3), SHARED), ("dht", 10, range(3), SHARED)]))
+@example(table=(2, [(range(0), []), ([None, None, None], 7)]))
+@example(table=(2, [(SHARED, SHARED)]))  # one column object twice in a block
+@given(table=tables())
+def test_write_csv_converts_only_floats_and_writes_the_same_bytes(table):
+    width, blocks = table
+    header = [f"c{i}" for i in range(width)]
     with tempfile.TemporaryDirectory() as tmp:
         new, old = Path(tmp) / "new.csv", Path(tmp) / "old.csv"
-        cli.write_csv(new, ["a", "b"], iter(rows))
-        write_csv_three_way(old, ["a", "b"], rows)
+        with mock.patch.object(cli, "_cells", wraps=cli._cells) as cells:
+            cli.write_csv(new, header, iter(blocks))
+        write_csv_three_way(old, header, expand(blocks))
         assert new.read_bytes() == old.read_bytes()
+    # every column object is formatted once, however many blocks hold it
+    columns = {id(c) for block in blocks for c in block if not is_constant(c)}
+    assert cells.call_count == len(columns)
+
+
+@pytest.mark.parametrize(
+    "block", [([1, 2], [3]), ("a", 2.0), (None, [1])], ids=["ragged", "constants", "none"]
+)
+def test_write_csv_rejects_a_block_without_one_length(tmp_path, block):
+    with pytest.raises((ValueError, TypeError)):
+        cli.write_csv(tmp_path / "t.csv", ["a", "b"], [block])
+
+
+def write_samples_row_by_row(path, benches):
+    """idbench_samples.csv one row at a time through csv.writer."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["model", "servers", "index", "arrival", "server", "sojourn"])
+        for bench in benches:
+            for i, (arrival, server, sojourn) in enumerate(
+                zip(bench.arrivals, bench.routed, bench.sojourns)
+            ):
+                writer.writerow(
+                    [bench.model, bench.servers, i, f"{arrival:.6g}", server, f"{sojourn:.6g}"]
+                )
+
+
+SPECS = st.lists(
+    st.one_of(
+        st.just({"model": "central", "servers": 1}),
+        st.builds(lambda n: {"model": "dht", "servers": n}, st.integers(1, 30)),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    models=SPECS,
+    load_rps=st.floats(1.0, 200.0),
+    duration_s=st.floats(0.01, 3.0),
+    seed=st.integers(0, 2**32),
+)
+def test_idbench_samples_match_a_row_by_row_writer(models, load_rps, duration_s, seed):
+    bench = {"models": models, "load_rps": load_rps, "duration_s": duration_s}
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        scenario = write_scenario(tmp, "idb.json", {"identity_bench": bench})
+        out = tmp / "out"
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["idbench", "--scenario", scenario, "--seed", str(seed), "--out", str(out)])
+        assert code == 0
+        cfg = load_scenario(scenario)["identity_bench"]
+        benches = identity_latency_bench(
+            [(m["model"], m["servers"]) for m in models],
+            load_rps,
+            duration_s=duration_s,
+            service_s=cfg["service_s"],
+            latency_s=cfg["latency_s"],
+            seed=seed,
+        )
+        write_samples_row_by_row(tmp / "ref.csv", benches)
+        assert (out / "idbench_samples.csv").read_bytes() == (tmp / "ref.csv").read_bytes()
 
 
 # ------------------------------------------------------ integer-valued floats

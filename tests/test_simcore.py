@@ -12,6 +12,7 @@ import greenlinks.identity as identity_mod
 from greenlinks import simcore
 from greenlinks.errors import ScenarioError
 from greenlinks.identity import ResolverRing, hash32, resolver_for
+from greenlinks.draws import choose
 from greenlinks.scenario import check_scenario, generate_tree
 from greenlinks.simcore import (
     METRICS,
@@ -21,7 +22,6 @@ from greenlinks.simcore import (
     RunTrace,
     Simulation,
     aggregate,
-    choose,
     evaluate_dual,
     identity_latency_bench,
     interval_means,
@@ -90,7 +90,7 @@ def test_dual_scoring_matches_the_hand_scored_trace():
     assert ledger.overall("cse") == pytest.approx(1 / 3)
     assert ledger.overall("vde") == 0.0
     assert ledger.overall("cde") == pytest.approx(1 / 2)
-    rows = interval_means([ledger])
+    rows = list(zip(*interval_means([ledger])))
     assert rows[0] == (0, 0.0, 0.5, 0.0, 0.0, 0.0, 1.0)
     assert rows[1] == (1, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0)
     assert rows[2] == (2, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
@@ -327,6 +327,10 @@ def test_choose_draws_what_random_choice_draws(seed):
             pool = tuple(range(100, 100 + n))
             assert choose(kernel.getrandbits, pool) == stock.choice(pool)
             assert kernel.getstate() == stock.getstate()
+            # the workload's draws: a pool index, and a SELL quantity
+            assert choose(kernel.getrandbits, range(n)) == stock.randrange(n)
+            assert choose(kernel.getrandbits, range(1, 50)) == stock.randrange(1, 50)
+            assert kernel.getstate() == stock.getstate()
 
 
 def test_attempts_off_the_heap_keep_the_heap_order_of_ties():
@@ -521,8 +525,8 @@ def test_sharding_absorbs_load_a_single_server_cannot():
     assert set(central.routed) == {0}
     assert len(set(dht.routed)) == 10
     # 1.5x a single server's capacity: the central queue only grows
-    assert central.quantile(0.5) > 1.0
-    assert dht.quantile(0.5) < 0.5
+    assert central.quantiles(0.5)[0] > 1.0
+    assert dht.quantiles(0.5)[0] < 0.5
     floor = 2 * 0.1 + 0.01
     assert all(s >= floor - 1e-9 for s in dht.sojourns)
 
@@ -546,8 +550,16 @@ def test_bench_quantiles_and_determinism():
         again.sojourns,
     )
     sojourns = sorted(bench.sojourns)
-    assert bench.quantile(0.0) == sojourns[0]
-    assert bench.quantile(1.0) == sojourns[-1]
+    top = len(sojourns) - 1
+    # nearest rank: the sample at rank round(q * (n - 1)), one per q
+    assert bench.quantiles(0.0, 0.5, 0.95, 1.0) == [
+        sojourns[0],
+        sojourns[round(0.5 * top)],
+        sojourns[round(0.95 * top)],
+        sojourns[-1],
+    ]
+    (empty,) = identity_latency_bench([("dht", 4)], 80.0, duration_s=1e-9, seed=7)
+    assert empty.sojourns == [] and empty.quantiles(0.5, 0.95) == [0.0, 0.0]
     assert sojourns[0] >= 0.21 - 1e-9
     assert bench.mean() == pytest.approx(sum(sojourns) / len(sojourns))
 
