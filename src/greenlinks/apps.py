@@ -31,7 +31,6 @@ from .errors import (
     SoldOut,
     UnknownIdentity,
 )
-from .draws import choose
 from .sync import LocalServer
 
 SMS_LIMIT = 140
@@ -335,6 +334,20 @@ class FarmMapper:
 
 
 # --------------------------------------------------------------- workload
+
+
+def choose(getrandbits, pool):
+    """``random.Random.choice(pool)`` for the generator whose getrandbits
+    is given: CPython's own draw (``_randbelow_with_getrandbits``) without
+    its two method calls, so the same element and the same generator
+    state.  ``pool`` must be non-empty.  On ``range(a, b)`` it draws what
+    ``randrange(a, b)`` draws.  The simulator's traffic draws use it too."""
+    n = len(pool)
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return pool[r]
 
 
 class Workload:

@@ -78,9 +78,9 @@ def write_csv(path: Path, header: list[str], blocks) -> None:
         for column in block:
             if not isinstance(column, CONSTANT):
                 uses[id(column)] = uses.get(id(column), 0) + 1
-    # id(column) -> (column, its cells): the column is held so that its
-    # id cannot be reused by another object during the call.
-    formatted: dict[int, tuple] = {}
+    # id(column) -> its cells.  The blocks list holds every column, and
+    # so its id, for the whole call.
+    formatted: dict[int, object] = {}
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -99,8 +99,8 @@ def write_csv(path: Path, header: list[str], blocks) -> None:
                 key = id(column)
                 if key not in formatted:
                     once = _cells(column)
-                    formatted[key] = (column, once if uses[key] == 1 else list(once))
-                cells.append(formatted[key][1])
+                    formatted[key] = once if uses[key] == 1 else list(once)
+                cells.append(formatted[key])
                 uses[key] -= 1
                 if not uses[key]:
                     del formatted[key]
@@ -110,12 +110,9 @@ def write_csv(path: Path, header: list[str], blocks) -> None:
 def _cells(column):
     """A column's cells for csv.writer, lazily: floats formatted, the rest
     as they are.  A column without floats is returned unchanged."""
-    types = set(map(type, column))
-    if types == {float}:
-        return map(format, column, repeat(".6g"))
-    if not any(issubclass(t, float) for t in types):
-        return column
-    return (f"{c:.6g}" if isinstance(c, float) else c for c in column)
+    if any(issubclass(t, float) for t in set(map(type, column))):
+        return (f"{c:.6g}" if isinstance(c, float) else c for c in column)
+    return column
 
 
 def resolve_seed(args) -> int:

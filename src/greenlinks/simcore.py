@@ -49,8 +49,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from . import identity
-from .apps import Workload
-from .draws import choose
+from .apps import Workload, choose
 from .errors import ScenarioError
 from .identity import IdentityService, ResolverRing, resolver_for
 from .scenario import IDENTITY_MODELS, SECTIONS

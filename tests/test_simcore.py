@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 import greenlinks.identity as identity_mod
 from greenlinks import simcore
+from greenlinks.apps import choose
 from greenlinks.errors import ScenarioError
 from greenlinks.identity import ResolverRing, hash32, resolver_for
-from greenlinks.draws import choose
 from greenlinks.scenario import check_scenario, generate_tree
 from greenlinks.simcore import (
     METRICS,
