@@ -159,7 +159,12 @@ def cmd_simulate(args) -> int:
     trace_events = None
     i = 0
     for result in replicate(
-        scenario, runs, horizon, base_seed=seed, priority_queue=args.priority_queue
+        scenario,
+        runs,
+        horizon,
+        base_seed=seed,
+        priority_queue=args.priority_queue,
+        trace=args.trace,
     ):
         if result.ledger is not None:
             ledgers.append(result.ledger)
@@ -174,8 +179,8 @@ def cmd_simulate(args) -> int:
                 [rec.delivered_at for rec in result.latency],
             )
         )
-        if args.trace and i == 0:
-            trace_events = result.trace.events
+        if i == 0:
+            trace_events = result.trace
         del result  # the loop name would hold this run through the next one
         i += 1
 

@@ -9,14 +9,14 @@ A Simulation is one run of a loaded scenario (scenario.check_scenario):
 it shares the scenario's sections and world Graph with every other run
 and builds only per-run state, such as the Topology of its link states.
 
-A run produces a RunTrace (attempt and link-transition records).  Each
-traffic interval draws its attempts at once; they are records, not
-events, but each takes the heap sequence number scheduling it would
-have taken, so they reach the trace in heap order, ties included,
-without passing through the heap (Engine.events_processed does not
-count them).  evaluate_dual() labels the connected components once,
-relabels only the side of a link that a transition cuts off or joins,
-and scores the trace twice against the same fault timeline:
+Each traffic interval draws its attempts at once; they are records,
+not events, but each takes the heap sequence number scheduling it would
+have taken, so they are released in heap order, ties included, without
+passing through the heap (Engine.events_processed does not count them).
+Each attempt is scored as it is released, against the component labels
+the run's Topology keeps live (labelled once, then relabelled only on
+the side of a link that a transition cuts off or joins), twice against
+the same fault timeline:
 
 * virtual-operator scoring: an attempt needs a live path from source to
   destination, whatever shape that path has (same node: none at all;
@@ -27,8 +27,13 @@ and scores the trace twice against the same fault timeline:
 Any attempt the conventional architecture completes is an attempt the
 virtual operator also completes (src-cloud plus cloud-dst is itself a
 source-destination path), so per-attempt failure containment holds by
-construction; the evaluator still counts violations rather than assuming
-them away.
+construction; the scorer still counts violations rather than assuming
+them away.  The counts go into flat (interval, service) slots, and
+evaluate_dual() turns them into the run's MetricsLedger at the end.
+
+The event tape (attempt and link-transition records, in order) is kept
+only by a run that asks for it with ``trace=True``: simulate --trace
+keeps run 0's, and tests keep theirs.  Scoring never reads it.
 
 The identity bench, identity_latency_bench(), is no Simulation: it
 draws one Poisson stream of lookups, hashes each IMSI once, and replays
@@ -46,15 +51,15 @@ import math
 import random
 import statistics
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import identity
 from .apps import Workload, choose
 from .errors import ScenarioError
 from .identity import IdentityService, ResolverRing, resolver_for
-from .scenario import IDENTITY_MODELS, SECTIONS
+from .scenario import IDENTITY_MODELS
 from .sync import CloudStore, LatencyRecord, LocalServer, MessageBoard
-from .topology import Graph, Role, Topology
+from .topology import Role, Topology
 from .topology import build_topology  # unused here; perfbench/tracing.py wraps it
 
 SERVICES = ("call", "sms", "data")
@@ -83,13 +88,15 @@ class Engine:
     Simulation's traffic attempts, take their sequence numbers from
     next_seq(), so they order against events exactly as scheduled events
     would; they are not events, and events_processed does not count them.
+    ``trace`` is the event tape, a list with ``trace=True`` and None
+    otherwise; log() does nothing without one.
     """
 
-    def __init__(self, seed: int = 0):
+    def __init__(self, seed: int = 0, *, trace: bool = False):
         self.now = 0.0
         self.rng = random.Random(seed)
         self.handlers: dict[str, object] = {}
-        self.trace: list[tuple] = []
+        self.trace: list[tuple] | None = [] if trace else None
         self.events_processed = 0
         self.key: tuple[float, int] = (0.0, 0)
         self._heap: list = []
@@ -109,7 +116,8 @@ class Engine:
         heapq.heappush(self._heap, (at, self.next_seq(), kind, payload))
 
     def log(self, record: tuple) -> None:
-        self.trace.append(record)
+        if self.trace is not None:
+            self.trace.append(record)
 
     def run_until(self, horizon: float | None) -> None:
         """Process events in time order; stop after ``horizon`` (inclusive)
@@ -129,14 +137,6 @@ class Engine:
 
 
 # ----------------------------------------------------------- run artifacts
-
-
-@dataclass
-class RunTrace:
-    graph: Graph
-    interval_s: float
-    horizon: float
-    events: list[tuple] = field(default_factory=list)
 
 
 @dataclass
@@ -189,50 +189,42 @@ def interval_means(ledgers: list[MetricsLedger]) -> tuple:
 
 def interval_count(horizon: float, interval_s: float) -> int:
     """Whole traffic intervals in a horizon: run() schedules this many and
-    evaluate_dual() scores this many buckets."""
+    RunCounts keeps this many buckets."""
     return int(horizon / interval_s)
 
 
-def evaluate_dual(trace: RunTrace) -> MetricsLedger:
-    """Score one fault timeline under both architectures.
+class RunCounts:
+    """One run's attempts and drops under both architectures, in flat
+    slots, one per (interval, service): slot
+    interval * len(SERVICES) + SERVICE_INDEX[service].  An attempt at or
+    past the last interval's end counts in the last interval."""
 
-    Replays the trace with its own link-state sweep from the links'
-    initial state (independent of the run's Topology), labels connected
-    components over the replayed state once and then relabels only the
-    side of a link that a transition cuts off or joins, and counts
-    attempts and drops in flat (interval, service) slots, turned into one
-    IntervalCounts per interval at the end.
-    """
-    graph = trace.graph
-    up = {lid: link.up for lid, link in graph.links.items()}
-    interval_s = trace.interval_s
-    intervals = max(1, interval_count(trace.horizon, interval_s))
-    last = intervals - 1
-    # Flat counters, one slot per (interval, service): slot
-    # interval * len(SERVICES) + SERVICE_INDEX[service].
-    width = len(SERVICES)
-    attempted = [0] * (intervals * width)
-    dropped_vc = attempted.copy()
-    dropped_cell = attempted.copy()
-    violations = 0
-    comp = graph.components(up)
-    cloud = comp[graph.cloud_id]
-    fresh = len(comp)  # components() labels are below the node count
-    for event in trace.events:
-        if event[0] == "link":
-            _, _, link_id, state = event
-            if up[link_id] != (state == "up"):
-                graph.relabel(comp, up, link_id, fresh)
-                fresh += 1
-                cloud = comp[graph.cloud_id]
-        else:
-            _, at, src, dst, service = event
-            src_c = comp[src]
-            dst_c = comp[dst]
+    def __init__(self, interval_s: float, horizon: float):
+        self.interval_s = interval_s
+        self.intervals = max(1, interval_count(horizon, interval_s))
+        self.attempted = [0] * (self.intervals * len(SERVICES))
+        self.dropped_vc = self.attempted.copy()
+        self.dropped_cell = self.attempted.copy()
+        self.violations = 0
+
+    def score(self, topology: Topology, records) -> None:
+        """Count (at, seq, src, dst, service) attempt records against the
+        component labels ``topology`` holds now."""
+        labels = topology.labels
+        cloud = labels[topology.graph.cloud_id]
+        interval_s = self.interval_s
+        last = self.intervals - 1
+        width = len(SERVICES)
+        attempted, dropped_vc, dropped_cell = (
+            self.attempted, self.dropped_vc, self.dropped_cell
+        )
+        for at, _, src, dst, service in records:
+            src_c = labels[src]
+            dst_c = labels[dst]
             vc_ok = src_c == dst_c
             cell_ok = src_c == cloud and dst_c == cloud
             if cell_ok and not vc_ok:
-                violations += 1
+                self.violations += 1
             interval = int(at / interval_s)
             if interval > last:
                 interval = last
@@ -242,18 +234,24 @@ def evaluate_dual(trace: RunTrace) -> MetricsLedger:
                 dropped_vc[slot] += 1
             if not cell_ok:
                 dropped_cell[slot] += 1
-    counts = []
-    for base in range(0, intervals * width, width):
+
+
+def evaluate_dual(counts: RunCounts) -> MetricsLedger:
+    """One run's MetricsLedger under both architectures: one
+    IntervalCounts per interval from its scored counts."""
+    width = len(SERVICES)
+    intervals = []
+    for base in range(0, counts.intervals * width, width):
         iv = IntervalCounts(attempted={}, dropped={})
         for service, slot in zip(SERVICES, range(base, base + width)):
-            if attempted[slot]:
-                iv.attempted[service] = attempted[slot]
-            if dropped_vc[slot]:
-                iv.dropped[(service, "vc")] = dropped_vc[slot]
-            if dropped_cell[slot]:
-                iv.dropped[(service, "cell")] = dropped_cell[slot]
-        counts.append(iv)
-    return MetricsLedger(intervals=counts, containment_violations=violations)
+            if counts.attempted[slot]:
+                iv.attempted[service] = counts.attempted[slot]
+            if counts.dropped_vc[slot]:
+                iv.dropped[(service, "vc")] = counts.dropped_vc[slot]
+            if counts.dropped_cell[slot]:
+                iv.dropped[(service, "cell")] = counts.dropped_cell[slot]
+        intervals.append(iv)
+    return MetricsLedger(intervals=intervals, containment_violations=counts.violations)
 
 
 # -------------------------------------------------------------- simulation
@@ -261,9 +259,12 @@ def evaluate_dual(trace: RunTrace) -> MetricsLedger:
 
 @dataclass
 class RunResult:
-    trace: RunTrace
+    """``ledger`` is None for a run that scored no attempt, and ``trace``
+    is the event tape of a run made with trace=True, else None."""
+
     ledger: MetricsLedger | None
     latency: list[LatencyRecord]
+    trace: list[tuple] | None
 
 
 class Simulation:
@@ -274,7 +275,8 @@ class Simulation:
     workloads are scheduled from outside through the public surface
     (local(), identity, engine).  The draws index the graph's pools,
     which filtering the graph at draw time would give in the same order;
-    link state is read when a draw lands.
+    link state is read when a draw lands.  ``trace=True`` keeps the
+    run's event tape in engine.trace.
     """
 
     def __init__(
@@ -283,13 +285,14 @@ class Simulation:
         *,
         seed: int = 0,
         priority_queue: bool = False,
+        trace: bool = False,
     ):
         if scenario["graph"] is None:
             raise ScenarioError("scenario defines no nodes")
         self.scenario = scenario
         self.graph = scenario["graph"]
         self.topology = Topology(self.graph)
-        self.engine = Engine(seed)
+        self.engine = Engine(seed, trace=trace)
         self.priority_queue = priority_queue
         self.store = CloudStore()
         self.board = MessageBoard()
@@ -297,10 +300,11 @@ class Simulation:
         self.identity = IdentityService(self.topology)
         self.locals: dict[int, LocalServer] = {}
         self._queue_gen: dict[int, int] = {}
-        # Drawn attempts not yet in engine.trace, as (at, seq, src, dst,
-        # service) sorted by heap key; see _log_attempts_before.
+        # Drawn attempts not yet scored, as (at, seq, src, dst, service)
+        # sorted by heap key; see _log_attempts_before.
         self._attempts: list[tuple] = []
-        self._drew_attempts = False
+        # The run's attempt counts; run() makes them for a traffic section.
+        self.counts: RunCounts | None = None
         e = self.engine
         e.on("traffic_interval", self._on_traffic_interval)
         e.on("failure_draw", self._on_failure_draw)
@@ -413,14 +417,16 @@ class Simulation:
 
     def set_link(self, link_id: str, up: bool) -> None:
         """Bring a link up or down with correct accounting: lazy queues
-        are advanced at the old rate first, then the state flips, then
-        wake-ups and (on restore) pending identity work and message
-        delivery run.  The trace records the state as "up" or "down"."""
-        if self.topology.up[link_id] == up:
+        are advanced at the old rate and the attempts drawn before this
+        event are scored against the old state first, then the state
+        flips, then wake-ups and (on restore) pending identity work and
+        message delivery run.  The trace records the state as "up" or
+        "down".  An unknown link id raises UnknownLink."""
+        if self.topology.link_up(link_id) == up:
             return
         self._advance_all()
-        self.topology.set_link_state(link_id, up)
         self._log_attempts_before(self.engine.key)
+        self.topology.set_link_state(link_id, up)
         self.engine.log(("link", self.engine.now, link_id, "up" if up else "down"))
         self._poke_all()
         if up:
@@ -453,7 +459,7 @@ class Simulation:
         """Draw the interval's attempts.  They are records, not events:
         each takes the heap sequence number scheduling it would have
         taken, and waits in the sorted buffer until _log_attempts_before
-        moves it into engine.trace."""
+        scores it."""
         self._log_attempts_before(self.engine.key)
         rng = self.engine.rng
         getrandbits, draw = rng.getrandbits, rng.random
@@ -486,22 +492,25 @@ class Simulation:
                     else:
                         dst = src
                 drawn.append((start + interval * draw(), next_seq(), src, dst, service))
-        if drawn:
-            self._drew_attempts = True
-            drawn.sort()
+        drawn.sort()
 
     def _log_attempts_before(self, key: tuple) -> None:
-        """Move the drawn attempts whose (at, seq) is below ``key`` into
-        engine.trace, in key order: the attempts the heap would have
-        dispatched, and logged, before the event with that key."""
+        """Release the drawn attempts whose (at, seq) is below ``key``, in
+        key order: the attempts the heap would have dispatched before the
+        event with that key.  Each is scored against the link state of
+        now, and logged when the engine keeps a trace."""
         drawn = self._attempts
         n = bisect.bisect_left(drawn, key)
         if n:
-            self.engine.trace.extend(
-                ("attempt", at, src, dst, service)
-                for at, _, src, dst, service in drawn[:n]
-            )
+            released = drawn[:n]
             del drawn[:n]
+            self.counts.score(self.topology, released)
+            trace = self.engine.trace
+            if trace is not None:
+                trace.extend(
+                    ("attempt", at, src, dst, service)
+                    for at, _, src, dst, service in released
+                )
 
     # --------------------------------------------------------------- run
 
@@ -517,6 +526,7 @@ class Simulation:
             raise ScenarioError("traffic and failure sections need a finite horizon")
         if tcfg:
             interval = tcfg["interval_s"]
+            self.counts = RunCounts(interval, horizon)
             for i in range(interval_count(horizon, interval)):
                 self.engine.schedule(i * interval, "traffic_interval", config=tcfg)
         if fcfg:
@@ -531,19 +541,24 @@ class Simulation:
                 t += fcfg["interval_s"]
         self.engine.run_until(None)
         self._log_attempts_before((math.inf,))
-        effective = horizon if horizon is not None else self.engine.now
-        trace = RunTrace(
-            graph=self.graph,
-            interval_s=(tcfg or SECTIONS["traffic"])["interval_s"],
-            horizon=effective,
-            events=list(self.engine.trace),
-        )
-        ledger = evaluate_dual(trace) if self._drew_attempts else None
+        counts = self.counts
+        ledger = None
+        if counts is not None and any(counts.attempted):
+            ledger = evaluate_dual(counts)
         latency: list[LatencyRecord] = []
         for node_id in sorted(self.locals):
             latency.extend(self.locals[node_id].records)
         latency.sort(key=lambda r: (r.enqueued_at, r.request_id))
-        return RunResult(trace=trace, ledger=ledger, latency=latency)
+        return RunResult(ledger=ledger, latency=latency, trace=self.engine.trace)
+
+    def close(self) -> None:
+        """Drop the references that point back at this Simulation: the
+        engine's handlers, and each LocalServer's wake and service_time.
+        A finished run is then freed by reference counting, without
+        waiting for the cyclic collector.  Nothing may run on it after."""
+        self.engine.handlers.clear()
+        for server in self.locals.values():
+            server.wake = server.service_time = None
 
 
 # ----------------------------------------------------------- monte carlo
@@ -556,24 +571,31 @@ def replicate(
     *,
     base_seed: int = 0,
     priority_queue: bool = False,
+    trace: bool = False,
 ) -> Iterator[RunResult]:
     """Independent replications of a loaded scenario, made one at a time
     as the caller asks for them; run i uses seed base_seed + i.  All
     share the scenario's graph and sections.  A ``workload`` section is
     scheduled, up to the horizon, before the run schedules its traffic
-    and failures.  The generator keeps no finished run, so a caller that
-    keeps only what it needs of each holds one Simulation at a time."""
+    and failures.  ``trace=True`` keeps the event tape of run 0 only.
+    Each run is closed when it returns, so it is freed as soon as the
+    caller drops its result, and a caller that keeps only what it needs
+    of each holds one Simulation at a time."""
     for i in range(runs):
-        yield _run_once(scenario, horizon, base_seed + i, priority_queue)
+        yield _run_once(
+            scenario, horizon, base_seed + i, priority_queue, trace and i == 0
+        )
 
 
 def _run_once(
-    scenario: dict, horizon: float | None, seed: int, priority_queue: bool
+    scenario: dict, horizon: float | None, seed: int, priority_queue: bool, trace: bool
 ) -> RunResult:
-    sim = Simulation(scenario, seed=seed, priority_queue=priority_queue)
+    sim = Simulation(scenario, seed=seed, priority_queue=priority_queue, trace=trace)
     if scenario["workload"] is not None:
         Workload(sim).schedule(horizon)
-    return sim.run(horizon)
+    result = sim.run(horizon)
+    sim.close()
+    return result
 
 
 @dataclass

@@ -6,7 +6,9 @@ a Graph, immutable and shared by every run: nodes, zones, links with
 their initial state, adjacency, draw pools, and component labelling over
 a link-state map the caller gives.  A Topology is one run's view of it:
 the link-up map that failure injection toggles through set_link_state,
-and each node's route to the cloud, cached until the next real link
+a live component label per node (labelled once, then relabelled on each
+real link transition, so a run scores its attempts as they happen), and
+each node's route to the cloud, cached until the next real link
 transition.
 
 Levels follow the deployment shape: one cloud controller, level-2 community
@@ -98,7 +100,7 @@ class Graph:
 
     def components(self, up: dict[str, bool]) -> dict[int, int]:
         """Connected-component label per node over ``up``, which maps every
-        link id to whether it is up (evaluate_dual passes its replayed
+        link id to whether it is up (a Topology passes its initial
         state).  Components are numbered in the order ``self.nodes``
         first reaches them; callers only compare labels for equality.
         """
@@ -171,21 +173,34 @@ class Graph:
 
 class Topology:
     """One run's link state over a shared Graph, with reachability and
-    path-metric queries."""
+    path-metric queries.
+
+    ``labels`` maps each node to its connected component over the live
+    links; two nodes are connected exactly when their labels are equal.
+    """
 
     def __init__(self, graph: Graph):
         self.graph = graph
         self.up = {lid: link.up for lid, link in graph.links.items()}
+        self.labels = graph.components(self.up)
+        self._fresh = len(self.labels)  # components() labels are below this
         # Node id -> cloud_route result, cleared on every link transition.
         self._cloud_routes: dict[int, tuple[float, float] | None] = {}
 
     # ------------------------------------------------------------ queries
 
+    def link_up(self, link_id: str) -> bool:
+        """Whether the link is up now; UnknownLink for an id not in the
+        graph."""
+        try:
+            return self.up[link_id]
+        except KeyError:
+            raise UnknownLink(f"no link with id {link_id!r}") from None
+
     def set_link_state(self, link_id: str, up: bool) -> None:
-        if link_id not in self.up:
-            raise UnknownLink(f"no link with id {link_id!r}")
-        if self.up[link_id] != up:
-            self.up[link_id] = up
+        if self.link_up(link_id) != up:
+            self.graph.relabel(self.labels, self.up, link_id, self._fresh)
+            self._fresh += 1
             self._cloud_routes.clear()
 
     def reachable(self, a: int, b: int, *, within_zone: str | None = None) -> bool:

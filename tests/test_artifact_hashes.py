@@ -240,7 +240,7 @@ def library_digest(seed):
     issuance on a nine-node edge tree under failures."""
     scenario = generate_tree(3, 2, backhaul_profile="edge")
     scenario["failures"] = {"interval_s": 45.0, "outage_mean_s": 120.0}
-    sim = Simulation(check_scenario(scenario), seed=seed)
+    sim = Simulation(check_scenario(scenario), seed=seed, trace=True)
     nodes = sorted(sim.identity.caches)
     imsi = {n: f"23324{n:010d}" for n in nodes}
     markets = {n: Marketplace(sim.local(n), sim.identity) for n in nodes}

@@ -1,8 +1,11 @@
 """Engine, dual-architecture scoring, uplinks, monte carlo, identity bench."""
 
+import gc
 import itertools
 import math
 import random
+import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -10,20 +13,24 @@ from hypothesis import strategies as st
 
 import greenlinks.identity as identity_mod
 from greenlinks import simcore
-from greenlinks.apps import choose
-from greenlinks.errors import ScenarioError
+from greenlinks.apps import Workload, choose
+from greenlinks.errors import ScenarioError, UnknownLink
 from greenlinks.identity import ResolverRing, hash32, resolver_for
 from greenlinks.scenario import check_scenario, generate_tree
 from greenlinks.simcore import (
     METRICS,
+    SERVICE_INDEX,
     SERVICES,
     Engine,
+    IntervalCounts,
+    MetricsLedger,
     MonteCarloResult,
-    RunTrace,
+    RunCounts,
     Simulation,
     aggregate,
     evaluate_dual,
     identity_latency_bench,
+    interval_count,
     interval_means,
     replicate,
 )
@@ -60,8 +67,24 @@ def test_engine_horizon_is_inclusive_and_resumable():
 # ----------------------------------------------------------- dual scoring
 
 
+def hand_scored(cfg, events, horizon):
+    """Score hand-written attempt and link records in order through a
+    Topology, as a run scores its attempts: each against the link state
+    of its time.  Intervals are 10 s."""
+    topology = Topology(build_topology(cfg))
+    counts = RunCounts(10.0, horizon)
+    for ev in events:
+        if ev[0] == "link":
+            _, _, link_id, state = ev
+            topology.set_link_state(link_id, state == "up")
+        else:
+            _, at, src, dst, service = ev
+            counts.score(topology, [(at, 0, src, dst, service)])
+    return evaluate_dual(counts)
+
+
 def hand_trace():
-    graph = build_topology(generate_tree(1, 1))  # cloud 0, level2 1, level3 2
+    cfg = generate_tree(1, 1)  # cloud 0, level2 1, level3 2
     events = [
         ("attempt", 1.0, 1, 1, "call"),
         ("attempt", 2.0, 2, 1, "sms"),
@@ -78,11 +101,11 @@ def hand_trace():
         ("attempt", 39.0, 1, 2, "sms"),
         ("attempt", 40.0, 1, 1, "call"),  # boundary: clamps to the last bucket
     ]
-    return RunTrace(graph=graph, interval_s=10.0, horizon=40.0, events=events)
+    return hand_scored(cfg, events, 40.0)
 
 
 def test_dual_scoring_matches_the_hand_scored_trace():
-    ledger = evaluate_dual(hand_trace())
+    ledger = hand_trace()
     assert ledger.containment_violations == 0
     assert ledger.overall("vce") == pytest.approx(1 / 5)
     assert ledger.overall("cce") == pytest.approx(2 / 5)
@@ -98,7 +121,7 @@ def test_dual_scoring_matches_the_hand_scored_trace():
 
 
 def test_attempted_totals_are_conserved():
-    ledger = evaluate_dual(hand_trace())
+    ledger = hand_trace()
     attempted, dropped = ledger.totals()
     assert attempted == {"call": 5, "sms": 3, "data": 2}
     for (service, _arch), n in dropped.items():
@@ -113,8 +136,7 @@ def test_scoring_starts_from_the_links_initial_state():
         ("link", 2.0, "b0", "up"),
         ("attempt", 3.0, 1, 1, "call"),
     ]
-    trace = RunTrace(graph=build_topology(cfg), interval_s=10.0, horizon=10.0, events=events)
-    ledger = evaluate_dual(trace)
+    ledger = hand_scored(cfg, events, 10.0)
     assert ledger.overall("vce") == 0.0
     assert ledger.overall("cce") == pytest.approx(1 / 2)
 
@@ -122,10 +144,10 @@ def test_scoring_starts_from_the_links_initial_state():
 # A causality check that never consults the scorer: times must not go
 # backwards, link records must be real transitions, attempts must name
 # community nodes and land inside the horizon.
-def validate_trace(trace):
-    state = {lid: link.up for lid, link in trace.graph.links.items()}
+def validate_trace(graph, events, horizon):
+    state = {lid: link.up for lid, link in graph.links.items()}
     t_prev = 0.0
-    for ev in trace.events:
+    for ev in events:
         assert ev[1] >= t_prev - 1e-9
         t_prev = ev[1]
         if ev[0] == "link":
@@ -135,19 +157,20 @@ def validate_trace(trace):
         else:
             _, at, src, dst, service = ev
             assert service in SERVICES
-            assert src in trace.graph.nodes and dst in trace.graph.nodes
-            cloud = trace.graph.cloud_id
+            assert src in graph.nodes and dst in graph.nodes
+            cloud = graph.cloud_id
             assert src != cloud and dst != cloud
-            assert 0.0 <= at <= trace.horizon
+            assert 0.0 <= at <= horizon
 
 
 def test_simulated_traces_pass_the_causality_check():
     scenario = generate_tree(3, 2)
     scenario["traffic"] = {"interval_s": 60.0}
     scenario["failures"] = {"interval_s": 120.0, "outage_mean_s": 90.0}
+    scenario = check_scenario(scenario)
     for seed in range(5):
-        result = Simulation(check_scenario(scenario), seed=seed).run(600.0)
-        validate_trace(result.trace)
+        result = Simulation(scenario, seed=seed, trace=True).run(600.0)
+        validate_trace(scenario["graph"], result.trace, 600.0)
         assert result.ledger.containment_violations == 0
 
 
@@ -180,27 +203,184 @@ def test_runs_are_reproducible_per_seed():
     scenario["traffic"] = {}
     scenario["failures"] = {}
     scenario = check_scenario(scenario)
-    a = Simulation(scenario, seed=42).run(900.0)
-    b = Simulation(scenario, seed=42).run(900.0)
-    assert a.trace.events == b.trace.events
+    a = Simulation(scenario, seed=42, trace=True).run(900.0)
+    b = Simulation(scenario, seed=42, trace=True).run(900.0)
+    assert a.trace == b.trace
     assert interval_means([a.ledger]) == interval_means([b.ledger])
-    c = Simulation(scenario, seed=43).run(900.0)
-    assert c.trace.events != a.trace.events
+    c = Simulation(scenario, seed=43, trace=True).run(900.0)
+    assert c.trace != a.trace
+
+
+class ReferenceReplay:
+    """The scorer as the simulator first ran it, after the run: replay
+    the event tape with its own link-state sweep from the links' initial
+    state, relabel on each link record, and score each attempt record
+    against the replayed labels."""
+
+    def __init__(self, graph, interval_s, horizon):
+        self.graph = graph
+        self.interval_s = interval_s
+        self.horizon = horizon
+
+    def ledger(self, events):
+        graph = self.graph
+        up = {lid: link.up for lid, link in graph.links.items()}
+        interval_s = self.interval_s
+        intervals = max(1, interval_count(self.horizon, interval_s))
+        last = intervals - 1
+        width = len(SERVICES)
+        attempted = [0] * (intervals * width)
+        dropped_vc = attempted.copy()
+        dropped_cell = attempted.copy()
+        violations = 0
+        comp = graph.components(up)
+        cloud = comp[graph.cloud_id]
+        fresh = len(comp)
+        for event in events:
+            if event[0] == "link":
+                _, _, link_id, state = event
+                if up[link_id] != (state == "up"):
+                    graph.relabel(comp, up, link_id, fresh)
+                    fresh += 1
+                    cloud = comp[graph.cloud_id]
+            else:
+                _, at, src, dst, service = event
+                src_c = comp[src]
+                dst_c = comp[dst]
+                vc_ok = src_c == dst_c
+                cell_ok = src_c == cloud and dst_c == cloud
+                if cell_ok and not vc_ok:
+                    violations += 1
+                interval = int(at / interval_s)
+                if interval > last:
+                    interval = last
+                slot = interval * width + SERVICE_INDEX[service]
+                attempted[slot] += 1
+                if not vc_ok:
+                    dropped_vc[slot] += 1
+                if not cell_ok:
+                    dropped_cell[slot] += 1
+        counts = []
+        for base in range(0, intervals * width, width):
+            iv = IntervalCounts(attempted={}, dropped={})
+            for service, slot in zip(SERVICES, range(base, base + width)):
+                if attempted[slot]:
+                    iv.attempted[service] = attempted[slot]
+                if dropped_vc[slot]:
+                    iv.dropped[(service, "vc")] = dropped_vc[slot]
+                if dropped_cell[slot]:
+                    iv.dropped[(service, "cell")] = dropped_cell[slot]
+            counts.append(iv)
+        return MetricsLedger(intervals=counts, containment_violations=violations)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    zones=st.integers(1, 3),
+    per_zone=st.integers(0, 3),
+    interval_s=st.sampled_from([30.0, 45.0, 60.0]),
+    intervals=st.integers(1, 8),
+    spill=st.floats(0.0, 0.99),
+    attempts=st.tuples(st.integers(0, 12), st.integers(0, 12), st.integers(1, 12)),
+    mix=st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(1, 4)),
+    fail_every=st.sampled_from([15.0, 40.0, 90.0]),
+    outage=st.sampled_from([20.0, 120.0, 600.0]),
+    start_down=st.none() | st.integers(0, 100),
+    market=st.booleans(),
+    seed=st.integers(0, 2**32),
+)
+def test_online_scoring_matches_the_replayed_tape(
+    zones, per_zone, interval_s, intervals, spill, attempts, mix,
+    fail_every, outage, start_down, market, seed,
+):
+    raw = generate_tree(zones, per_zone)
+    if start_down is not None:
+        raw["links"][start_down % len(raw["links"])]["state"] = "down"
+    per_service = dict(zip(SERVICES, attempts))
+    total = sum(mix)
+    raw["traffic"] = {
+        "interval_s": interval_s,
+        "attempts": per_service,
+        "dest_mix": dict(zip(("local", "zone", "cross"), (m / total for m in mix))),
+    }
+    raw["failures"] = {"interval_s": fail_every, "outage_mean_s": outage}
+    horizon = interval_s * (intervals + spill)
+    if market:
+        raw["workload"] = {"sellers": 2, "buyers": 2, "until_s": horizon}
+    scenario = check_scenario(raw)
+    if market:
+        # Workload.schedule issues identities at t=0 through the cloud.
+        node = scenario["workload"]["node"]
+        market = Topology(scenario["graph"]).cloud_route(node) is not None
+
+    def run(trace):
+        sim = Simulation(scenario, seed=seed, trace=trace)
+        if market:
+            Workload(sim).schedule(horizon)
+        return sim.run(horizon)
+
+    traced = run(True)
+    ledger = traced.ledger
+    replay = ReferenceReplay(scenario["graph"], interval_s, horizon)
+    assert ledger == replay.ledger(traced.trace)
+    assert ledger.containment_violations == 0
+    attempted, _ = ledger.totals()
+    assert attempted == {s: intervals * n for s, n in per_service.items() if n}
+
+    assert run(True).trace == traced.trace
+    untraced = run(False)
+    assert untraced.trace is None
+    assert untraced.ledger == ledger
+    assert untraced.latency == traced.latency
+
+
+def test_a_run_without_a_trace_builds_no_attempt_record():
+    scenario = generate_tree(2, 2)
+    scenario["traffic"] = {
+        "interval_s": 60.0,
+        "attempts": {"call": 100, "sms": 100, "data": 100},
+    }
+    scenario["failures"] = {"interval_s": 60.0, "outage_mean_s": 120.0}
+    scenario = check_scenario(scenario)
+    attempts = 300 * 60
+
+    def run_peak(trace):
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            result = Simulation(scenario, seed=3, trace=trace).run(3600.0)
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            if started:
+                tracemalloc.stop()
+
+    traced, traced_peak = run_peak(True)
+    untraced, untraced_peak = run_peak(False)
+    assert sum(1 for ev in traced.trace if ev[0] == "attempt") == attempts
+    assert untraced.trace is None and untraced.ledger == traced.ledger
+    # A 5-tuple alone takes 80 bytes on a 64-bit build: the untraced
+    # run's whole heap never reaches what its attempt records would take.
+    assert untraced_peak < attempts * 80 < traced_peak
 
 
 class ReferenceDraws(Simulation):
     """The traffic and failure draws as the simulator first made them:
     every draw filters the graph again, and every attempt is an engine
-    event whose handler logs it.  The pooled draws, which keep attempts
-    off the heap, must make the same RNG calls with the same pool
-    lengths and give the same engine trace, ties included."""
+    event whose handler scores and logs it.  The pooled draws, which
+    keep attempts off the heap, must make the same RNG calls with the
+    same pool lengths and give the same engine trace, ties included, and
+    the same ledger."""
 
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        super().__init__(*args, trace=True, **kwargs)
         self.engine.on("attempt", self.attempt)
 
     def attempt(self, src, dst, service):
-        self.engine.log(("attempt", self.engine.now, src, dst, service))
+        now = self.engine.now
+        self.counts.score(self.topology, [(now, 0, src, dst, service)])
+        self.engine.log(("attempt", now, src, dst, service))
 
     def nodes_by_role(self, role):
         return sorted(
@@ -312,10 +492,10 @@ def islanded_cloud():
 def test_pooled_draws_match_the_filtering_reference(build):
     scenario = check_scenario(with_draws(build()))
     for seed in range(4):
-        pooled = Simulation(scenario, seed=seed)
+        pooled = Simulation(scenario, seed=seed, trace=True)
         reference = ReferenceDraws(scenario, seed=seed)
-        pooled.run(900.0)
-        reference.run(900.0)
+        ledger = pooled.run(900.0).ledger
+        assert reference.run(900.0).ledger == ledger
         assert pooled.engine.trace == reference.engine.trace
 
 
@@ -335,11 +515,13 @@ def test_choose_draws_what_random_choice_draws(seed):
 
 def test_attempts_off_the_heap_keep_the_heap_order_of_ties():
     scenario = check_scenario(with_draws(generate_tree(3, 2)))
-    pooled = Simulation(scenario, seed=0)
+    pooled = Simulation(scenario, seed=0, trace=True)
     reference = ReferenceDraws(scenario, seed=0)
+    ledgers = []
     for sim in (pooled, reference):
         sim.engine.rng = CyclingRandom(0)
-        sim.run(600.0)
+        ledgers.append(sim.run(600.0).ledger)
+    assert ledgers[0] == ledgers[1]
     trace = reference.engine.trace
     assert pooled.engine.trace == trace
     # The case has ties both ways: link records logged before and after
@@ -365,6 +547,14 @@ def test_uplink_reports_bottleneck_rate_and_summed_latency():
     assert topo.cloud_route(1) is not None
     topo.set_link_state("z0n0", True)
     assert topo.cloud_route(2)[1] == pytest.approx(0.4)
+
+
+def test_set_link_names_an_unknown_link():
+    sim = Simulation(check_scenario(generate_tree(1, 0)), seed=0)
+    for up in (False, True):
+        with pytest.raises(UnknownLink):
+            sim.set_link("nope", up)
+    assert sim.topology.up == {"b0": True}
 
 
 # ----------------------------------------------------- exactly-once smoke
@@ -473,8 +663,8 @@ def test_runs_do_not_leak_into_the_shared_world():
     loaded = check_scenario(raw)
 
     def run(scenario, seed):
-        result = next(replicate(scenario, 1, 600.0, base_seed=seed))
-        return result.trace.events, result.ledger, result.latency
+        result = next(replicate(scenario, 1, 600.0, base_seed=seed, trace=True))
+        return result.trace, result.ledger, result.latency
 
     first, _, again = (run(loaded, seed) for seed in (5, 3, 5))
     fresh = run(check_scenario(raw), 5)
@@ -484,6 +674,32 @@ def test_runs_do_not_leak_into_the_shared_world():
     assert loaded == check_scenario(raw)
     assert all(link.up for link in loaded["graph"].links.values())
     assert loaded["workload"]["node"] == 1
+
+
+def test_a_replicated_run_is_freed_without_the_cyclic_collector(monkeypatch):
+    raw = generate_tree(2, 1)
+    raw["traffic"] = {"interval_s": 60.0}
+    raw["failures"] = {"interval_s": 60.0, "outage_mean_s": 90.0}
+    raw["workload"] = {"sellers": 2, "buyers": 2, "until_s": 300.0, "file_count": 2}
+    scenario = check_scenario(raw)
+    made = []
+
+    class Tracked(Simulation):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(simcore, "Simulation", Tracked)
+    gc.collect()
+    gc.disable()
+    try:
+        results = list(replicate(scenario, 2, 600.0, trace=True))
+        assert len(made) == 2
+        assert [ref() for ref in made] == [None, None]
+    finally:
+        gc.enable()
+    assert results[0].trace and results[1].trace is None
+    assert all(r.ledger and r.latency for r in results)
 
 
 def test_monte_carlo_needs_traffic():

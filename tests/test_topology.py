@@ -268,6 +268,7 @@ def test_reachability_matches_closure_oracle_under_random_outages():
                 expect = reach[idx[a]][idx[b]]
                 assert topo.reachable(a, b) is expect
                 assert (comp[a] == comp[b]) is expect
+                assert (topo.labels[a] == topo.labels[b]) is expect
         # Cloud routes, cached since the previous round's transitions,
         # follow path and path_metrics (in bytes/s); a no-op transition
         # keeps them.
