@@ -22,9 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import os
-import random
 import sys
 from itertools import repeat
 from pathlib import Path
@@ -40,16 +38,8 @@ from .simcore import (
     interval_means,
     replicate,
 )
-from .whitespace import (
-    Detector,
-    DetectorConfig,
-    RadioField,
-    compare_ngsm,
-    make_phones,
-    organic_traffic,
-    run_detection,
-    with_volunteers,
-)
+from .whitespace import compare_ngsm, detection_study
+from .whitespace import run_detection  # unused here; perfbench/tracing.py wraps it
 
 DEFAULT_HORIZON = 3600.0
 # A column of one of these types is a constant repeated down its block.
@@ -234,59 +224,20 @@ def cmd_whitespace(args) -> int:
     cfg = loaded_scenario(args, {})["whitespace"]
     seed = resolve_seed(args)
 
-    band = cfg["band"]
-    det_config = DetectorConfig(
-        first_arfcn=band["first"],
-        last_arfcn=band["last"],
-        n_free=cfg["n_free"],
-        t_free_s=cfg["t_free_s"],
-        evidence_ttl_s=cfg["evidence_ttl_s"],
-    )
-    channels = det_config.last_arfcn - det_config.first_arfcn + 1
-    truth = [a for a in cfg["truth_occupied"] if det_config.first_arfcn <= a <= det_config.last_arfcn]
-    detector = Detector(det_config)
-    users = cfg["users"]
-    volunteers = cfg["volunteers"]
-    converged = None
-    collisions = 0
-    if users + volunteers == 0:
+    detector, run = detection_study(cfg, seed)
+    if cfg["users"] + cfg["volunteers"] == 0:
         print("warning: no reporting traffic; the whole band stays unknown", file=sys.stderr)
-    else:
-        rng = random.Random(seed)
-        field_model = RadioField.place(truth, rng, radius=cfg["radius"])
-        phones = make_phones(users + volunteers, rng)
-        rate = users / cfg["organic_period_s"] + (
-            volunteers / cfg["volunteer_period_s"] if volunteers else 0.0
-        )
-        groups = math.ceil(channels / det_config.slots)
-        batches = groups * (det_config.n_free + det_config.t_free_s * rate) * 2 + 400
-        organic_n = int(batches * (users / cfg["organic_period_s"]) / rate) + 50 if users else 0
-        organic = organic_traffic(users, cfg["organic_period_s"], organic_n, rng) if users else []
-        horizon = organic[-1][0] if organic else batches / rate
-        traffic = with_volunteers(
-            organic, users, volunteers, cfg["volunteer_period_s"], horizon
-        )
-        run = run_detection(
-            traffic,
-            detector,
-            field_model,
-            phones,
-            random.Random(seed + 1),
-            truth_occupied=set(truth),
-        )
-        converged = run.converged_at
-        collisions = run.collisions
-        if converged is None:
-            print("warning: band not fully classified before traffic ran out", file=sys.stderr)
+    elif run.converged_at is None:
+        print("warning: band not fully classified before traffic ran out", file=sys.stderr)
 
     rows = detector.occupancy_rows()
     occupied = sum(1 for _, v, _ in rows if v == "occupied")
     free = sum(1 for _, v, _ in rows if v == "free")
     unknown = sum(1 for _, v, _ in rows if v == "unknown")
-    when = f"{converged:.6g} s" if converged is not None else "never"
+    when = f"{run.converged_at:.6g} s" if run.converged_at is not None else "never"
     print(
         f"occupancy: {occupied} occupied, {free} free, {unknown} unknown; "
-        f"converged at {when}; serving collisions {collisions}"
+        f"converged at {when}; serving collisions {run.collisions}"
     )
 
     compare_blocks = []

@@ -220,9 +220,11 @@ def check_scenario(scenario: dict) -> dict:
     fit its schema, a world graph build_topology rejects, and a section
     the graph cannot serve: traffic without a level2 node, failures
     without a link, a workload without a community node or whose node
-    (by default the lowest community node id) is not one."""
+    (by default the lowest community node id) is not one or starts cut
+    off from the cloud: a link that starts down stays down, so the
+    workload's t = 0 issuance would never go out."""
     # Imported here because topology imports world() from this module.
-    from .topology import Role, build_topology
+    from .topology import Role, Topology, build_topology
 
     loaded = {name: None if name in OPTIONAL else section(name) for name in SECTIONS}
     for key, value in scenario.items():
@@ -245,6 +247,8 @@ def check_scenario(scenario: dict) -> dict:
         node = workload["node"]
         if not isinstance(node, int) or node not in graph.community:
             raise ScenarioError(f"workload.node {node} is not a community node")
+        if Topology(graph).cloud_route(node) is None:
+            raise ScenarioError(f"workload.node {node} has no route to the cloud")
     return loaded
 
 

@@ -25,6 +25,10 @@ channel has been verified free.  When its serving channel turns occupied
 it moves to the stalest verified-free channel, or quiesces again when
 there is none.
 
+detection_study runs the whole study of one loaded ``whitespace``
+scenario section: interferers, phones, organic and volunteer traffic,
+and one detector fed by them.
+
 The NGSM baseline in compare_ngsm runs the identical estimator fed only
 by organic traffic; the volunteer strategy adds paid periodic senders on
 top of the same organic trace.  One call draws that trace and classifies
@@ -427,6 +431,46 @@ def run_detection(
             run.converged_at = at
             break
     return run
+
+
+def detection_study(cfg: dict, seed: int) -> tuple[Detector, DetectionRun]:
+    """The detection study of one loaded ``whitespace`` scenario section:
+    the detector, holding the verdicts and switches, and its run.  With
+    no reporter nothing is drawn or run.  random.Random(seed) places the
+    interferers, then the phones, then draws the organic trace;
+    random.Random(seed + 1) walks the phones.  The traffic is budgeted
+    at twice the batches every scan-plan group needs, plus 400."""
+    first, last = cfg["band"]["first"], cfg["band"]["last"]
+    config = DetectorConfig(
+        first_arfcn=first, last_arfcn=last, n_free=cfg["n_free"],
+        t_free_s=cfg["t_free_s"], evidence_ttl_s=cfg["evidence_ttl_s"],
+    )
+    detector = Detector(config)
+    users, volunteers = cfg["users"], cfg["volunteers"]
+    if users + volunteers == 0:
+        return detector, DetectionRun(converged_at=None, batches=0)
+    truth = [a for a in cfg["truth_occupied"] if first <= a <= last]
+    rng = random.Random(seed)
+    field_model = RadioField.place(truth, rng, radius=cfg["radius"])
+    phones = make_phones(users + volunteers, rng)
+    organic_rate = users / cfg["organic_period_s"]
+    rate = organic_rate + volunteers / cfg["volunteer_period_s"]
+    groups = math.ceil((last - first + 1) / config.slots)
+    batches = groups * (config.n_free + config.t_free_s * rate) * 2 + 400
+    organic = []
+    if users:
+        count = int(batches * organic_rate / rate) + 50
+        organic = organic_traffic(users, cfg["organic_period_s"], count, rng)
+    horizon = organic[-1][0] if organic else batches / rate
+    traffic = with_volunteers(
+        organic, users, volunteers, cfg["volunteer_period_s"], horizon
+    )
+    # Called through this module's global, which perfbench/tracing.py wraps.
+    run = run_detection(
+        traffic, detector, field_model, phones, random.Random(seed + 1),
+        truth_occupied=set(truth),
+    )
+    return detector, run
 
 
 def compare_ngsm(

@@ -15,23 +15,14 @@ from greenlinks import cli
 from greenlinks.apps import Marketplace, Workload
 from greenlinks.errors import GreenLinksError
 from greenlinks.identity import ResolverRing, hash32, resolver_for
-from greenlinks.scenario import SECTIONS, check_scenario, generate_tree
+from greenlinks.scenario import check_scenario, generate_tree
 from greenlinks.simcore import (
     Simulation,
     aggregate,
     identity_latency_bench,
     replicate,
 )
-from greenlinks.whitespace import (
-    Detector,
-    DetectorConfig,
-    RadioField,
-    compare_ngsm,
-    make_phones,
-    organic_traffic,
-    run_detection,
-    with_volunteers,
-)
+from greenlinks.whitespace import compare_ngsm, detection_study
 
 
 def report(num, name, ok, detail):
@@ -172,30 +163,9 @@ def test_criterion_04_queue_interaction():
 
 
 def test_criterion_05_whitespace_detection():
-    defaults = SECTIONS["whitespace"]
-    config = DetectorConfig(
-        first_arfcn=1,
-        last_arfcn=124,
-        n_free=defaults["n_free"],
-        t_free_s=defaults["t_free_s"],
-    )
-    truth = defaults["truth_occupied"]
-    rng = random.Random(0)
-    field = RadioField.place(truth, rng, radius=defaults["radius"])
-    users, volunteers = defaults["users"], defaults["volunteers"]
-    phones = make_phones(users + volunteers, rng)
-    rate = users / defaults["organic_period_s"] + volunteers / defaults["volunteer_period_s"]
-    batches = 21 * (config.n_free + config.t_free_s * rate) * 2 + 400
-    organic_n = int(batches * (users / defaults["organic_period_s"]) / rate) + 50
-    organic = organic_traffic(users, defaults["organic_period_s"], organic_n, rng)
-    horizon = organic[-1][0]
-    merged = with_volunteers(
-        organic, users, volunteers, defaults["volunteer_period_s"], horizon
-    )
-    detector = Detector(config)
-    run = run_detection(
-        merged, detector, field, phones, random.Random(1), truth_occupied=set(truth)
-    )
+    cfg = check_scenario({})["whitespace"]
+    truth = cfg["truth_occupied"]
+    detector, run = detection_study(cfg, 0)
     rows = detector.occupancy_rows()
     occupied = sorted(a for a, verdict, _ in rows if verdict == "occupied")
     free = sum(1 for _, verdict, _ in rows if verdict == "free")

@@ -20,9 +20,12 @@ multi-reading SMS folds and in the `plan_scan` sweep, and the band never
 converges.  In the `whitespace_switch` case the serving channel moves:
 six of thirty channels are occupied and two verified-free channels
 suffice, so the first one claimed is soon reported occupied and
-`maybe_switch_channel` moves off it.  A whitespace case also pins its
-stdout summary line, which carries the serving-collision count.  The library case drives the paths
-no CLI study reaches: store-and-forward messages, marketplace searches
+`maybe_switch_channel` moves off it.  In the `whitespace_quiesce` case
+the serving channel turns occupied while no other channel is verified
+free, so the station quiesces (`NoFreeChannel`) until one is.  A
+whitespace case also pins its stdout summary line, which carries the
+serving-collision count.  The library case drives the paths no CLI
+study reaches: store-and-forward messages, marketplace searches
 and issuance deferred by an outage, all under link failures.
 """
 
@@ -109,6 +112,21 @@ SWITCH_SCENARIO = {
     }
 }
 
+# Serving channel 2, the only verified-free one, is reported occupied at
+# about 31.8 s: the station quiesces until 7 is verified at 60 s.
+QUIESCE_SCENARIO = {
+    "whitespace": {
+        "users": 4,
+        "volunteers": 2,
+        "band": {"first": 1, "last": 8},
+        "truth_occupied": [1, 2, 3, 4, 5, 6],
+        "n_free": 2,
+        "t_free_s": 10.0,
+        "radius": 0.3,
+        "ngsm": None,
+    }
+}
+
 # "stdout" is the digest of what the command prints on stdout.
 STUDY_EXPECTED = {
     "whitespace": (
@@ -141,6 +159,14 @@ STUDY_EXPECTED = {
             "occupancy.csv": "7d6551ab115351835d7356f957f7750177a5922fdd7f2dc0111a2455f1d5b45c",
             "ngsm_compare.csv": "63fb0f1d5bd4b03bbb154aff8328cac6d48515f5f20f6b1fde2d93edc81a354e",
             "stdout": "90763e5305e65d934737a95da2d828c082227b10cfeea99edccf1766f86eb94f",
+        },
+    ),
+    "whitespace_quiesce": (
+        "whitespace",
+        {
+            "occupancy.csv": "aa2336fa6e6ddd4486720e118ec8bf6efd4fcbb25c98d949ac2f61d73ff2cfad",
+            "ngsm_compare.csv": "63fb0f1d5bd4b03bbb154aff8328cac6d48515f5f20f6b1fde2d93edc81a354e",
+            "stdout": "01a61f423d32453ea44e5a880f925d399d990e87a56f061de916a415b6e9288d",
         },
     ),
     "idbench": (
@@ -193,9 +219,10 @@ def study_argv(case, tmp_path):
         scenario = tmp_path / "expiry.json"
         scenario.write_text(json.dumps(data))
         seed = "4"
-    elif case == "whitespace_switch":
-        scenario = tmp_path / "switch.json"
-        scenario.write_text(json.dumps(SWITCH_SCENARIO))
+    elif case in ("whitespace_switch", "whitespace_quiesce"):
+        scenario = tmp_path / f"{case}.json"
+        data = SWITCH_SCENARIO if case == "whitespace_switch" else QUIESCE_SCENARIO
+        scenario.write_text(json.dumps(data))
         seed = "0"
     else:
         scenario = SCENARIOS / f"{case}.json"

@@ -242,6 +242,9 @@ MALFORMED = [
     ("workload-on-missing-node", "simulate", _set("workload.node", 99)),
     # Node ids are integers: node 1.0 ran as node "1.0".
     ("workload-node-a-float", "simulate", _set("workload.node", 1.0)),
+    # A link that starts down never comes up: the workload could never
+    # issue its identities.
+    ("workload-node-cut-off", "simulate", _set("links.0.state", "down")),
     ("load-rps-0", "idbench", _set("identity_bench.load_rps", 0)),
     ("idbench-model-unknown", "idbench", _set(
         "identity_bench.models",
@@ -470,6 +473,44 @@ def test_whitespace_defaults_need_no_scenario(tmp_path, capsys):
     assert (out / "occupancy.csv").exists()
     _, rows = read_rows(out / "ngsm_compare.csv")
     assert rows == []
+
+
+@pytest.mark.parametrize(
+    "case, warning, summary",
+    [
+        (
+            {"users": 0, "volunteers": 0},
+            "warning: no reporting traffic; the whole band stays unknown",
+            "0 occupied, 0 free, 8 unknown; converged at never",
+        ),
+        (
+            {"evidence_ttl_s": 0.5},
+            "warning: band not fully classified before traffic ran out",
+            "converged at never",
+        ),
+    ],
+    ids=["no-reporter", "never-converged"],
+)
+def test_whitespace_warns_when_the_band_stays_unclassified(
+    tmp_path, capsys, case, warning, summary
+):
+    section = {
+        "users": 4,
+        "volunteers": 2,
+        "band": {"first": 1, "last": 8},
+        "n_free": 2,
+        "t_free_s": 10.0,
+        "ngsm": None,
+        **case,
+    }
+    path = write_scenario(tmp_path, "ws.json", {"whitespace": section})
+    out = tmp_path / "out"
+    assert cli.main(["whitespace", "--scenario", path, "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == warning + "\n"
+    assert summary in captured.out
+    _, rows = read_rows(out / "occupancy.csv")
+    assert len(rows) == 8
 
 
 # ------------------------------------------------------------------ idbench

@@ -306,12 +306,12 @@ def test_online_scoring_matches_the_replayed_tape(
     raw["failures"] = {"interval_s": fail_every, "outage_mean_s": outage}
     horizon = interval_s * (intervals + spill)
     if market:
-        raw["workload"] = {"sellers": 2, "buyers": 2, "until_s": horizon}
+        # A workload node cut off from the cloud is rejected at load.
+        graph = check_scenario(raw)["graph"]
+        if Topology(graph).cloud_route(graph.community[0]) is not None:
+            raw["workload"] = {"sellers": 2, "buyers": 2, "until_s": horizon}
     scenario = check_scenario(raw)
-    if market:
-        # Workload.schedule issues identities at t=0 through the cloud.
-        node = scenario["workload"]["node"]
-        market = Topology(scenario["graph"]).cloud_route(node) is not None
+    market = scenario["workload"] is not None
 
     def run(trace):
         sim = Simulation(scenario, seed=seed, trace=trace)

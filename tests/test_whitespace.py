@@ -1,12 +1,15 @@
 """Whitespace detector tests: verdicts, scan plans, serving channel."""
 
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from greenlinks import whitespace
 from greenlinks.errors import NoFreeChannel, UnplannedChannel
+from greenlinks.scenario import check_scenario
 from greenlinks.whitespace import (
     DetectionRun,
     Detector,
@@ -14,11 +17,13 @@ from greenlinks.whitespace import (
     RadioField,
     Verdict,
     compare_ngsm,
+    detection_study,
     make_phones,
     organic_traffic,
     run_detection,
     volunteer_traffic,
 )
+from test_artifact_hashes import QUIESCE_SCENARIO
 
 
 def small_detector(**kw):
@@ -475,6 +480,48 @@ def test_empty_field_leaves_phones_and_rng_untouched():
     assert run == expected
     assert det.occupancy_rows() == walked.occupancy_rows()
     assert det.switches == walked.switches
+
+
+# ------------------------------------------------------------------ study
+
+
+def study_section(**override):
+    section = {**QUIESCE_SCENARIO["whitespace"], **override}
+    return check_scenario({"whitespace": section})["whitespace"]
+
+
+def test_the_study_quiesces_when_no_channel_is_left_free():
+    detector, run = detection_study(study_section(), 0)
+    # Channel 2 is the only verified-free channel when it is reported
+    # occupied: the station goes quiet until 7 is verified.
+    (t_claim, _, first), (t_quiet, old, new), (t_back, _, last) = detector.switches
+    assert (first, old, new, last) == (2, 2, None, 7)
+    assert t_claim < t_quiet < t_back == run.converged_at == 60.0
+
+
+def test_a_study_with_no_reporter_leaves_the_band_unknown(monkeypatch):
+    monkeypatch.setattr(whitespace, "run_detection", None)
+    detector, run = detection_study(study_section(users=0, volunteers=0), 0)
+    assert run == DetectionRun(converged_at=None, batches=0)
+    assert detector.unknown_count() == 8 and detector.switches == []
+
+
+def test_a_volunteer_only_study_runs_the_schedule_over_its_budget(monkeypatch):
+    # With no organic trace the traffic is the volunteer schedule alone,
+    # up to the batch budget over the volunteers' rate.
+    cfg = study_section(users=0, volunteers=2)
+    traces = []
+
+    def spy(traffic, *args, **kwargs):
+        traces.append(traffic)
+        return run_detection(traffic, *args, **kwargs)
+
+    monkeypatch.setattr(whitespace, "run_detection", spy)
+    detection_study(cfg, 0)
+    rate = 2 / cfg["volunteer_period_s"]
+    groups = math.ceil(8 / 6)
+    batches = groups * (cfg["n_free"] + cfg["t_free_s"] * rate) * 2 + 400
+    assert traces == [volunteer_traffic(2, cfg["volunteer_period_s"], batches / rate)]
 
 
 # ------------------------------------------------------------ ngsm compare
