@@ -25,6 +25,16 @@ channel has been verified free.  When its serving channel turns occupied
 it moves to the stalest verified-free channel, or quiesces again when
 there is none.
 
+On a field with no interferer every reading is 0, so until some verdict
+changes an SMS only adds one zero to each measured channel and moves its
+last report time.  run_detection therefore folds such a run of SMS into
+one step (Detector.fold_silent) while the plan is current, and stops
+just before the first SMS that could change a verdict: one that brings
+a measured channel not yet free to both n_free zeros and t_free seconds
+of window, or one after a gap longer than evidence_ttl.  That SMS goes
+through ingest_report as before, so the detector ends in the state the
+per-SMS loop leaves, field by field.
+
 detection_study runs the whole study of one loaded ``whitespace``
 scenario section: interferers, phones, organic and volunteer traffic,
 and one detector fed by them.
@@ -37,6 +47,7 @@ the baseline once for all the volunteer ratios it is given.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 import random
@@ -81,7 +92,8 @@ class Detector:
     the reports behind the verdicts, are kept as verdicts change.  So
     counting the unknowns and deciding whether the plan is current cost
     no scan of the band, and the picks look only at the channels they
-    can pick.
+    can pick: the stalest free channels come off a heap.  Each channel's
+    reports must come in time order.
     """
 
     def __init__(self, config: DetectorConfig):
@@ -97,6 +109,10 @@ class Detector:
         self._holding[Verdict.UNKNOWN].update(self.states)
         # No channel with a verdict has last_report_at below this bound.
         self._evidence_floor = math.inf
+        # (last_report_at, arfcn) of the free channels, lazily: an entry
+        # may be for a channel no longer free, a duplicate, or behind its
+        # channel's later reports; _stalest_free sorts that out on pop.
+        self._free_heap: list[tuple[float, int]] = []
         self.serving: int | None = None
         self.switches: list[tuple[float, int | None, int | None]] = []
         self.dropped_unplanned = 0
@@ -110,6 +126,8 @@ class Detector:
         self._holding[verdict].add(state.arfcn)
         state.verdict = verdict
         self.plan_dirty = True
+        if verdict is Verdict.FREE:
+            heapq.heappush(self._free_heap, (state.last_report_at, state.arfcn))
 
     def _expire(self, state: ChannelState, now: float) -> None:
         ttl = self.config.evidence_ttl_s
@@ -165,6 +183,69 @@ class Detector:
                     self._set_verdict(state, free)
                     state.t_verdict = at
 
+    def fold_silent(self, traffic: list[tuple[float, int]], start: int) -> int:
+        """Fold in the longest run of SMS from ``traffic[start]`` on that
+        changes no verdict, each reading 0 on every measured channel (the
+        plan plus the serving channel); return how many were folded.
+
+        Until a verdict changes, such an SMS only adds one zero and moves
+        last_report_at on every measured channel, so a run of m of them
+        is folded as ``zero_count += m`` and the last SMS's time.  The run
+        ends just before the first SMS that could change a verdict:
+
+        * a measured channel not yet free reaching both n_free zeros and
+          ``at - window_start >= t_free_s`` (the very test ingest_report
+          makes, found by bisection, as times never fall);
+        * a gap of more than evidence_ttl_s since the previous SMS, or,
+          at the first SMS, since a verdict's own last report.
+
+        Nothing is folded while a measured channel has no zero window.
+        ``traffic`` must be in time order.
+        """
+        config, states = self.config, self.states
+        end = len(traffic)
+        if start >= end:
+            return 0
+        first, ttl = traffic[start][0], config.evidence_ttl_s
+        channels = [states[a] for a in self.measured()]
+        for state in channels:
+            window_start = state.window_start
+            if window_start is None:
+                return 0
+            if (
+                state.verdict is not Verdict.UNKNOWN
+                and first - state.last_report_at > ttl
+            ):
+                return 0
+            if state.verdict is not Verdict.FREE:
+                counted = start + max(0, config.n_free - state.zero_count - 1)
+                end = bisect.bisect_left(
+                    traffic, config.t_free_s, min(counted, end), end,
+                    key=lambda e: e[0] - window_start,
+                )
+        if end > start and traffic[end - 1][0] - first > ttl:
+            # Some gap in the run outlives the evidence: stop before it.
+            for k in range(start + 1, end):
+                if traffic[k][0] - traffic[k - 1][0] > ttl:
+                    end = k
+                    break
+        folded = end - start
+        if folded and channels:
+            last = traffic[end - 1][0]
+            for state in channels:
+                state.zero_count += folded
+                state.last_report_at = last
+            if first < self._evidence_floor:
+                self._evidence_floor = first
+        return folded
+
+    def measured(self) -> tuple[int, ...]:
+        """The channels an SMS measures: the plan, then the serving
+        channel when it is not in the plan."""
+        if self.serving is None or self.serving in self.plan:
+            return self.plan
+        return self.plan + (self.serving,)
+
     def unknown_count(self) -> int:
         return len(self._holding[Verdict.UNKNOWN])
 
@@ -209,15 +290,8 @@ class Detector:
             chosen.extend(a for _, a in fresh)
             vacancies = slots - len(chosen)
         if vacancies > 0:
-            stale_free = heapq.nsmallest(
-                vacancies,
-                [
-                    (-1.0 if (t := states[a].last_report_at) is None else t, a)
-                    for a in self._holding[Verdict.FREE]
-                    if a not in chosen and a != self.serving
-                ],
-            )
-            chosen.extend(a for _, a in stale_free)
+            # chosen holds only unknowns so far.
+            chosen.extend(self._stalest_free(vacancies))
         for arfcn in chosen:
             if arfcn not in self.plan:
                 self.states[arfcn].last_planned_at = now
@@ -245,19 +319,8 @@ class Detector:
         )
         if not serving_bad and self.serving is not None:
             return
-        stalest = min(
-            (
-                self.states[a]
-                for a in self._holding[Verdict.FREE]
-                if a != self.serving
-            ),
-            key=lambda s: (
-                s.last_report_at if s.last_report_at is not None else -1.0,
-                s.arfcn,
-            ),
-            default=None,
-        )
-        if stalest is None:
+        stalest = self._stalest_free(1)
+        if not stalest:
             if serving_bad:
                 old = self.serving
                 self.serving = None
@@ -265,8 +328,36 @@ class Detector:
                 raise NoFreeChannel(f"no verified-free channel at t={now:.0f}")
             return
         old = self.serving
-        self.serving = stalest.arfcn
-        self.switches.append((now, old, stalest.arfcn))
+        self.serving = stalest[0]
+        self.switches.append((now, old, stalest[0]))
+
+    def _stalest_free(self, count: int) -> list[int]:
+        """Up to ``count`` free channels other than the serving one,
+        stalest report first, lower arfcn first on ties.
+
+        A channel's last_report_at only grows, so a heap entry's time is
+        at most its channel's: an entry behind its channel is put back
+        with the channel's time, and the first entry that is current is
+        the stalest channel left.  Entries of channels no longer free,
+        and second entries of a channel already seen, are dropped."""
+        heap, states = self._free_heap, self.states
+        picked: list[int] = []
+        seen: set[int] = set()
+        while heap and len(picked) < count:
+            at, arfcn = heap[0]
+            state = states[arfcn]
+            if state.verdict is not Verdict.FREE or arfcn in seen:
+                heapq.heappop(heap)
+            elif state.last_report_at != at:
+                heapq.heapreplace(heap, (state.last_report_at, arfcn))
+            else:
+                seen.add(arfcn)
+                if arfcn != self.serving:
+                    picked.append(arfcn)
+                heapq.heappop(heap)
+        for arfcn in seen:
+            heapq.heappush(heap, (states[arfcn].last_report_at, arfcn))
+        return picked
 
     # ----------------------------------------------------------- export
 
@@ -357,10 +448,12 @@ def organic_traffic(
     for u in range(users):
         heapq.heappush(heap, (rng.expovariate(1.0 / mean_period_s), u))
     out = []
+    # Each user has one entry, so no two entries tie and replacing the
+    # head pops in the order a pop and a push would.
     while len(out) < count:
-        at, u = heapq.heappop(heap)
+        at, u = heap[0]
         out.append((at, u))
-        heapq.heappush(heap, (at + rng.expovariate(1.0 / mean_period_s), u))
+        heapq.heapreplace(heap, (at + rng.expovariate(1.0 / mean_period_s), u))
     return out
 
 
@@ -396,27 +489,34 @@ def run_detection(
 ) -> DetectionRun:
     """Drive a detector with SMS-borne measurement batches.
 
-    Each traffic event is one SMS from one phone: the phone takes a step,
-    measures the advertised channels (plus the serving channel) and the
-    batch is folded in by one ``ingest_report`` call; plans and serving
-    choice update at batch boundaries.  Stops when the band is fully
-    classified or the traffic runs out.
+    Each traffic event, in time order, is one SMS from one phone: the
+    phone takes a step, measures the advertised channels (plus the
+    serving channel) and the batch is folded in by one ``ingest_report``
+    call; plans and serving choice update at batch boundaries.  Stops
+    when the band is fully classified or the traffic runs out.
 
     ``rng`` feeds only the phones' walk.  On a field with no interferer
     every reading is 0 wherever a phone stands, so nobody walks: the
-    phones and ``rng`` are left untouched.
+    phones and ``rng`` are left untouched.  There, after an SMS that
+    leaves the plan current, ``Detector.fold_silent`` folds in at once
+    the SMS up to the next one that could change a verdict.  Until then
+    no plan is redrawn, the serving channel stays and nothing converges,
+    so each folded SMS would only have counted one batch, and one
+    collision if the serving channel is truth-occupied.  The SMS that
+    can change a verdict goes through ``ingest_report`` as before, so
+    the detector ends in the same state.
     """
     run = DetectionRun(converged_at=None, batches=0)
     detector.plan_scan(traffic[0][0] if traffic else 0.0)
     walking = bool(field_model.interferers)
-    for at, phone_idx in traffic:
+    i = 0
+    while i < len(traffic):
+        at, phone_idx = traffic[i]
+        i += 1
         phone = phones[phone_idx % len(phones)]
         if walking:
             field_model.walk(phone, rng)
-        measured = detector.plan
-        if detector.serving is not None and detector.serving not in measured:
-            measured += (detector.serving,)
-        detector.ingest_report(field_model.measure(phone, measured), at)
+        detector.ingest_report(field_model.measure(phone, detector.measured()), at)
         run.batches += 1
         if not detector.plan_is_current():
             detector.plan_scan(at)
@@ -425,11 +525,18 @@ def run_detection(
                 detector.maybe_switch_channel(at)
             except NoFreeChannel:
                 pass
-        if truth_occupied is not None and detector.serving in truth_occupied:
+        collides = truth_occupied is not None and detector.serving in truth_occupied
+        if collides:
             run.collisions += 1
         if run.converged_at is None and detector.unknown_count() == 0:
             run.converged_at = at
             break
+        if not walking and detector.plan_is_current():
+            folded = detector.fold_silent(traffic, i)
+            run.batches += folded
+            if collides:
+                run.collisions += folded
+            i += folded
     return run
 
 

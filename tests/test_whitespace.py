@@ -1,10 +1,12 @@
 """Whitespace detector tests: verdicts, scan plans, serving channel."""
 
+import heapq
+import itertools
 import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from greenlinks import whitespace
@@ -480,6 +482,151 @@ def test_empty_field_leaves_phones_and_rng_untouched():
     assert run == expected
     assert det.occupancy_rows() == walked.occupancy_rows()
     assert det.switches == walked.switches
+
+
+class FreeScanDetector(Detector):
+    """Takes the stalest free channels by scanning every free channel on
+    each pick, as the detector did before it kept them in a heap."""
+
+    def _stalest_free(self, count):
+        keyed = [
+            (-1.0 if (t := self.states[a].last_report_at) is None else t, a)
+            for a in self._holding[Verdict.FREE]
+            if a != self.serving
+        ]
+        return [a for _, a in heapq.nsmallest(count, keyed)]
+
+
+def per_sms_detection(
+    traffic, detector, field_model, phones, rng, *, truth_occupied, manage_serving
+):
+    """run_detection as it was before silent runs were folded: one
+    ingest_report call for every SMS."""
+    run = DetectionRun(converged_at=None, batches=0)
+    detector.plan_scan(traffic[0][0] if traffic else 0.0)
+    walking = bool(field_model.interferers)
+    for at, phone_idx in traffic:
+        phone = phones[phone_idx % len(phones)]
+        if walking:
+            field_model.walk(phone, rng)
+        measured = detector.plan
+        if detector.serving is not None and detector.serving not in measured:
+            measured += (detector.serving,)
+        detector.ingest_report(field_model.measure(phone, measured), at)
+        run.batches += 1
+        if not detector.plan_is_current():
+            detector.plan_scan(at)
+        if manage_serving:
+            try:
+                detector.maybe_switch_channel(at)
+            except NoFreeChannel:
+                pass
+        if truth_occupied is not None and detector.serving in truth_occupied:
+            run.collisions += 1
+        if run.converged_at is None and detector.unknown_count() == 0:
+            run.converged_at = at
+            break
+    return run
+
+
+UNIT = st.floats(0.0, 1.0)
+# Times are sums of these gaps, so the float test at - window_start >=
+# t_free_s is met by sums that at >= window_start + t_free_s misses.
+GAPS = st.lists(st.sampled_from((0.0, 0.1, 0.2, 0.3, 0.7, 1.0, 2.0)), max_size=120)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    last=st.integers(1, 12),
+    slots=st.integers(1, 6),
+    n_free=st.integers(0, 6),
+    t_free_s=st.sampled_from((0.0, 0.3, 1.0, 2.5)),
+    ttl=st.sampled_from((0.5, 1.0, 3.0, 1e9)),
+    gaps=GAPS,
+    senders=st.lists(st.integers(0, 2), min_size=1),
+    interferers=st.one_of(
+        st.just({}),
+        st.dictionaries(st.integers(1, 12), st.tuples(UNIT, UNIT), max_size=3),
+    ),
+    truth=st.sampled_from(("none", "interferers", "odd")),
+    manage_serving=st.booleans(),
+)
+# A float window: 3.2 - 0.7 >= 2.5 although 3.2 < 0.7 + 2.5.
+@example(
+    last=6, slots=6, n_free=3, t_free_s=2.5, ttl=1e9,
+    gaps=[0.7, 0.7, 0.3, 0.7, 0.7, 0.1, 1.0], senders=[0], interferers={},
+    truth="none", manage_serving=False,
+)
+# Serving channel 1, verified free at 2.8 s, outlives its evidence in
+# the 2 s gap between the two SMS that would fold after 3.5 s.
+@example(
+    last=12, slots=6, n_free=4, t_free_s=0.0, ttl=1.0,
+    gaps=[0.7] * 6 + [2.0] + [0.7] * 5, senders=[0], interferers={},
+    truth="none", manage_serving=True,
+)
+def test_folded_detection_matches_one_call_per_sms(
+    last, slots, n_free, t_free_s, ttl, gaps, senders, interferers, truth,
+    manage_serving,
+):
+    config = DetectorConfig(
+        first_arfcn=1, last_arfcn=last, slots=slots, n_free=n_free,
+        t_free_s=t_free_s, evidence_ttl_s=ttl,
+    )
+    spots = {a: xy for a, xy in interferers.items() if a <= last}
+    traffic = [
+        (at, senders[k % len(senders)])
+        for k, at in enumerate(itertools.accumulate(gaps))
+    ]
+    truth_occupied = {
+        "none": None,
+        "interferers": set(spots),
+        "odd": set(range(1, last + 1, 2)),
+    }[truth]
+    got, want = Detector(config), FreeScanDetector(config)
+    runs = [
+        drive(
+            traffic, det, RadioField(spots, radius=0.4, step=0.2),
+            make_phones(3, random.Random(1)), random.Random(2),
+            truth_occupied=truth_occupied, manage_serving=manage_serving,
+        )
+        for drive, det in ((run_detection, got), (per_sms_detection, want))
+    ]
+    assert runs[0] == runs[1]
+    assert got.states == want.states
+    assert got._holding == want._holding
+    assert (got.plan, got.serving, got.switches, got.dropped_unplanned) == (
+        want.plan, want.serving, want.switches, want.dropped_unplanned
+    )
+
+
+class CountingDetector(Detector):
+    def __init__(self, config):
+        super().__init__(config)
+        self.ingested = 0
+
+    def ingest_report(self, readings, at):
+        self.ingested += 1
+        super().ingest_report(readings, at)
+
+
+@pytest.mark.parametrize("manage_serving", [False, True])
+@pytest.mark.parametrize("width", [6, 12, 30])
+def test_a_silent_band_takes_two_ingest_calls_per_group(width, manage_serving):
+    # Each group of six needs 20 zeros over 10 s: its first SMS opens the
+    # windows, the next 18 fold, and the 20th turns the group free.
+    config = DetectorConfig(
+        first_arfcn=1, last_arfcn=width, n_free=20, t_free_s=10.0
+    )
+    det = CountingDetector(config)
+    traffic = [(float(t), t % 4) for t in range(1000)]
+    run = run_detection(
+        traffic, det, RadioField({}), make_phones(4, random.Random(0)),
+        random.Random(1), manage_serving=manage_serving,
+    )
+    groups = width // 6
+    assert run.batches == 20 * groups
+    assert run.converged_at == 20.0 * groups - 1
+    assert det.ingested == 2 * groups
 
 
 # ------------------------------------------------------------------ study
