@@ -348,13 +348,15 @@ class Simulation:
     # -------------------------------------------------------- queue pokes
 
     def poke(self, node_id: int) -> None:
-        """Re-drain a node's lazy queue and reschedule its completion
-        wake-up.  It runs as the node's LocalServer wake() when an
-        enqueue finds the queue idle, after every link transition
+        """Re-drain a node's lazy queue on the route in force, put its
+        current route in force and reschedule its completion wake-up.
+        It runs as the node's LocalServer wake() when an enqueue finds
+        the queue idle, when a link flip changes the node's route
         (set_link) and at each predicted completion (_on_queue_eta)."""
         server = self.locals[node_id]
-        completions = server.advance(self.engine.now)
-        self._after_completions(completions)
+        for comp in server.advance(self.engine.now):
+            if comp.request.app_type == "__msg__":
+                self._deliver_messages(comp.apply_at)
         self._queue_gen[node_id] += 1
         eta = server.eta(self.engine.now)
         if eta is not None:
@@ -366,20 +368,6 @@ class Simulation:
         if gen != self._queue_gen[node]:
             return
         self.poke(node)
-
-    def _advance_all(self) -> None:
-        for node_id in sorted(self.locals):
-            completions = self.locals[node_id].advance(self.engine.now)
-            self._after_completions(completions)
-
-    def _poke_all(self) -> None:
-        for node_id in sorted(self.locals):
-            self.poke(node_id)
-
-    def _after_completions(self, completions) -> None:
-        for comp in completions:
-            if comp.request.app_type == "__msg__":
-                self._deliver_messages(comp.apply_at)
 
     # ----------------------------------------------------------- messages
 
@@ -416,19 +404,20 @@ class Simulation:
         return self.graph.failure_pool[cloud_side]
 
     def set_link(self, link_id: str, up: bool) -> None:
-        """Bring a link up or down with correct accounting: lazy queues
-        are advanced at the old rate and the attempts drawn before this
-        event are scored against the old state first, then the state
-        flips, then wake-ups and (on restore) pending identity work and
-        message delivery run.  The trace records the state as "up" or
-        "down".  An unknown link id raises UnknownLink."""
+        """Bring a link up or down: score the attempts drawn before this
+        event against the old state, flip it, trace it as "up" or "down",
+        poke only the sites whose route() now differs from their route in
+        force, and on restore run pending identity work and message
+        delivery.  An unknown link id raises UnknownLink."""
         if self.topology.link_up(link_id) == up:
             return
-        self._advance_all()
         self._log_attempts_before(self.engine.key)
         self.topology.set_link_state(link_id, up)
         self.engine.log(("link", self.engine.now, link_id, "up" if up else "down"))
-        self._poke_all()
+        for node_id in sorted(self.locals):
+            server = self.locals[node_id]
+            if server.route() != server.in_force:
+                self.poke(node_id)
         if up:
             self.identity.flush_pending()
             for node_id in sorted(self.locals):
@@ -519,8 +508,11 @@ class Simulation:
         process events to quiescence: the backlog left at a finite
         horizon (queued transfers, restores and deliveries) runs to
         completion, but no new traffic or failure draw starts after it.
-        horizon None needs a scenario without those sections.
+        horizon None needs a scenario without those sections, and any
+        other must be finite and above 0.
         """
+        if horizon is not None and not 0.0 < horizon < math.inf:
+            raise ScenarioError(f"horizon must be finite and above 0, got {horizon}")
         tcfg, fcfg = self.scenario["traffic"], self.scenario["failures"]
         if (tcfg or fcfg) and horizon is None:
             raise ScenarioError("traffic and failure sections need a finite horizon")

@@ -32,13 +32,13 @@ it with a new one.
 
 Transmission is modeled as a fluid queue: the head request drains at the
 uplink's byte rate, completions land mid-interval at exact times, and a
-partially sent payload survives an outage and resumes afterwards.  The
-owner must call advance() at every uplink up/down or rate transition,
-so that each accounting window has one constant rate, and at each head
-completion that eta() predicts.  An enqueue asks nothing of its caller:
-one that finds the queue idle calls the owner's wake(), and any other
-joins a queue already waiting on a predicted completion or on a rate
-transition.
+partially sent payload survives an outage and resumes afterwards.  A
+queue drains each window at the rate it was given at the window's start
+and keeps it until the next advance(), so the owner advances a site
+after its route changes, never before, and at each head completion
+that eta() predicts.  An enqueue asks nothing of its caller: one that
+finds the queue idle calls the owner's wake(), and any other joins a
+queue already waiting on a predicted completion or on a route change.
 
 store_and_forward wraps slowput into a mailbox envelope for asynchronous
 user-to-user messages; delivery happens when the destination node syncs.
@@ -130,9 +130,9 @@ class LazyQueue:
         # has a single class, so both indexes name the same deque.
         self._classes = (deque(), deque()) if priority_mode else (deque(),)
         self.in_flight: SyncRequest | None = None
-        # Accounting starts at the start of the simulation; the line
-        # sits idle until the first request arrives.
+        # Accounting starts at the start of the simulation, at rate 0.
         self._cursor = 0.0
+        self._rate = 0.0
 
     def __len__(self) -> int:
         return sum(map(len, self._classes)) + (1 if self.in_flight else 0)
@@ -153,22 +153,19 @@ class LazyQueue:
         return None
 
     def advance(self, now: float, rate_Bps: float) -> list[SyncRequest]:
-        """Account for transmission from the last call up to ``now``.
-
-        Returns requests whose final byte went out in the window, each
-        stamped with its exact transmit_end.  The rate must have been
-        constant over the window (0 while the uplink is down); callers
-        re-advance at every transition.
-        """
+        """Drain from the last call up to ``now`` at the rate that call
+        gave (0 before any), then put ``rate_Bps`` in force; a positive
+        one puts the head on the line at once.  Returns requests whose
+        final byte went out in the window, each stamped with its exact
+        transmit_end."""
         start = self._cursor
         if now < start:
             now = start
         self._cursor = now
-        if rate_Bps <= 0:
-            return []
+        rate, self._rate = self._rate, rate_Bps
         completed = []
         t = start
-        while True:
+        while rate > 0:
             if self.in_flight is None:
                 self.in_flight = self._take_next()
                 if self.in_flight is None:
@@ -177,7 +174,7 @@ class LazyQueue:
             if req.enqueued_at > t:
                 t = req.enqueued_at  # the line sat idle until it arrived
             remaining = now - t
-            need = (req.size - req.sent_bytes) / rate_Bps
+            need = (req.size - req.sent_bytes) / rate
             if need <= remaining + _EPS:
                 t += need
                 req.sent_bytes = req.size
@@ -185,19 +182,21 @@ class LazyQueue:
                 completed.append(req)
                 self.in_flight = None
             else:
-                req.sent_bytes += max(0.0, remaining) * rate_Bps
+                req.sent_bytes += max(0.0, remaining) * rate
                 break
+        if rate_Bps > 0 and self.in_flight is None:
+            self.in_flight = self._take_next()
         return completed
 
-    def eta(self, now: float, rate_Bps: float) -> float | None:
-        """Predicted transmit_end of the current head, given a constant
-        rate from ``now`` (None at rate 0).  Call advance(now) first."""
-        if rate_Bps <= 0:
+    def eta(self, now: float) -> float | None:
+        """Predicted transmit_end of the current head at the rate in
+        force (None at rate 0).  Call advance(now) first."""
+        if self._rate <= 0:
             return None
         req = self.in_flight or self._head()
         if req is None:
             return None
-        return now + (req.size - req.sent_bytes) / rate_Bps
+        return now + (req.size - req.sent_bytes) / self._rate
 
 
 class CloudStore:
@@ -356,6 +355,7 @@ class LocalServer:
         self.board = board
         self.resolve_local = resolve_local
         self.queue = LazyQueue(priority_mode=priority_mode)
+        self.in_force = None  # route() at the last advance(); the queue drains on it
         self.records: list[LatencyRecord] = []
         self.counters = {
             "slowput": 0,
@@ -398,14 +398,13 @@ class LocalServer:
         return Ack(request_id=req.request_id, enqueued_at=now)
 
     def advance(self, now: float) -> list[Completion]:
-        """Drain the lazy queue up to ``now`` and apply completions.
-
-        Must be called whenever the uplink changes state or rate, and at
-        any time the owner wants completion bookkeeping to be current.
-        """
-        rate, latency = self.route() or (0.0, 0.0)
+        """Drain the lazy queue up to ``now`` on the route in force (the
+        one route() gave at the last call; none before it), apply the
+        completions with its latency, then put route() in force."""
+        latency = self.in_force[1] if self.in_force else 0.0
+        self.in_force = route = self.route()
         out = []
-        for req in self.queue.advance(now, rate):
+        for req in self.queue.advance(now, route[0] if route else 0.0):
             apply_at = req.transmit_end + latency
             self.store.apply(
                 req.app_type, req.key, req.value, req.request_id, apply_at
@@ -424,8 +423,8 @@ class LocalServer:
         return out
 
     def eta(self, now: float) -> float | None:
-        route = self.route()
-        return self.queue.eta(now, route[0] if route else 0.0)
+        """When the head's last byte goes out on the route in force."""
+        return self.queue.eta(now)
 
     # -------------------------------------------------------------- read
 

@@ -31,7 +31,10 @@ the heap of re-verification candidates.  A
 whitespace case also pins its stdout summary line, which carries the
 serving-collision count.  The library case drives the paths no CLI
 study reaches: store-and-forward messages, marketplace searches
-and issuance deferred by an outage, all under link failures.
+and issuance deferred by an outage, all under link failures.  The
+multi-site cases write 200 B to 400 kB at every one of the twelve sites
+of an edge tree under failures, in FIFO and priority mode, so link flips
+land on long transfers at sites they do not reroute.
 """
 
 import hashlib
@@ -361,3 +364,44 @@ def library_digest(seed):
 @pytest.mark.parametrize("seed", sorted(LIBRARY_EXPECTED))
 def test_library_paths_match_pinned_hashes(seed):
     assert library_digest(seed) == LIBRARY_EXPECTED[seed]
+
+
+MULTI_SITE_EXPECTED = {
+    (False, 0): "7afb948ccfa38754740d4cd24fcde105d90215bb4f0a8f6eb28de7f29404178a",
+    (False, 1): "4b3d3790f259b021ea6656768104b7a110db3a28ae6d3c1bc34fd205dde75c0b",
+    (False, 2): "6d072a40033155ebc67788bb1ab5aa448d0f43eea73752634f52a80d231aec71",
+    (True, 0): "7afb948ccfa38754740d4cd24fcde105d90215bb4f0a8f6eb28de7f29404178a",
+    (True, 1): "1001031e4ae1b91cb211752fbc0367af3805dfc05d8283a9852c1e6afcb0ffdf",
+    (True, 2): "bd84d925e76a9a8b5fe77b292b8809c3c33c85fd9723764d72c4c930763b1352",
+}
+MULTI_SITE_SIZES = (200, 3_000, 150_000, 400_000)
+
+
+def multi_site_digest(priority_queue, seed):
+    """sha256 over the latency records and the store's handler runs of
+    lazy writes at all twelve sites of an edge tree under failures, so
+    flips land on long transfers at sites they do not reroute."""
+    scenario = generate_tree(4, 2, backhaul_profile="edge")
+    scenario["failures"] = {"interval_s": 30.0, "outage_mean_s": 120.0}
+    sim = Simulation(
+        check_scenario(scenario), seed=seed, priority_queue=priority_queue
+    )
+    servers = {n: sim.local(n) for n in sorted(sim.identity.caches)}
+
+    def write(node, k):
+        size = MULTI_SITE_SIZES[k % len(MULTI_SITE_SIZES)]
+        servers[node].slowput("blob", b"\x5a" * size, key=f"{node}-{k}")
+
+    sim.engine.on("write", write)
+    for node in servers:
+        for k, at in enumerate(range(37 * node, 1800, 290)):
+            sim.engine.schedule(float(at), "write", node=node, k=k)
+    result = sim.run(1800.0)
+    state = ([astuple(r) for r in result.latency], sim.store.handler_runs)
+    return sha256(repr(state).encode())
+
+
+@pytest.mark.parametrize("priority_queue, seed", sorted(MULTI_SITE_EXPECTED))
+def test_multi_site_lazy_writes_match_pinned_hashes(priority_queue, seed):
+    got = multi_site_digest(priority_queue, seed)
+    assert got == MULTI_SITE_EXPECTED[priority_queue, seed]

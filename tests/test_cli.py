@@ -195,6 +195,17 @@ def test_bad_inputs_exit_2(tmp_path, monkeypatch, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("horizon", ["nan", "inf", "-5", "0"])
+def test_a_horizon_not_finite_and_above_zero_exits_2(horizon, tmp_path, capsys):
+    village = str(Path(__file__).parents[1] / "scenarios" / "village.json")
+    out = tmp_path / "out"
+    argv = ["simulate", "--scenario", village, "--horizon", horizon, "--out", str(out)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: horizon must be") and "Traceback" not in err
+    assert not out.exists()
+
+
 def _set(path, value):
     """An edit that sets scenario[a][b]... = value for path "a.b...";
     a numeric label indexes a list."""

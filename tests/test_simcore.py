@@ -198,6 +198,22 @@ def test_traffic_needs_a_finite_horizon():
         Simulation(check_scenario(scenario), seed=0).run(None)
 
 
+@pytest.mark.parametrize("horizon", [math.nan, math.inf, -5.0, 0.0])
+def test_run_refuses_a_horizon_before_it_schedules_anything(horizon):
+    # Failures alone: an infinite horizon would never leave the loop
+    # that schedules failure draws, so scheduling fails the test.
+    scenario = generate_tree(1, 1)
+    scenario["failures"] = {"interval_s": 60.0}
+    sim = Simulation(check_scenario(scenario), seed=0)
+
+    def schedule(*args, **kwargs):
+        raise AssertionError("run scheduled an event")
+
+    sim.engine.schedule = schedule
+    with pytest.raises(ScenarioError, match="horizon"):
+        sim.run(horizon)
+
+
 def test_runs_are_reproducible_per_seed():
     scenario = generate_tree(2, 2)
     scenario["traffic"] = {}
@@ -555,6 +571,128 @@ def test_set_link_names_an_unknown_link():
         with pytest.raises(UnknownLink):
             sim.set_link("nope", up)
     assert sim.topology.up == {"b0": True}
+
+
+class CountingPokes(Simulation):
+    """Records the node of every poke."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.poked = []
+
+    def poke(self, node_id):
+        self.poked.append(node_id)
+        super().poke(node_id)
+
+
+def test_a_flip_pokes_only_the_sites_it_reroutes():
+    # Zones 0, 1, 2 hold sites 1-3, 4-6 and 7-9; each gateway's backhaul
+    # is b<zone>, and z<zone>n<j> joins the gateway to its j-th leaf.
+    sim = CountingPokes(check_scenario(generate_tree(3, 2)), seed=0)
+    for node in sorted(sim.identity.caches):
+        sim.local(node)
+        sim.poke(node)  # every route in force
+    for link, rerouted in (("z0n0", [2]), ("b0", [1, 2, 3]), ("b1", [4, 5, 6])):
+        for up in (False, True):
+            sim.poked.clear()
+            sim.set_link(link, up)
+            assert sim.poked == rerouted, (link, up)
+
+
+class WakeEverySite(Simulation):
+    """The flip policy that pokes every site after each flip, rerouted
+    or not, so every site's drain window is split at every flip."""
+
+    def set_link(self, link_id, up):
+        if self.topology.link_up(link_id) == up:
+            return
+        self._log_attempts_before(self.engine.key)
+        self.topology.set_link_state(link_id, up)
+        self.engine.log(("link", self.engine.now, link_id, "up" if up else "down"))
+        for node_id in sorted(self.locals):
+            self.poke(node_id)
+        if up:
+            self.identity.flush_pending()
+            for node_id in sorted(self.locals):
+                self.identity.sync_node(node_id)
+            self._deliver_messages(self.engine.now)
+
+
+FLIP_TIMES = st.floats(0.0, 900.0)
+
+
+@st.composite
+def flip_cases(draw):
+    zones, leaves = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    sites = zones * (1 + leaves)
+    site = st.integers(1, sites)
+    return {
+        "tree": (zones, leaves, draw(st.sampled_from(["edge", "hsdpa"]))),
+        "writes": draw(
+            st.lists(st.tuples(site, st.integers(1, 400_000), FLIP_TIMES), max_size=30)
+        ),
+        "messages": draw(st.lists(st.tuples(site, site, FLIP_TIMES), max_size=4)),
+        "priority_queue": draw(st.booleans()),
+        "seed": draw(st.integers(0, 2**16)),
+    }
+
+
+def run_flip_case(cls, case):
+    zones, leaves, backhaul = case["tree"]
+    scenario = generate_tree(zones, leaves, backhaul_profile=backhaul)
+    scenario["failures"] = {"interval_s": 20.0, "outage_mean_s": 60.0}
+    sim = cls(
+        check_scenario(scenario),
+        seed=case["seed"],
+        priority_queue=case["priority_queue"],
+        trace=True,
+    )
+    imsi = {}
+    for node in sorted(sim.identity.caches):
+        sim.local(node)
+        imsi[node] = f"23324{node:010d}"
+        sim.identity.issue_identity(node, imsi[node])
+
+    def write(node, size, k):
+        sim.locals[node].slowput("blob", b"%d" % k * size, key=f"s{node}")
+
+    def send(node, dest):
+        sim.locals[node].store_and_forward(imsi[node], imsi[dest], b"hi")
+
+    sim.engine.on("write", write)
+    sim.engine.on("send", send)
+    for k, (node, size, at) in enumerate(case["writes"]):
+        sim.engine.schedule(at, "write", node=node, size=size, k=k % 10)
+    for node, dest, at in case["messages"]:
+        sim.engine.schedule(at, "send", node=node, dest=dest)
+    sim.run(900.0)
+    return sim
+
+
+def applied_by_site(sim):
+    """Each site's applied request ids, in apply order, with the times."""
+    out = {}
+    for at, _, _, request_id in sim.store.handler_runs:
+        site = int(request_id[1 : request_id.index("-")])
+        out.setdefault(site, []).append((request_id, at))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=flip_cases())
+def test_waking_only_rerouted_sites_matches_waking_every_site(case):
+    got = run_flip_case(Simulation, case)
+    want = run_flip_case(WakeEverySite, case)
+    got_runs, want_runs = applied_by_site(got), applied_by_site(want)
+    assert got_runs.keys() == want_runs.keys()
+    for site, runs in want_runs.items():
+        assert [rid for rid, _ in got_runs[site]] == [rid for rid, _ in runs]
+        for (_, at), (_, ref_at) in zip(got_runs[site], runs):
+            assert at == pytest.approx(ref_at, abs=1e-9)
+    # delivered_at is not compared: a completion that ties another site's
+    # may take its service-time draw in the other order.
+    assert got.store.records == want.store.records
+    assert got.engine.trace == want.engine.trace
 
 
 # ----------------------------------------------------- exactly-once smoke

@@ -90,6 +90,7 @@ def test_one_megabyte_on_edge_takes_exactly_forty_seconds():
     server, _, _ = edge_server()
     ack = server.slowput("file", b"\0" * 1_000_000)
     assert ack.enqueued_at == 0.0
+    server.advance(0.0)  # the owner's wake-up puts the route in force
     done = server.advance(100.0)
     assert len(done) == 1
     comp = done[0]
@@ -104,6 +105,7 @@ def test_back_to_back_transfers_complete_mid_interval():
     server, _, _ = edge_server()
     server.slowput("file", b"\0" * 500_000)
     server.slowput("file", b"\0" * 250_000)
+    server.advance(0.0)
     done = server.advance(60.0)
     assert [c.request.transmit_end for c in done] == [20.0, 30.0]
     # apply order at the store matches enqueue order
@@ -115,19 +117,32 @@ def test_back_to_back_transfers_complete_mid_interval():
 def test_partial_transfer_survives_an_outage_and_resumes():
     server, uplink, clock = edge_server()
     server.slowput("file", b"\0" * 1_000_000)
-    assert server.advance(10.0) == []
-    assert server.queue.in_flight.sent_bytes == pytest.approx(250_000)
+    server.advance(0.0)
     uplink.up = False
+    assert server.advance(10.0) == []  # the outage starts at 10
+    assert server.queue.in_flight.sent_bytes == pytest.approx(250_000)
     assert server.advance(70.0) == []  # outage: no progress
     assert server.queue.in_flight.sent_bytes == pytest.approx(250_000)
     uplink.up = True
+    assert server.advance(70.0) == []  # the restore
     done = server.advance(200.0)
     assert done[0].request.transmit_end == 100.0  # 70 + 750k/25k
+
+
+def test_completions_take_the_latency_of_the_route_they_drained_on():
+    server, uplink, _ = edge_server()
+    server.slowput("file", b"\0" * 1_000_000)
+    server.advance(0.0)
+    uplink.up = False
+    done = server.advance(100.0)  # the window closes when the route goes
+    assert done[0].apply_at == pytest.approx(40.3)
+    assert server.records[-1].delivered_at == pytest.approx(40.61)
 
 
 def test_advance_is_idempotent_at_a_fixed_time():
     server, _, _ = edge_server()
     server.slowput("file", b"\0" * 100_000)
+    server.advance(0.0)
     first = server.advance(50.0)
     assert len(first) == 1
     assert server.advance(50.0) == []
@@ -137,12 +152,14 @@ def test_advance_is_idempotent_at_a_fixed_time():
 def test_eta_predicts_the_exact_completion():
     server, uplink, _ = edge_server()
     server.slowput("file", b"\0" * 1_000_000)
+    server.advance(0.0)
     eta = server.eta(0.0)
     assert eta == 40.0
     done = server.advance(eta)
     assert done[0].request.transmit_end == eta
     assert server.eta(eta) is None
     uplink.up = False
+    server.advance(41.0)
     assert server.eta(41.0) is None
 
 
@@ -151,7 +168,8 @@ def test_priority_mode_preempts_only_at_request_boundaries():
     for priority in (False, True):
         server, _, clock = edge_server(priority_mode=priority)
         server.slowput("file", b"\0" * 200_000)  # 8 s on the wire
-        server.advance(1.0)  # file now in flight
+        server.advance(0.0)  # file now in flight
+        server.advance(1.0)
         clock.t = 1.0
         server.slowput("file", b"\0" * 100_000)  # 4 s
         server.slowput("sms", b"\0" * 100)  # sms class
@@ -184,6 +202,7 @@ def test_drain_conserves_bytes_and_order(sizes, cuts):
     queue = LazyQueue()
     for i, size in enumerate(sizes):
         queue.enqueue(req(f"r{i}", size))
+    queue.advance(0.0, EDGE_RATE)
     done = []
     t = 0.0
     for step in sorted(cuts):
@@ -197,6 +216,16 @@ def test_drain_conserves_bytes_and_order(sizes, cuts):
     # byte count has drained at the constant rate
     assert ends[-1] == pytest.approx(sum(sizes) / EDGE_RATE)
     assert len(queue) == 0
+
+
+def test_a_window_drains_at_the_rate_given_before_it():
+    queue = LazyQueue()
+    queue.enqueue(req("r0", 1_000_000))
+    assert queue.advance(2.0, EDGE_RATE) == []
+    assert queue.in_flight.sent_bytes == 0.0
+    assert queue.advance(12.0, 0.0) == []
+    assert queue.in_flight.sent_bytes == (12.0 - 2.0) * EDGE_RATE
+    assert queue.eta(12.0) is None
 
 
 class ReferenceQueue:
@@ -293,7 +322,11 @@ QUEUE_STEPS = st.lists(
 @settings(max_examples=300, deadline=None)
 @given(first=st.lists(ENQUEUE, min_size=1, max_size=5), steps=QUEUE_STEPS)
 def test_class_deques_match_the_backlog_scan(priority_mode, first, steps):
+    # The reference takes the rate of the window it closes, so it is
+    # driven as its owner drove it: a zero-length advance of its own
+    # when the rate turns positive puts its head on the line.
     queue = LazyQueue(priority_mode=priority_mode)
+    queue.advance(0.0, EDGE_RATE)
     ref = ReferenceQueue(priority_mode)
     t, up = 0.0, True
     for k, (op, gap, arg) in enumerate(first + steps):
@@ -302,14 +335,16 @@ def test_class_deques_match_the_backlog_scan(priority_mode, first, steps):
             queue.enqueue(req(f"r{k}", arg, at=t))
             ref.enqueue(req(f"r{k}", arg, at=t))
         elif op == "advance":
+            was_up, up = up, up != arg  # the uplink toggles at this advance
             got = queue.advance(t, EDGE_RATE if up else 0.0)
-            want = ref.advance(t, EDGE_RATE, up)
+            want = ref.advance(t, EDGE_RATE, was_up)
+            if up and not was_up:
+                want += ref.advance(t, EDGE_RATE, up)
             assert [(r.request_id, r.transmit_end) for r in got] == [
                 (r.request_id, r.transmit_end) for r in want
             ]
-            up = up != arg  # the uplink toggles right after this advance
         else:
-            assert queue.eta(t, EDGE_RATE if up else 0.0) == ref.eta(t, EDGE_RATE, up)
+            assert queue.eta(t) == ref.eta(t, EDGE_RATE, up)
         assert len(queue) == len(ref)
 
 
@@ -455,6 +490,7 @@ def test_remote_messages_ride_the_lazy_queue_to_the_board():
     server, _, _ = edge_server(store=store, board=board)
     mid = server.store_and_forward("alice", "bob", b"hello", ttl=60.0)
     assert len(server.queue) == 1
+    server.advance(0.0)
     server.advance(10.0)
     assert mid in board.pending
     env = board.pending[mid]
