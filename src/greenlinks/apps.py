@@ -19,6 +19,7 @@ The SMS grammar is the whole UI: ``SELL <item> <qty> <price>``,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -167,8 +168,8 @@ class Marketplace:
             raise InvalidListing(f"item must be a single token, got {item!r}")
         if qty <= 0:
             raise InvalidListing("quantity must be positive")
-        if price <= 0:
-            raise InvalidListing("price must be positive")
+        if not 0 < price < math.inf:  # nan fails both
+            raise InvalidListing(f"price must be a finite number above 0, got {price}")
         entry = self._registered(seller)
         self._seq += 1
         listing_id = f"L{self.local.node_id}-{self._seq}"

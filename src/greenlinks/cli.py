@@ -138,8 +138,8 @@ def cmd_simulate(args) -> int:
     if runs < 1:
         raise ScenarioError("--runs must be at least 1")
     horizon = args.horizon
-    if horizon is None:
-        horizon = DEFAULT_HORIZON if scenario["traffic"] is not None else None
+    if horizon is None and (scenario["traffic"] or scenario["failures"]):
+        horizon = DEFAULT_HORIZON
 
     # Keep only each run's ledger and latency columns, and run 0's trace
     # events under --trace: no finished run stays alive while the next
@@ -244,13 +244,7 @@ def cmd_whitespace(args) -> int:
     ngsm = cfg.get("ngsm")
     if ngsm:
         for users_n in ngsm["user_counts"]:
-            t_ngsm, t_vols = compare_ngsm(
-                users_n,
-                ngsm["ratios"],
-                seed=seed,
-                organic_period_s=cfg["organic_period_s"],
-                volunteer_period_s=cfg["volunteer_period_s"],
-            )
+            t_ngsm, t_vols = compare_ngsm(cfg, users_n, ngsm["ratios"], seed)
             compare_blocks.append(
                 (users_n, ngsm["ratios"], t_ngsm / 60.0, [t / 60.0 for t in t_vols])
             )
@@ -272,14 +266,7 @@ def cmd_whitespace(args) -> int:
 def cmd_idbench(args) -> int:
     cfg = loaded_scenario(args, {})["identity_bench"]
     seed = resolve_seed(args)
-    benches = identity_latency_bench(
-        [(spec["model"], spec["servers"]) for spec in cfg["models"]],
-        cfg["load_rps"],
-        duration_s=cfg["duration_s"],
-        service_s=cfg["service_s"],
-        latency_s=cfg["latency_s"],
-        seed=seed,
-    )
+    benches = identity_latency_bench(cfg, seed)
     p50s, p95s = [], []
     for bench in benches:
         p50, p95 = bench.quantiles(0.5, 0.95)
@@ -384,17 +371,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command_name", required=True)
 
-    def common(p, scenario_required):
+    def common(p, scenario_required, writes=True):
         p.add_argument(
             "--scenario", required=scenario_required, help="scenario JSON file"
         )
         p.add_argument("--seed", type=int, default=None, help="base RNG seed")
-        p.add_argument("--out", default="out", help="output directory")
+        if writes:
+            p.add_argument("--out", default="out", help="output directory")
 
     p = sub.add_parser("simulate", help="dual-architecture availability run")
     common(p, True)
     p.add_argument("--runs", type=int, default=1, help="independent replications")
-    p.add_argument("--horizon", type=float, default=None, help="sim seconds")
+    p.add_argument(
+        "--horizon",
+        type=float,
+        default=None,
+        help=f"sim seconds (default {DEFAULT_HORIZON:g} with a traffic or "
+        "failures section, else run until no event is left)",
+    )
     p.add_argument("--trace", action="store_true", help="write trace.log")
     p.add_argument(
         "--priority-queue",
@@ -412,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_idbench)
 
     p = sub.add_parser("apps", help="one-shot marketplace command")
-    common(p, False)
+    common(p, False, writes=False)
     p.add_argument("command", help="e.g. 'SELL maize 10 2.5' or 'SEARCH maize'")
     p.set_defaults(func=cmd_apps)
     return parser

@@ -185,6 +185,13 @@ def section(name: str, override: dict | None = None) -> dict:
         total = sum(out[key].values())
         if not math.isclose(total, 1.0, abs_tol=1e-9):
             raise ScenarioError(f"{name}.{key} must sum to 1, not {total:g}")
+    if name == "workload":
+        for i, item in enumerate(out["items"]):
+            # The rule Marketplace.sell applies to every listing.
+            if item.split() != [item]:
+                raise ScenarioError(
+                    f"workload.items[{i}] must be a single token, got {item!r}"
+                )
     if name == "whitespace" and out["band"]["first"] > out["band"]["last"]:
         raise ScenarioError("whitespace.band is empty: first > last")
     if name == "identity_bench":

@@ -35,10 +35,11 @@ The event tape (attempt and link-transition records, in order) is kept
 only by a run that asks for it with ``trace=True``: simulate --trace
 keeps run 0's, and tests keep theirs.  Scoring never reads it.
 
-The identity bench, identity_latency_bench(), is no Simulation: it
-draws one Poisson stream of lookups, hashes each IMSI once, and replays
-that stream through the FIFO servers of every (model, servers) spec it
-is given, so the models differ only in routing (common random numbers).
+The identity bench, identity_latency_bench(cfg, seed), is no
+Simulation: it reads one loaded identity_bench section, draws one
+Poisson stream of lookups, hashes each IMSI once, and replays that
+stream through the FIFO servers of every (model, servers) entry, so the
+models differ only in routing (common random numbers).
 Its results are columns that share one arrivals list.
 """
 
@@ -57,7 +58,6 @@ from . import identity
 from .apps import Workload, choose
 from .errors import ScenarioError
 from .identity import IdentityService, ResolverRing, resolver_for
-from .scenario import IDENTITY_MODELS
 from .sync import CloudStore, LatencyRecord, LocalServer, MessageBoard
 from .topology import Role, Topology
 from .topology import build_topology  # unused here; perfbench/tracing.py wraps it
@@ -643,33 +643,22 @@ class BenchResult:
         return [vals[min(top, int(round(q * top)))] for q in qs]
 
 
-def identity_latency_bench(
-    specs: list[tuple[str, int]],
-    load_rps: float,
-    *,
-    duration_s: float = 60.0,
-    service_s: float = 0.01,
-    latency_s: float = 0.1,
-    seed: int = 0,
-) -> list[BenchResult]:
-    """Lookup latency under load, one BenchResult per (model, servers)
-    spec, in spec order.
+def identity_latency_bench(cfg: dict, seed: int) -> list[BenchResult]:
+    """Lookup latency under load, one BenchResult per entry of a loaded
+    ``identity_bench`` section's ``models``, in order.
 
     One Poisson arrival stream with one IMSI per arrival is drawn from
     random.Random(seed), and every model replays that same stream
     (common random numbers): central queues each lookup on its single
     directory server, dht on the resolver ring member that owns the
-    IMSI.  Each IMSI is hashed once, with the seed every bench ring
-    has (ResolverRing's default), and each server is FIFO.  So dht with one server reproduces central
-    sample for sample, and a spec listed twice gives equal columns.
+    IMSI.  Each IMSI is hashed once, with the seed every bench ring has
+    (ResolverRing's default), and each server is FIFO.  So dht with one
+    server reproduces central sample for sample, and a model listed
+    twice gives equal columns.
     """
-    for model, servers in specs:
-        if model not in IDENTITY_MODELS:
-            raise ScenarioError(f"unknown identity model {model!r}")
-        if servers < 1:
-            raise ScenarioError("identity bench needs at least one server")
-        if model == "central" and servers != 1:
-            raise ScenarioError(f"central has one directory server, not {servers}")
+    specs = [(spec["model"], spec["servers"]) for spec in cfg["models"]]
+    load_rps, duration_s = cfg["load_rps"], cfg["duration_s"]
+    service_s, latency_s = cfg["service_s"], cfg["latency_s"]
     hashed = any(model == "dht" for model, _ in specs)
     rng = random.Random(seed)
     arrivals: list[float] = []

@@ -41,8 +41,10 @@ and one detector fed by them.
 
 The NGSM baseline in compare_ngsm runs the identical estimator fed only
 by organic traffic; the volunteer strategy adds paid periodic senders on
-top of the same organic trace.  One call draws that trace and classifies
-the baseline once for all the volunteer ratios it is given.
+top of the same organic trace.  It takes the traffic periods of a loaded
+``whitespace`` section and keeps its own fixed estimator.  One call
+draws that trace and classifies the baseline once for all the volunteer
+ratios it is given.
 """
 
 from __future__ import annotations
@@ -63,14 +65,17 @@ class Verdict(str, Enum):
     OCCUPIED = "occupied"
 
 
+# The fake neighbours a scan plan advertises.
+SLOTS = 6
+
+
 @dataclass
 class DetectorConfig:
-    first_arfcn: int = 1
-    last_arfcn: int = 124
-    slots: int = 6
-    n_free: int = 500
-    t_free_s: float = 1800.0
-    evidence_ttl_s: float = 86400.0
+    first_arfcn: int
+    last_arfcn: int
+    n_free: int
+    t_free_s: float
+    evidence_ttl_s: float
 
 
 @dataclass(slots=True)
@@ -273,8 +278,7 @@ class Detector:
             for a in self.plan
             if self.states[a].verdict is Verdict.UNKNOWN and a != self.serving
         ]
-        slots = self.config.slots
-        vacancies = slots - len(keep)
+        vacancies = SLOTS - len(keep)
         chosen = list(keep)
         # (key, arfcn) pairs: the arfcn breaks ties, so no two compare equal.
         states = self.states
@@ -288,7 +292,7 @@ class Detector:
                 ],
             )
             chosen.extend(a for _, a in fresh)
-            vacancies = slots - len(chosen)
+            vacancies = SLOTS - len(chosen)
         if vacancies > 0:
             # chosen holds only unknowns so far.
             chosen.extend(self._stalest_free(vacancies))
@@ -562,7 +566,7 @@ def detection_study(cfg: dict, seed: int) -> tuple[Detector, DetectionRun]:
     phones = make_phones(users + volunteers, rng)
     organic_rate = users / cfg["organic_period_s"]
     rate = organic_rate + volunteers / cfg["volunteer_period_s"]
-    groups = math.ceil((last - first + 1) / config.slots)
+    groups = math.ceil((last - first + 1) / SLOTS)
     batches = groups * (config.n_free + config.t_free_s * rate) * 2 + 400
     organic = []
     if users:
@@ -581,29 +585,30 @@ def detection_study(cfg: dict, seed: int) -> tuple[Detector, DetectionRun]:
 
 
 def compare_ngsm(
-    users: int,
-    volunteer_ratios: list[float],
-    *,
-    seed: int = 0,
-    organic_period_s: float = 300.0,
-    volunteer_period_s: float = 60.0,
+    cfg: dict, users: int, volunteer_ratios: list[float], seed: int
 ) -> tuple[float, list[float]]:
     """Time to classify the whole band: organic-only baseline vs the same
     organic trace plus paid volunteers, at each ratio of volunteers to
     users.  Returns seconds (ngsm, [volunteer time for each ratio]); a
-    ratio that rounds to no volunteer gets the baseline's time.
+    ratio that rounds to no volunteer gets the baseline's time.  The
+    traffic periods are a loaded ``whitespace`` section's
+    ``organic_period_s`` and ``volunteer_period_s``.
 
     The organic trace is drawn, and the baseline classified, once.  The
     bench band is truth-free everywhere, which makes classification
     purely evidence-count driven: identical organic traces guarantee the
-    volunteer strategy can only be earlier.  The band has one channel per
-    user, 1..users (one handset per household, band sized to the
-    community).
+    volunteer strategy can only be earlier.  The estimator is fixed, not
+    the section's: the band has one channel per user, 1..users (one
+    handset per household, band sized to the community), and a channel
+    turns free after 50 zeros over 600 s; evidence lives a day.
     """
+    organic_period_s = cfg["organic_period_s"]
+    volunteer_period_s = cfg["volunteer_period_s"]
     config = DetectorConfig(
-        first_arfcn=1, last_arfcn=users, n_free=50, t_free_s=600.0
+        first_arfcn=1, last_arfcn=users, n_free=50, t_free_s=600.0,
+        evidence_ttl_s=86400.0,
     )
-    groups = math.ceil(users / config.slots)
+    groups = math.ceil(users / SLOTS)
     # Each group needs n_free zero batches and t_free of elapsed window;
     # budget events for whichever dominates, with slack.
     per_group = config.n_free + math.ceil(

@@ -15,7 +15,7 @@ from greenlinks import cli
 from greenlinks.apps import Marketplace, Workload
 from greenlinks.errors import GreenLinksError
 from greenlinks.identity import ResolverRing, hash32, resolver_for
-from greenlinks.scenario import check_scenario, generate_tree
+from greenlinks.scenario import check_scenario, generate_tree, section
 from greenlinks.simcore import (
     Simulation,
     aggregate,
@@ -195,9 +195,10 @@ def test_criterion_06_volunteer_speedup():
     user_counts = list(range(10, 101, 10))
     worst_margin = float("inf")
     monotone = True
+    cfg = section("whitespace")
     for users in user_counts:
-        t_ngsm, (t_vol_1, t_vol_2) = compare_ngsm(users, [0.1, 0.2], seed=0)
-        t_alone, _ = compare_ngsm(users, [], seed=0)
+        t_ngsm, (t_vol_1, t_vol_2) = compare_ngsm(cfg, users, [0.1, 0.2], 0)
+        t_alone, _ = compare_ngsm(cfg, users, [], 0)
         assert t_ngsm == t_alone  # the baseline ignores volunteers
         worst_margin = min(worst_margin, t_ngsm - t_vol_1, t_ngsm - t_vol_2)
         if t_vol_2 > t_vol_1:
@@ -219,9 +220,17 @@ def test_criterion_06_volunteer_speedup():
 
 def test_criterion_07_identity_bench():
     # service_s 0.01 puts one server's capacity at 100 rps; 150 is 1.5x
-    central, dht, dht_single = identity_latency_bench(
-        [("central", 1), ("dht", 10), ("dht", 1)], 150.0, duration_s=60.0, seed=0
+    models = [("central", 1), ("dht", 10), ("dht", 1)]
+    cfg = section(
+        "identity_bench",
+        {
+            "models": [{"model": m, "servers": n} for m, n in models],
+            "load_rps": 150.0,
+            "duration_s": 60.0,
+            "service_s": 0.01,
+        },
     )
+    central, dht, dht_single = identity_latency_bench(cfg, 0)
     d50, d95 = dht.quantiles(0.5, 0.95)
     c50, c95 = central.quantiles(0.5, 0.95)
     p50_ok = d50 < c50
@@ -410,7 +419,9 @@ def test_criterion_10_cli_determinism(tmp_path, capsys):
         outputs = []
         for attempt in ("a", "b"):
             outdir = tmp_path / f"{argv[0]}-{attempt}"
-            assert cli.main(argv + ["--seed", "3", "--out", str(outdir)]) == 0
+            # apps writes no file, so it takes no --out.
+            out = ["--out", str(outdir)] if argv[0] != "apps" else []
+            assert cli.main(argv + ["--seed", "3", *out]) == 0
             stdout = capsys.readouterr().out
             files = artifact_bytes(outdir) if outdir.exists() else {}
             outputs.append((files, stdout))

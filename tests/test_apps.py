@@ -140,6 +140,14 @@ def test_listing_validation(market_sim):
         market.sell("233299999999", "maize", 1, 1.0)
 
 
+@pytest.mark.parametrize("price", [float("nan"), float("inf"), float("-inf")])
+def test_a_price_must_be_finite(market_sim, price):
+    sim, market = market_sim
+    with pytest.raises(InvalidListing, match="finite"):
+        market.sell("233200000001", "maize", 1, price)
+    assert len(sim.local(1).queue) == 0
+
+
 @given(st.text())
 def test_an_item_is_one_token_with_no_whitespace(item):
     sim = Simulation(check_scenario(generate_tree(1, 0)), seed=3)

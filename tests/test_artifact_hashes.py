@@ -34,7 +34,10 @@ study reaches: store-and-forward messages, marketplace searches
 and issuance deferred by an outage, all under link failures.  The
 multi-site cases write 200 B to 400 kB at every one of the twelve sites
 of an edge tree under failures, in FIFO and priority mode, so link flips
-land on long transfers at sites they do not reroute.
+land on long transfers at sites they do not reroute.  The restore cases
+send an SMS-sized write to every site 1 s after each link restore, in
+priority mode, while files parked in the outage are sending, so they pin
+that a positive rate puts a queue's head on the line at once.
 """
 
 import hashlib
@@ -405,3 +408,45 @@ def multi_site_digest(priority_queue, seed):
 def test_multi_site_lazy_writes_match_pinned_hashes(priority_queue, seed):
     got = multi_site_digest(priority_queue, seed)
     assert got == MULTI_SITE_EXPECTED[priority_queue, seed]
+
+
+RESTORE_EXPECTED = {
+    0: "c6c6ebcdab43f3d002c522fa973b17838b9edec9b022598df80acb061969f856",
+    1: "adbb2ec11909398d8b9017a13d1030921db37f95c666979a442e6e8b69805e52",
+    2: "7bb40f7eadc9204d575d0d51acb077e37318ceb0c32b20cc1b73bbca97dfed89",
+}
+
+
+def restore_digest(seed):
+    """sha256 over the latency records and the store's handler runs of a
+    priority-mode edge tree under failures, where every site gets an
+    SMS-sized write 1 s after each link restore.  A file parked in the
+    outage goes on the line at the restore, so the SMS waits behind it
+    instead of jumping it."""
+    scenario = generate_tree(3, 1, backhaul_profile="edge")
+    scenario["failures"] = {"interval_s": 60.0, "outage_mean_s": 120.0}
+    sim = Simulation(check_scenario(scenario), seed=seed, priority_queue=True)
+    servers = {n: sim.local(n) for n in sorted(sim.identity.caches)}
+
+    def restore(link_id):
+        sim.set_link(link_id, True)
+        for node in servers:
+            sim.engine.schedule(sim.engine.now + 1.0, "write", node=node, size=160)
+
+    def write(node, size):
+        servers[node].slowput("blob", b"\x5a" * size)
+
+    # Replaces the Simulation's own restore handler, which only flips.
+    sim.engine.on("link_restore", restore)
+    sim.engine.on("write", write)
+    for node in servers:
+        for at in range(11 * node, 1800, 97):
+            sim.engine.schedule(float(at), "write", node=node, size=100_000)
+    result = sim.run(1800.0)
+    state = ([astuple(r) for r in result.latency], sim.store.handler_runs)
+    return sha256(repr(state).encode())
+
+
+@pytest.mark.parametrize("seed", sorted(RESTORE_EXPECTED))
+def test_writes_after_a_restore_match_pinned_hashes(seed):
+    assert restore_digest(seed) == RESTORE_EXPECTED[seed]

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from greenlinks import cli
 from greenlinks.errors import GreenLinksError, ScenarioError
-from greenlinks.scenario import SECTIONS, generate_tree, load_scenario
+from greenlinks.scenario import SECTIONS, generate_tree, load_scenario, section
 from greenlinks.simcore import identity_latency_bench
 from greenlinks.whitespace import compare_ngsm
 
@@ -206,6 +206,28 @@ def test_a_horizon_not_finite_and_above_zero_exits_2(horizon, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_failures_section_alone_defaults_the_horizon(tmp_path):
+    # Simulation.run needs a horizon for traffic or failures; without
+    # --horizon, simulate runs 3600 s.  The trace's link flips show it.
+    scenario = generate_tree(1, 0)
+    scenario["failures"] = {"interval_s": 30.0}
+    path = write_scenario(tmp_path, "failures.json", scenario)
+    written = []
+    for extra in ([], ["--horizon", "3600"]):
+        out = tmp_path / f"out{len(written)}"
+        argv = ["simulate", "--scenario", path, "--trace", "--out", str(out), *extra]
+        assert cli.main(argv) == 0
+        written.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    assert written[0] == written[1]
+    # Outages start only up to the horizon; a restore may come after it.
+    downs = [
+        float(line.split()[0])
+        for line in written[0]["trace.log"].decode().splitlines()
+        if line.endswith(" down")
+    ]
+    assert 1800.0 < downs[-1] <= 3600.0
+
+
 def _set(path, value):
     """An edit that sets scenario[a][b]... = value for path "a.b...";
     a numeric label indexes a list."""
@@ -314,6 +336,10 @@ MALFORMED = [
     ("whitespace-traffic-without-level2", "whitespace", _only(1, "traffic")),
     ("idbench-workload-on-cloud", "idbench", _set("workload.node", 0)),
     ("workload-items-empty", "simulate", _set("workload.items", [])),
+    # Marketplace.sell takes one non-empty token per item: either would
+    # fail a SELL mid-run.
+    ("workload-item-two-words", "simulate", _set("workload.items", ["maize cob"])),
+    ("workload-item-empty", "simulate", _set("workload.items", [""])),
     ("ngsm-user-count-0", "whitespace", _set("whitespace.ngsm.user_counts", [0])),
     # Nothing to iterate: each wrote a header-only CSV.
     ("ngsm-user-counts-empty", "whitespace", _set("whitespace.ngsm.user_counts", [])),
@@ -446,7 +472,7 @@ def test_whitespace_artifacts_and_stdout(tmp_path, capsys):
     # more volunteers per user only speeds the survey up
     assert by_key[("10", "0.2")][1] <= by_key[("10", "0.1")][1]
     # artifact values are minutes; cross-check one cell against the library
-    t_ngsm_s, (t_vol_s,) = compare_ngsm(10, [0.1], seed=0)
+    t_ngsm_s, (t_vol_s,) = compare_ngsm(section("whitespace"), 10, [0.1], 0)
     assert by_key[("10", "0.1")] == (
         pytest.approx(t_ngsm_s / 60.0),
         pytest.approx(t_vol_s / 60.0),
@@ -720,15 +746,7 @@ def test_idbench_samples_match_a_row_by_row_writer(models, load_rps, duration_s,
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(["idbench", "--scenario", scenario, "--seed", str(seed), "--out", str(out)])
         assert code == 0
-        cfg = load_scenario(scenario)["identity_bench"]
-        benches = identity_latency_bench(
-            [(m["model"], m["servers"]) for m in models],
-            load_rps,
-            duration_s=duration_s,
-            service_s=cfg["service_s"],
-            latency_s=cfg["latency_s"],
-            seed=seed,
-        )
+        benches = identity_latency_bench(section("identity_bench", bench), seed)
         write_samples_row_by_row(tmp / "ref.csv", benches)
         assert (out / "idbench_samples.csv").read_bytes() == (tmp / "ref.csv").read_bytes()
 
@@ -835,3 +853,17 @@ def test_apps_on_a_scenario_it_cannot_serve_exits_2(tmp_path, capsys, scenario):
 def test_apps_grammar_errors_exit_2(capsys):
     assert cli.main(["apps", "LEND maize"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_apps_takes_no_out_flag(capsys):
+    # apps prints to stdout and writes no file.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["apps", "--out", "x", "SEARCH maize"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --out" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("price", ["nan", "inf"])
+def test_apps_rejects_a_price_that_is_not_finite(capsys, price):
+    assert cli.main(["apps", f"SELL maize 3 {price}"]) == 0
+    assert capsys.readouterr().out.startswith("InvalidListing: price must be")

@@ -4,6 +4,7 @@ import gc
 import itertools
 import math
 import random
+import statistics
 import tracemalloc
 import weakref
 
@@ -16,7 +17,7 @@ from greenlinks import simcore
 from greenlinks.apps import Workload, choose
 from greenlinks.errors import ScenarioError, UnknownLink
 from greenlinks.identity import ResolverRing, hash32, resolver_for
-from greenlinks.scenario import check_scenario, generate_tree
+from greenlinks.scenario import check_scenario, generate_tree, section
 from greenlinks.simcore import (
     METRICS,
     SERVICE_INDEX,
@@ -861,9 +862,16 @@ def test_confidence_interval_formula():
 # ---------------------------------------------------------- identity bench
 
 
+def bench_section(specs, **keys):
+    """A loaded identity_bench section of (model, servers) specs, with
+    ``keys`` over the defaults."""
+    models = [{"model": model, "servers": servers} for model, servers in specs]
+    return section("identity_bench", {"models": models, **keys})
+
+
 def test_dht_with_one_server_reproduces_central_exactly():
     central, dht1 = identity_latency_bench(
-        [("central", 1), ("dht", 1)], 150.0, duration_s=20.0, seed=2
+        bench_section([("central", 1), ("dht", 1)], duration_s=20.0), 2
     )
     assert central.routed == dht1.routed
     assert central.sojourns == dht1.sojourns
@@ -871,7 +879,7 @@ def test_dht_with_one_server_reproduces_central_exactly():
 
 def test_sharding_absorbs_load_a_single_server_cannot():
     central, dht = identity_latency_bench(
-        [("central", 1), ("dht", 10)], 150.0, duration_s=30.0, seed=0
+        bench_section([("central", 1), ("dht", 10)], duration_s=30.0), 0
     )
     # arrivals are the identical stream either way: one shared column
     assert central.arrivals is dht.arrivals
@@ -885,19 +893,10 @@ def test_sharding_absorbs_load_a_single_server_cannot():
     assert all(s >= floor - 1e-9 for s in dht.sojourns)
 
 
-def test_bench_rejects_bad_setups():
-    with pytest.raises(ScenarioError):
-        identity_latency_bench([("mesh", 2)], 10.0)
-    with pytest.raises(ScenarioError):
-        identity_latency_bench([("central", 1), ("dht", 0)], 10.0)
-    # central is one directory server; more would be an input with no effect
-    with pytest.raises(ScenarioError):
-        identity_latency_bench([("central", 3)], 10.0)
-
-
 def test_bench_quantiles_and_determinism():
-    (bench,) = identity_latency_bench([("dht", 4)], 80.0, duration_s=10.0, seed=7)
-    (again,) = identity_latency_bench([("dht", 4)], 80.0, duration_s=10.0, seed=7)
+    cfg = bench_section([("dht", 4)], load_rps=80.0, duration_s=10.0)
+    (bench,) = identity_latency_bench(cfg, 7)
+    (again,) = identity_latency_bench(cfg, 7)
     assert (bench.arrivals, bench.routed, bench.sojourns) == (
         again.arrivals,
         again.routed,
@@ -912,7 +911,7 @@ def test_bench_quantiles_and_determinism():
         sojourns[round(0.95 * top)],
         sojourns[-1],
     ]
-    (empty,) = identity_latency_bench([("dht", 4)], 80.0, duration_s=1e-9, seed=7)
+    (empty,) = identity_latency_bench({**cfg, "duration_s": 1e-9}, 7)
     assert empty.sojourns == [] and empty.quantiles(0.5, 0.95) == [0.0, 0.0]
     assert sojourns[0] >= 0.21 - 1e-9
     assert bench.mean() == pytest.approx(sum(sojourns) / len(sojourns))
@@ -963,14 +962,14 @@ BENCH_SPECS = st.lists(
 def test_bench_replays_one_stream_as_each_model_alone(
     specs, seed, load_rps, duration_s, service_s, latency_s
 ):
-    benches = identity_latency_bench(
+    cfg = bench_section(
         specs,
-        load_rps,
+        load_rps=load_rps,
         duration_s=duration_s,
         service_s=service_s,
         latency_s=latency_s,
-        seed=seed,
     )
+    benches = identity_latency_bench(cfg, seed)
     assert [(b.model, b.servers) for b in benches] == specs
     for bench, (model, servers) in zip(benches, specs):
         assert bench.arrivals is benches[0].arrivals
@@ -989,10 +988,34 @@ def test_bench_hashes_each_imsi_once(monkeypatch):
 
     monkeypatch.setattr(identity_mod, "hash32", counted)
     benches = identity_latency_bench(
-        [("central", 1), ("dht", 10), ("dht", 100)], 150.0, duration_s=10.0, seed=3
+        bench_section([("central", 1), ("dht", 10), ("dht", 100)], duration_s=10.0), 3
     )
     # once per arrival of the shared stream, plus once per ring point
     assert len(calls) == len(benches[0].arrivals) + 10 + 100
     calls.clear()
-    identity_latency_bench([("central", 1)], 150.0, duration_s=10.0, seed=3)
+    identity_latency_bench(bench_section([("central", 1)], duration_s=10.0), 3)
     assert calls == []  # no ring, no hashing
+
+
+# Student's t quantile t(0.975) with 2 degrees of freedom: a 95% interval
+# over three seeds.
+T_975_2 = 4.303
+
+
+@pytest.mark.parametrize("rho", [0.3, 0.5, 0.8])
+def test_central_bench_matches_the_md1_mean_sojourn(rho):
+    # One directory server with Poisson arrivals and a fixed service time
+    # is an M/D/1 queue: Pollaczek-Khinchine gives the mean wait
+    # rho * s / (2 (1 - rho)); a lookup also takes s and latency both ways.
+    service_s, latency_s = 0.01, 0.1
+    cfg = bench_section(
+        [("central", 1)],
+        load_rps=rho / service_s,
+        duration_s=2000.0,
+        service_s=service_s,
+        latency_s=latency_s,
+    )
+    means = [identity_latency_bench(cfg, seed)[0].mean() for seed in range(3)]
+    expected = 2 * latency_s + service_s + rho * service_s / (2 * (1 - rho))
+    half_width = T_975_2 * statistics.stdev(means) / math.sqrt(len(means))
+    assert abs(statistics.fmean(means) - expected) <= half_width

@@ -4,6 +4,7 @@ import heapq
 import itertools
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from greenlinks import whitespace
 from greenlinks.errors import NoFreeChannel, UnplannedChannel
-from greenlinks.scenario import check_scenario
+from greenlinks.scenario import check_scenario, section
 from greenlinks.whitespace import (
     DetectionRun,
     Detector,
@@ -29,7 +30,9 @@ from test_artifact_hashes import QUIESCE_SCENARIO
 
 
 def small_detector(**kw):
-    defaults = dict(first_arfcn=1, last_arfcn=12, slots=6, n_free=2, t_free_s=0.0)
+    defaults = dict(
+        first_arfcn=1, last_arfcn=12, n_free=2, t_free_s=0.0, evidence_ttl_s=86400.0
+    )
     defaults.update(kw)
     det = Detector(DetectorConfig(**defaults))
     det.plan_scan(0.0)
@@ -93,7 +96,12 @@ def test_reports_outside_the_plan_are_dropped():
     assert det.dropped_unplanned == 2
     assert det.states[1].last_report_at is None
     assert det.states[2].verdict is Verdict.UNKNOWN
-    fresh = Detector(DetectorConfig(first_arfcn=1, last_arfcn=4))
+    fresh = Detector(
+        DetectorConfig(
+            first_arfcn=1, last_arfcn=4, n_free=500, t_free_s=1800.0,
+            evidence_ttl_s=86400.0,
+        )
+    )
     with pytest.raises(UnplannedChannel):
         fresh.ingest_report({1: 0}, at=0.0)  # no plan yet at all
 
@@ -225,7 +233,7 @@ class ReferenceDetector(Detector):
             for a in self.plan
             if self.states[a].verdict is Verdict.UNKNOWN and a != self.serving
         ]
-        slots = self.config.slots
+        slots = whitespace.SLOTS
         vacancies = slots - len(keep)
         chosen = list(keep)
         if vacancies > 0:
@@ -326,11 +334,13 @@ def verdict_sets(det):
 
 @settings(max_examples=500, deadline=None)
 @given(steps=STEPS)
+@mock.patch.object(whitespace, "SLOTS", 3)
 def test_kept_bookkeeping_matches_the_full_band_scans(steps):
     # Evidence lives 10 s, so verdicts expire both on a late report and
-    # in a plan_scan sweep.
+    # in a plan_scan sweep.  Three slots on five channels leave unknowns
+    # waiting for a slot.
     config = DetectorConfig(
-        first_arfcn=1, last_arfcn=5, slots=3, n_free=2, t_free_s=1.0,
+        first_arfcn=1, last_arfcn=5, n_free=2, t_free_s=1.0,
         evidence_ttl_s=10.0,
     )
     det, ref = Detector(config), ReferenceDetector(config)
@@ -401,7 +411,9 @@ def test_organic_traffic_is_sorted_and_deterministic():
 
 def test_detection_run_classifies_a_tiny_band():
     det = Detector(
-        DetectorConfig(first_arfcn=1, last_arfcn=6, n_free=3, t_free_s=0.0)
+        DetectorConfig(
+            first_arfcn=1, last_arfcn=6, n_free=3, t_free_s=0.0, evidence_ttl_s=86400.0
+        )
     )
     field_model = RadioField({3: (0.5, 0.5)}, radius=0.25, step=0.0)
     phones = make_phones(1, random.Random(0))
@@ -422,7 +434,10 @@ def test_detection_run_classifies_a_tiny_band():
 def test_detection_is_deterministic():
     def once():
         det = Detector(
-            DetectorConfig(first_arfcn=1, last_arfcn=10, n_free=4, t_free_s=5.0)
+            DetectorConfig(
+                first_arfcn=1, last_arfcn=10, n_free=4, t_free_s=5.0,
+                evidence_ttl_s=86400.0,
+            )
         )
         rng = random.Random(9)
         field_model = RadioField.place([2, 7], rng)
@@ -442,7 +457,9 @@ def test_empty_field_leaves_phones_and_rng_untouched():
     # nothing from rng, moves no phone, and matches a loop that walks
     # every sender before its SMS as the detector originally did.
     traffic = organic_traffic(4, 10.0, 400, random.Random(5))
-    config = DetectorConfig(first_arfcn=1, last_arfcn=9, n_free=5, t_free_s=20.0)
+    config = DetectorConfig(
+        first_arfcn=1, last_arfcn=9, n_free=5, t_free_s=20.0, evidence_ttl_s=86400.0
+    )
     phones = make_phones(4, random.Random(6))
     before = [(p.x, p.y) for p in phones]
     rng = random.Random(7)
@@ -569,8 +586,8 @@ def test_folded_detection_matches_one_call_per_sms(
     manage_serving,
 ):
     config = DetectorConfig(
-        first_arfcn=1, last_arfcn=last, slots=slots, n_free=n_free,
-        t_free_s=t_free_s, evidence_ttl_s=ttl,
+        first_arfcn=1, last_arfcn=last, n_free=n_free, t_free_s=t_free_s,
+        evidence_ttl_s=ttl,
     )
     spots = {a: xy for a, xy in interferers.items() if a <= last}
     traffic = [
@@ -583,14 +600,15 @@ def test_folded_detection_matches_one_call_per_sms(
         "odd": set(range(1, last + 1, 2)),
     }[truth]
     got, want = Detector(config), FreeScanDetector(config)
-    runs = [
-        drive(
-            traffic, det, RadioField(spots, radius=0.4, step=0.2),
-            make_phones(3, random.Random(1)), random.Random(2),
-            truth_occupied=truth_occupied, manage_serving=manage_serving,
-        )
-        for drive, det in ((run_detection, got), (per_sms_detection, want))
-    ]
+    with mock.patch.object(whitespace, "SLOTS", slots):
+        runs = [
+            drive(
+                traffic, det, RadioField(spots, radius=0.4, step=0.2),
+                make_phones(3, random.Random(1)), random.Random(2),
+                truth_occupied=truth_occupied, manage_serving=manage_serving,
+            )
+            for drive, det in ((run_detection, got), (per_sms_detection, want))
+        ]
     assert runs[0] == runs[1]
     assert got.states == want.states
     assert got._holding == want._holding
@@ -615,7 +633,8 @@ def test_a_silent_band_takes_two_ingest_calls_per_group(width, manage_serving):
     # Each group of six needs 20 zeros over 10 s: its first SMS opens the
     # windows, the next 18 fold, and the 20th turns the group free.
     config = DetectorConfig(
-        first_arfcn=1, last_arfcn=width, n_free=20, t_free_s=10.0
+        first_arfcn=1, last_arfcn=width, n_free=20, t_free_s=10.0,
+        evidence_ttl_s=86400.0,
     )
     det = CountingDetector(config)
     traffic = [(float(t), t % 4) for t in range(1000)]
@@ -674,25 +693,29 @@ def test_a_volunteer_only_study_runs_the_schedule_over_its_budget(monkeypatch):
 # ------------------------------------------------------------ ngsm compare
 
 
+# The default whitespace section: its traffic periods drive compare_ngsm.
+WS = section("whitespace")
+
+
 def test_volunteers_beat_the_organic_only_baseline():
-    t_ngsm, (t_vol, t_vol2) = compare_ngsm(20, [0.1, 0.2], seed=3)
+    t_ngsm, (t_vol, t_vol2) = compare_ngsm(WS, 20, [0.1, 0.2], 3)
     assert 0 < t_vol < t_ngsm
-    again = compare_ngsm(20, [0.1, 0.2], seed=3)
+    again = compare_ngsm(WS, 20, [0.1, 0.2], 3)
     assert (t_ngsm, [t_vol, t_vol2]) == again
     assert t_vol2 <= t_vol
 
 
 def test_ngsm_degenerate_cases():
-    t_ngsm, (t_vol,) = compare_ngsm(10, [0.0], seed=1)
+    t_ngsm, (t_vol,) = compare_ngsm(WS, 10, [0.0], 1)
     assert t_ngsm == t_vol
 
 
 def test_ngsm_ratios_share_one_baseline_and_keep_their_times():
     # the baseline is classified once per call; asking for the ratios one
     # call at a time or all at once gives the same numbers
-    t_one, (t_vol_1,) = compare_ngsm(10, [0.1], seed=3)
-    t_two, (t_vol_2,) = compare_ngsm(10, [0.2], seed=3)
-    both = compare_ngsm(10, [0.1, 0.2], seed=3)
+    t_one, (t_vol_1,) = compare_ngsm(WS, 10, [0.1], 3)
+    t_two, (t_vol_2,) = compare_ngsm(WS, 10, [0.2], 3)
+    both = compare_ngsm(WS, 10, [0.1, 0.2], 3)
     assert t_one == t_two
     assert both == (t_one, [t_vol_1, t_vol_2])
     assert t_vol_1 != t_vol_2  # the ratios are told apart
