@@ -28,12 +28,16 @@ there is none.
 On a field with no interferer every reading is 0, so until some verdict
 changes an SMS only adds one zero to each measured channel and moves its
 last report time.  run_detection therefore folds such a run of SMS into
-one step (Detector.fold_silent) while the plan is current, and stops
-just before the first SMS that could change a verdict: one that brings
-a measured channel not yet free to both n_free zeros and t_free seconds
-of window, or one after a gap longer than evidence_ttl.  That SMS goes
-through ingest_report as before, so the detector ends in the state the
-per-SMS loop leaves, field by field.
+one step (Detector.fold_silent), and stops just before the first SMS
+that could change a verdict: one that brings a measured channel not yet
+free to both n_free zeros and t_free seconds of window, or one after a
+gap longer than evidence_ttl.  Once fewer unknowns than slots remain,
+the plan also rotates the stalest free channels after every SMS; the
+fold replays that rotation on a heap of the free channels, and also
+stops before an SMS more than evidence_ttl after the evidence floor,
+where the plan's sweep for stale evidence could run.  The SMS it stops
+at goes through ingest_report as before, so the detector ends in the
+state the per-SMS loop leaves, field by field.
 
 detection_study runs the whole study of one loaded ``whitespace``
 scenario section: interferers, phones, organic and volunteer traffic,
@@ -191,18 +195,30 @@ class Detector:
     def fold_silent(self, traffic: list[tuple[float, int]], start: int) -> int:
         """Fold in the longest run of SMS from ``traffic[start]`` on that
         changes no verdict, each reading 0 on every measured channel (the
-        plan plus the serving channel); return how many were folded.
+        plan plus the serving channel), with plan_scan run after each SMS
+        while the plan rotates free channels; return how many were folded.
 
         Until a verdict changes, such an SMS only adds one zero and moves
-        last_report_at on every measured channel, so a run of m of them
-        is folded as ``zero_count += m`` and the last SMS's time.  The run
+        last_report_at on every measured channel.  On a current plan the
+        measured channels stay, so a run of m of them is folded as
+        ``zero_count += m`` and the last SMS's time.  On a plan that
+        rotates free channels, plan_scan would keep the plan's unknowns
+        and refill the other slots with the stalest free channels after
+        every SMS; the fold replays that rotation on one heap of the free
+        channels instead, giving each rotated channel its zeros, report
+        time and last_planned_at, and leaves the last plan in place.  It
+        folds nothing there unless the plan holds every unknown but the
+        serving channel, so that plan_scan would plan no other.  The run
         ends just before the first SMS that could change a verdict:
 
         * a measured channel not yet free reaching both n_free zeros and
           ``at - window_start >= t_free_s`` (the very test ingest_report
           makes, found by bisection, as times never fall);
         * a gap of more than evidence_ttl_s since the previous SMS, or,
-          at the first SMS, since a verdict's own last report.
+          at the first SMS, since a verdict's own last report;
+        * while rotating, an SMS more than evidence_ttl_s after the
+          evidence floor, after which plan_scan could sweep the band.
+          Short of it no report behind a verdict can expire.
 
         Nothing is folded while a measured channel has no zero window.
         ``traffic`` must be in time order.
@@ -212,6 +228,14 @@ class Detector:
         if start >= end:
             return 0
         first, ttl = traffic[start][0], config.evidence_ttl_s
+        rotating = self.plan_dirty
+        if rotating:
+            unknown, serving = self._holding[Verdict.UNKNOWN], self.serving
+            keep = [a for a in self.plan if a in unknown and a != serving]
+            free = self._holding[Verdict.FREE]
+            rotated = min(SLOTS - len(keep), len(free) - (serving in free))
+            if rotated <= 0 or len(keep) + (serving in unknown) < len(unknown):
+                return 0
         channels = [states[a] for a in self.measured()]
         for state in channels:
             window_start = state.window_start
@@ -228,6 +252,12 @@ class Detector:
                     traffic, config.t_free_s, min(counted, end), end,
                     key=lambda e: e[0] - window_start,
                 )
+        # The evidence floor once the first SMS is in.
+        floor = min(self._evidence_floor, first) if channels else self._evidence_floor
+        if rotating:
+            end = bisect.bisect_right(
+                traffic, ttl, start, end, key=lambda e: e[0] - floor
+            )
         if end > start and traffic[end - 1][0] - first > ttl:
             # Some gap in the run outlives the evidence: stop before it.
             for k in range(start + 1, end):
@@ -235,13 +265,44 @@ class Detector:
                     end = k
                     break
         folded = end - start
-        if folded and channels:
-            last = traffic[end - 1][0]
+        if not folded or not channels:
+            return folded
+        self._evidence_floor = floor
+        last = traffic[end - 1][0]
+        if not rotating:
             for state in channels:
                 state.zero_count += folded
                 state.last_report_at = last
-            if first < self._evidence_floor:
-                self._evidence_floor = first
+            return folded
+        # The first SMS measures the plan as it stands; every SMS measures
+        # the kept unknowns and the serving channel.
+        for state in channels:
+            state.zero_count += 1
+            state.last_report_at = first
+        steady = keep if serving is None else keep + [serving]
+        for a in steady:
+            state = states[a]
+            state.zero_count += folded - 1
+            state.last_report_at = last
+        # Each SMS reports the free channels the previous plan rotated in,
+        # then plan_scan rotates in the stalest ones, as _stalest_free
+        # picks them.  The heap's entries are the channels' own times.
+        heap = [(states[a].last_report_at, a) for a in free if a != serving]
+        heapq.heapify(heap)
+        planned, picked = self.plan, []
+        for k in range(start, end):
+            at = traffic[k][0]
+            for a in picked:
+                state = states[a]
+                state.zero_count += 1
+                state.last_report_at = at
+                heapq.heappush(heap, (at, a))
+            picked = [heapq.heappop(heap)[1] for _ in range(rotated)]
+            for a in picked:
+                if a not in planned:
+                    states[a].last_planned_at = at
+            planned = picked
+        self.plan = tuple(keep + picked)
         return folded
 
     def measured(self) -> tuple[int, ...]:
@@ -300,7 +361,8 @@ class Detector:
             if arfcn not in self.plan:
                 self.states[arfcn].last_planned_at = now
         self.plan = tuple(chosen)
-        # A plan that rotates verified channels is rebuilt every batch.
+        # A plan that rotates verified channels is rebuilt every batch;
+        # on a silent field fold_silent replays runs of those rebuilds.
         self.plan_dirty = any(
             self.states[a].verdict is not Verdict.UNKNOWN for a in chosen
         )
@@ -501,14 +563,15 @@ def run_detection(
 
     ``rng`` feeds only the phones' walk.  On a field with no interferer
     every reading is 0 wherever a phone stands, so nobody walks: the
-    phones and ``rng`` are left untouched.  There, after an SMS that
-    leaves the plan current, ``Detector.fold_silent`` folds in at once
-    the SMS up to the next one that could change a verdict.  Until then
-    no plan is redrawn, the serving channel stays and nothing converges,
-    so each folded SMS would only have counted one batch, and one
-    collision if the serving channel is truth-occupied.  The SMS that
-    can change a verdict goes through ``ingest_report`` as before, so
-    the detector ends in the same state.
+    phones and ``rng`` are left untouched.  There, after every SMS,
+    ``Detector.fold_silent`` folds in at once the SMS up to the next one
+    that could change a verdict, rotating free channels through the plan
+    as ``plan_scan`` would when the plan holds some.  Until then no
+    unknown joins the plan, the serving channel stays and nothing
+    converges, so each folded SMS would only have counted one batch, and
+    one collision if the serving channel is truth-occupied.  The SMS
+    that can change a verdict goes through ``ingest_report`` as before,
+    so the detector ends in the same state.
     """
     run = DetectionRun(converged_at=None, batches=0)
     detector.plan_scan(traffic[0][0] if traffic else 0.0)
@@ -535,7 +598,7 @@ def run_detection(
         if run.converged_at is None and detector.unknown_count() == 0:
             run.converged_at = at
             break
-        if not walking and detector.plan_is_current():
+        if not walking:
             folded = detector.fold_silent(traffic, i)
             run.batches += folded
             if collides:

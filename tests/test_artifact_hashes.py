@@ -27,7 +27,11 @@ free, so the station quiesces (`NoFreeChannel`) until one is.  The
 all-zero SMS (`Detector.fold_silent`) with the serving channel managed;
 its evidence lives 300 s against one SMS per 150 s on average, so folds
 stop at gaps that outlive it, and free channels expire while waiting in
-the heap of re-verification candidates.  A
+the heap of re-verification candidates.  The `whitespace_rotation` case
+is silent too, on ten channels, so once the first six turn free the plan
+rotates free channels past the last four unknowns; two runs of SMS fold
+with that rotation (`Detector.fold_silent`), and evidence living 1200 s
+ends one of them where `plan_scan` could sweep the band.  A
 whitespace case also pins its stdout summary line, which carries the
 serving-collision count.  The library case drives the paths no CLI
 study reaches: store-and-forward messages, marketplace searches
@@ -154,6 +158,22 @@ SILENT_SCENARIO = {
     }
 }
 
+# No interferer, ten channels: the plan rotates free channels past the
+# last four unknowns, and the band converges at about 3100.7 s.
+ROTATION_SCENARIO = {
+    "whitespace": {
+        "users": 4,
+        "volunteers": 0,
+        "organic_period_s": 60.0,
+        "band": {"first": 1, "last": 10},
+        "truth_occupied": [],
+        "n_free": 20,
+        "t_free_s": 1500.0,
+        "evidence_ttl_s": 1200.0,
+        "ngsm": None,
+    }
+}
+
 # "stdout" is the digest of what the command prints on stdout.
 STUDY_EXPECTED = {
     "whitespace": (
@@ -204,6 +224,14 @@ STUDY_EXPECTED = {
             "stdout": "712b14e95465206c03fb5209bbcf32ccf8f25912d5b3669e938c1eb2ff6549a8",
         },
     ),
+    "whitespace_rotation": (
+        "whitespace",
+        {
+            "occupancy.csv": "a860d5275b7d36b3b438f55791aa36be8a850b84de22411583efcb4a708de939",
+            "ngsm_compare.csv": "63fb0f1d5bd4b03bbb154aff8328cac6d48515f5f20f6b1fde2d93edc81a354e",
+            "stdout": "2a2e7d01b47811fa3bb0c34f4071e69f61091cf772b5ed5102e50659310bbd68",
+        },
+    ),
     "idbench": (
         "idbench",
         {
@@ -248,6 +276,7 @@ WRITTEN_SCENARIOS = {
     "whitespace_switch": SWITCH_SCENARIO,
     "whitespace_quiesce": QUIESCE_SCENARIO,
     "whitespace_silent": SILENT_SCENARIO,
+    "whitespace_rotation": ROTATION_SCENARIO,
 }
 
 

@@ -581,6 +581,22 @@ GAPS = st.lists(st.sampled_from((0.0, 0.1, 0.2, 0.3, 0.7, 1.0, 2.0)), max_size=1
     gaps=[0.7] * 6 + [2.0] + [0.7] * 5, senders=[0], interferers={},
     truth="none", manage_serving=True,
 )
+# Every SMS at 1.0 s: once 1-3 are free, the plan rotates free channels
+# past unknowns 4 and 5, and the fold must break the ties on report time
+# by arfcn as plan_scan does, not by the order channels were reported.
+@example(
+    last=5, slots=3, n_free=4, t_free_s=0.0, ttl=1e9,
+    gaps=[1.0] + [0.0] * 6, senders=[0], interferers={},
+    truth="none", manage_serving=True,
+)
+# Evidence lives 1 s: a fold that rotates free channels past unknowns 5-7
+# ends before the SMS more than 1 s after the evidence floor, where
+# plan_scan sweeps the band.
+@example(
+    last=7, slots=4, n_free=2, t_free_s=1.0, ttl=1.0,
+    gaps=[0.3] * 10, senders=[0], interferers={},
+    truth="none", manage_serving=True,
+)
 def test_folded_detection_matches_one_call_per_sms(
     last, slots, n_free, t_free_s, ttl, gaps, senders, interferers, truth,
     manage_serving,
@@ -628,10 +644,12 @@ class CountingDetector(Detector):
 
 
 @pytest.mark.parametrize("manage_serving", [False, True])
-@pytest.mark.parametrize("width", [6, 12, 30])
+@pytest.mark.parametrize("width", [6, 8, 10, 12, 20, 30])
 def test_a_silent_band_takes_two_ingest_calls_per_group(width, manage_serving):
-    # Each group of six needs 20 zeros over 10 s: its first SMS opens the
-    # windows, the next 18 fold, and the 20th turns the group free.
+    # Each group of up to six needs 20 zeros over 10 s: its first SMS
+    # opens the windows, the next 18 fold, and the 20th turns the group
+    # free.  A last group of fewer than six shares the plan with free
+    # channels rotated for re-verification, and folds all the same.
     config = DetectorConfig(
         first_arfcn=1, last_arfcn=width, n_free=20, t_free_s=10.0,
         evidence_ttl_s=86400.0,
@@ -642,7 +660,7 @@ def test_a_silent_band_takes_two_ingest_calls_per_group(width, manage_serving):
         traffic, det, RadioField({}), make_phones(4, random.Random(0)),
         random.Random(1), manage_serving=manage_serving,
     )
-    groups = width // 6
+    groups = math.ceil(width / 6)
     assert run.batches == 20 * groups
     assert run.converged_at == 20.0 * groups - 1
     assert det.ingested == 2 * groups
@@ -719,3 +737,15 @@ def test_ngsm_ratios_share_one_baseline_and_keep_their_times():
     assert t_one == t_two
     assert both == (t_one, [t_vol_1, t_vol_2])
     assert t_vol_1 != t_vol_2  # the ratios are told apart
+
+
+def test_no_ngsm_time_beats_one_evidence_window_per_plan_group():
+    # A channel gathers evidence only while it is planned, the plan holds
+    # SLOTS channels, and each needs compare_ngsm's t_free_s of 600 s of
+    # window: no run can converge before 600 s per group of SLOTS.
+    ngsm = WS["ngsm"]
+    for seed in range(5):
+        for users in ngsm["user_counts"]:
+            t_ngsm, t_vols = compare_ngsm(WS, users, ngsm["ratios"], seed)
+            bound = 600.0 * math.ceil(users / whitespace.SLOTS)
+            assert min(t_ngsm, *t_vols) >= bound, (seed, users)
