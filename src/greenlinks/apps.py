@@ -357,8 +357,11 @@ class Workload:
     Reads the scenario's loaded ``workload`` section.  Registers sellers
     and buyers on its community node (``node``, checked at load), then
     schedules periodic SELLs (slowput, sms-class), BUYs (fastget) and
-    optional file-class slowputs that share the same lazy queue.  A file
-    is ``file_bytes`` of filler whose content is not modelled: every file
+    optional file-class slowputs that share the same lazy queue.  Each
+    seller's SELLs and each buyer's BUYs are one Engine.every stream, so
+    the engine holds one pending event per seller and buyer; the file
+    events, at ``k * file_period_s``, are scheduled up front.  A file is
+    ``file_bytes`` of filler whose content is not modelled: every file
     slowput passes the one immutable body built here, so the queue and
     the store hold it once, and files differ by request id and key
     (``file-<k>``).
@@ -396,15 +399,11 @@ class Workload:
         engine = self.sim.engine
         until = cfg["until_s"] if horizon is None else min(cfg["until_s"], horizon)
         for i, seller in enumerate(self.sellers):
-            t = cfg["sell_period_s"] * i / max(1, len(self.sellers))
-            while t < until:
-                engine.schedule(t, "wl_sell", seller=seller)
-                t += cfg["sell_period_s"]
+            first = cfg["sell_period_s"] * i / max(1, len(self.sellers))
+            engine.every(first, cfg["sell_period_s"], until, "wl_sell", seller=seller)
         for i, buyer in enumerate(self.buyers):
-            t = cfg["buy_period_s"] * (0.5 + i) / max(1, len(self.buyers))
-            while t < until:
-                engine.schedule(t, "wl_buy", buyer=buyer)
-                t += cfg["buy_period_s"]
+            first = cfg["buy_period_s"] * (0.5 + i) / max(1, len(self.buyers))
+            engine.every(first, cfg["buy_period_s"], until, "wl_buy", buyer=buyer)
         for k in range(cfg["file_count"]):
             if horizon is None or k * cfg["file_period_s"] < horizon:
                 engine.schedule(k * cfg["file_period_s"], "wl_file", index=k)

@@ -29,11 +29,12 @@ from pathlib import Path
 
 from . import apps as apps_mod
 from .errors import GreenLinksError, ScenarioError
-from .scenario import check_scenario, generate_tree, load_scenario
+from .scenario import check_scenario, generate_tree, load_scenario, work_estimate
 from .simcore import (
     METRICS,
     Simulation,
     aggregate,
+    check_horizon,
     identity_latency_bench,
     interval_means,
     replicate,
@@ -140,6 +141,13 @@ def cmd_simulate(args) -> int:
     horizon = args.horizon
     if horizon is None and (scenario["traffic"] or scenario["failures"]):
         horizon = DEFAULT_HORIZON
+    # Before any run: a stream's events are counted as it is scheduled,
+    # so an input that asks for too many would spin there.
+    check_horizon(scenario, horizon)
+    try:
+        work_estimate(scenario, horizon)
+    except ScenarioError as exc:
+        raise ScenarioError(f"{args.scenario}: {exc}") from None
 
     # Keep only each run's ledger and latency columns, and run 0's trace
     # events under --trace: no finished run stays alive while the next

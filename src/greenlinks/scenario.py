@@ -115,6 +115,11 @@ MIXES = {
     "traffic": ("dest_mix", "level_share"),
     "failures": ("target_mix",),
 }
+# The most work one simulate run may ask for (work_estimate): about ten
+# times the largest shipped scenario or benchmark workload (market_backlog,
+# 1.05e6, most of it its 1 MB file body).  A run at the bound takes
+# minutes, not hours, and holds at most a few hundred MB.
+WORK_BOUND = 10**7
 # World-graph lists: the template each entry is checked against and merged
 # over.  A key in REQUIRED must be given; the template's value only shows
 # its type.  An empty link id or profile means none.
@@ -257,6 +262,51 @@ def check_scenario(scenario: dict) -> dict:
         if Topology(graph).cloud_route(node) is None:
             raise ScenarioError(f"workload.node {node} has no route to the cloud")
     return loaded
+
+
+def work_estimate(loaded: dict, horizon: float | None) -> float:
+    """An upper bound on the work one run of a loaded scenario asks for
+    up to ``horizon`` (None, or finite and above 0): the events its
+    engine dispatches and the traffic attempts it draws, plus the bytes
+    of the one file body its workload builds.  It is worked out from the
+    values alone, so a huge count costs nothing to find.  Per section:
+
+    * traffic: each interval is an event, its attempts and the three
+      counts per service that the run keeps for it;
+    * failures: a draw every interval_s from 0, each with at most one
+      restore and, at each of those two flips, one queue wake-up of the
+      workload's site;
+    * workload: each SELL and file is an event and at most two queue
+      wake-ups (the enqueue that finds the queue idle, and the
+      completion), each BUY one event.
+
+    Raises ScenarioError naming the first section above WORK_BOUND."""
+    parts = {}
+    traffic, failures, workload = (
+        loaded["traffic"], loaded["failures"], loaded["workload"]
+    )
+    if traffic and horizon is not None:
+        attempts = traffic["attempts"]
+        per_interval = 1 + 3 * len(attempts) + sum(attempts.values())
+        parts["traffic"] = horizon / traffic["interval_s"] * per_interval
+    if failures and horizon is not None:
+        wakeups = 2 if workload else 0
+        parts["failures"] = (horizon / failures["interval_s"] + 1) * (2 + wakeups)
+    if workload:
+        until = workload["until_s"] if horizon is None else min(workload["until_s"], horizon)
+        sells = workload["sellers"] * (until / workload["sell_period_s"] + 1)
+        buys = workload["buyers"] * (until / workload["buy_period_s"] + 1)
+        files = workload["file_count"]
+        body = workload["file_bytes"] if files else 0
+        parts["workload"] = 3 * (sells + files) + buys + body
+    for name, work in parts.items():
+        if work > WORK_BOUND:
+            raise ScenarioError(
+                f"{name} asks for about {work:.3g} units of work (events, "
+                f"attempts and file bytes) in one run, above the bound of "
+                f"{WORK_BOUND:.3g}"
+            )
+    return sum(parts.values())
 
 
 def load_scenario(path: str | Path) -> dict:

@@ -5,6 +5,12 @@ by (time, insertion sequence) so ties break by scheduling order, and no
 wall-clock anywhere.  Two runs with the same scenario and seed produce
 identical traces, metrics and latency samples, byte for byte.
 
+A periodic stream (Engine.every: the workload's SELLs and BUYs, the
+failure draws) holds one event on the heap at a time, so the heap stays
+as deep as the pending one-shot events, not the whole horizon's.  Each
+of its events keeps the (time, sequence) key that scheduling the whole
+stream up front would give it, so the dispatch order is the same.
+
 A Simulation is one run of a loaded scenario (scenario.check_scenario):
 it shares the scenario's sections and world Graph with every other run
 and builds only per-run state, such as the Topology of its link states.
@@ -83,6 +89,12 @@ SERVICE_JITTER = 0.5
 class Engine:
     """Minimal event loop: schedule, dispatch, trace.
 
+    Each heap entry is (at, seq, kind, payload, stream), stream None for
+    a one-shot event; seq is unique, so the order never compares past
+    it.  A periodic stream from every() is one entry whose stream is
+    (period, until): dispatching it puts the stream's next event on the
+    heap first, under the keys every() reserved.
+
     ``key`` is the (time, sequence) heap key of the event being
     dispatched.  Records kept in time order outside the heap, such as a
     Simulation's traffic attempts, take their sequence numbers from
@@ -113,7 +125,28 @@ class Engine:
         return self._seq
 
     def schedule(self, at: float, kind: str, **payload) -> None:
-        heapq.heappush(self._heap, (at, self.next_seq(), kind, payload))
+        heapq.heappush(self._heap, (at, self.next_seq(), kind, payload, None))
+
+    def every(
+        self, first: float, period: float, until: float, kind: str, **payload
+    ) -> None:
+        """The events ``t = first; while t < until: schedule(t, kind,
+        **payload); t += period`` gives, with the same heap keys, holding
+        one on the heap at a time.  The stream's sequence numbers are
+        reserved now, one per event, so what is scheduled after this call
+        numbers as it would after that loop.  Counting them steps the
+        clock as the loop would: a caller bounds until / period first.
+        Every event of the stream hands its handler the same payload."""
+        count = 0
+        t = first
+        while t < until:
+            count += 1
+            t += period
+        if count:
+            heapq.heappush(
+                self._heap, (first, self._seq + 1, kind, payload, (period, until))
+            )
+            self._seq += count
 
     def log(self, record: tuple) -> None:
         if self.trace is not None:
@@ -122,11 +155,17 @@ class Engine:
     def run_until(self, horizon: float | None) -> None:
         """Process events in time order; stop after ``horizon`` (inclusive)
         or, with horizon None, when the heap is empty."""
-        while self._heap:
-            at = self._heap[0][0]
+        heap = self._heap
+        while heap:
+            at, seq, kind, payload, stream = heap[0]
             if horizon is not None and at > horizon:
                 break
-            at, seq, kind, payload = heapq.heappop(self._heap)
+            # A stream's next event goes on before the handler runs, so a
+            # handler that on() replaced keeps the stream going.
+            if stream is not None and at + stream[0] < stream[1]:
+                heapq.heapreplace(heap, (at + stream[0], seq + 1, kind, payload, stream))
+            else:
+                heapq.heappop(heap)
             self.key = (at, seq)
             if at > self.now:
                 self.now = at
@@ -511,26 +550,22 @@ class Simulation:
         horizon None needs a scenario without those sections, and any
         other must be finite and above 0.
         """
-        if horizon is not None and not 0.0 < horizon < math.inf:
-            raise ScenarioError(f"horizon must be finite and above 0, got {horizon}")
+        check_horizon(self.scenario, horizon)
         tcfg, fcfg = self.scenario["traffic"], self.scenario["failures"]
-        if (tcfg or fcfg) and horizon is None:
-            raise ScenarioError("traffic and failure sections need a finite horizon")
         if tcfg:
             interval = tcfg["interval_s"]
             self.counts = RunCounts(interval, horizon)
             for i in range(interval_count(horizon, interval)):
                 self.engine.schedule(i * interval, "traffic_interval", config=tcfg)
         if fcfg:
-            t = 0.0
-            while t < horizon:
-                self.engine.schedule(
-                    t,
-                    "failure_draw",
-                    outage_mean_s=fcfg["outage_mean_s"],
-                    cloud_share=fcfg["target_mix"]["cloud"],
-                )
-                t += fcfg["interval_s"]
+            self.engine.every(
+                0.0,
+                fcfg["interval_s"],
+                horizon,
+                "failure_draw",
+                outage_mean_s=fcfg["outage_mean_s"],
+                cloud_share=fcfg["target_mix"]["cloud"],
+            )
         self.engine.run_until(None)
         self._log_attempts_before((math.inf,))
         counts = self.counts
@@ -551,6 +586,15 @@ class Simulation:
         self.engine.handlers.clear()
         for server in self.locals.values():
             server.wake = server.service_time = None
+
+
+def check_horizon(scenario: dict, horizon: float | None) -> None:
+    """The horizons Simulation.run takes: None, or finite and above 0,
+    and not None for a scenario with traffic or failures."""
+    if horizon is not None and not 0.0 < horizon < math.inf:
+        raise ScenarioError(f"horizon must be finite and above 0, got {horizon}")
+    if (scenario["traffic"] or scenario["failures"]) and horizon is None:
+        raise ScenarioError("traffic and failure sections need a finite horizon")
 
 
 # ----------------------------------------------------------- monte carlo

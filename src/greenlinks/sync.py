@@ -26,9 +26,11 @@ app hands over the dict it would send, a raw write (a file, a farm
 trace, a kv blob) its bytes.  Bytes matter only for time and size:
 wire_size() is what the value takes on the wire, its sorted-key JSON
 text or the raw bytes themselves, and that count sets the transfer
-time and fills the ``bytes`` column.  Nothing on the store side parses
-JSON; a stored value is never changed in place, and a write replaces
-it with a new one.
+time and fills the ``bytes`` column.  A JSON value is encoded only to
+count it, once per write, by one encoder the module builds at import:
+json.dumps would build a new one on each call.  Nothing on the store
+side parses JSON; a stored value is never changed in place, and a write
+replaces it with a new one.
 
 Transmission is modeled as a fluid queue: the head request drains at the
 uplink's byte rate, completions land mid-interval at exact times, and a
@@ -55,9 +57,31 @@ from .errors import BackhaulDown, PayloadEmpty, SyncTimeout
 SMS_PRIORITY_MAX_BYTES = 1024
 
 _EPS = 1e-9
-# The encoder behind every sorted-key payload: json.dumps builds a new
-# one on each call that sets an option, and the options are the same.
-encode_sorted = json.JSONEncoder(sort_keys=True).encode
+# The encoder behind every sorted-key payload, built once: json.dumps and
+# JSONEncoder.encode build a new C encoder on every call.  It checks no
+# cycles, so a circular value raises RecursionError, not ValueError; a
+# markers dict shared between calls would keep the entries of an encode
+# that failed and report a later value as circular.
+_SORTED = json.JSONEncoder(sort_keys=True, check_circular=False)
+if json.encoder.c_make_encoder is None:
+    encode_sorted = _SORTED.encode
+else:
+    _encode_chunks = json.encoder.c_make_encoder(
+        None,
+        _SORTED.default,
+        json.encoder.encode_basestring_ascii,
+        _SORTED.indent,
+        _SORTED.key_separator,
+        _SORTED.item_separator,
+        _SORTED.sort_keys,
+        _SORTED.skipkeys,
+        _SORTED.allow_nan,
+    )
+
+    def encode_sorted(value) -> str:
+        """``value``'s sorted-key JSON text, as json.dumps(value,
+        sort_keys=True) writes it."""
+        return "".join(_encode_chunks(value, 0))
 
 
 def wire_size(value) -> int:

@@ -352,6 +352,19 @@ def test_workload_issues_the_scripted_load():
     assert sim.store.applied_once()
 
 
+def test_the_workload_holds_one_pending_event_per_stream():
+    # market_backlog's load: 40 sellers and 30 buyers every 10 s, files
+    # every 30 s, over 3600 s.
+    sim = workload_sim(
+        8, sellers=40, buyers=30, until_s=3600.0, file_count=120,
+        file_bytes=1000, file_period_s=30.0,
+    )
+    Workload(sim).schedule(3600.0)
+    pending = [kind for _, _, kind, _, _ in sim.engine._heap]
+    assert pending.count("wl_sell") == 40 and pending.count("wl_buy") == 30
+    assert pending.count("wl_file") == 120 and len(pending) == 190
+
+
 def test_workload_is_deterministic_per_seed():
     def trace(seed):
         sim = workload_sim(seed)

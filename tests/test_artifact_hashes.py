@@ -57,6 +57,7 @@ from greenlinks.apps import Marketplace
 from greenlinks.errors import GreenLinksError
 from greenlinks.scenario import check_scenario, generate_tree
 from greenlinks.simcore import Simulation
+from greenlinks.whitespace import detection_study
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -280,16 +281,21 @@ WRITTEN_SCENARIOS = {
 }
 
 
+def expiry_scenario():
+    """whitespace_small with evidence that lives 300 s."""
+    data = json.loads((SCENARIOS / "whitespace_small.json").read_text())
+    data["whitespace"]["evidence_ttl_s"] = 300
+    return data
+
+
 def study_argv(case, tmp_path):
     """The command line of a STUDY_EXPECTED case, without --out."""
     command = STUDY_EXPECTED[case][0]
     if case == "whitespace":
         return [command, "--seed", "3"]  # the built-in default band
     if case == "whitespace_expiry":
-        data = json.loads((SCENARIOS / "whitespace_small.json").read_text())
-        data["whitespace"]["evidence_ttl_s"] = 300
         scenario = tmp_path / "expiry.json"
-        scenario.write_text(json.dumps(data))
+        scenario.write_text(json.dumps(expiry_scenario()))
         seed = "4"
     elif case in WRITTEN_SCENARIOS:
         scenario = tmp_path / f"{case}.json"
@@ -323,6 +329,43 @@ def test_study_artifacts_match_pinned_hashes(case, tmp_path, capsys):
     if "stdout" in expected:
         got["stdout"] = sha256(capsys.readouterr().out.encode())
     assert got == expected
+
+
+EVIDENCE_EXPECTED = {
+    "whitespace_expiry": "e1e7fb3ef4ee8821ae0c8548567d95f5036842bdb607da3d9e8fc59013154ab1",
+    "whitespace_rotation": "424fa82c47d59f0ee98dfecfd013b7cf934af99fe57742204d9780556c5fe466",
+    "whitespace_silent": "c7bb741e8a5ab0f32e078743a1d69b01f7443cf7acd069ef102034f2c87ba5bc",
+}
+
+
+def evidence_digest(case):
+    """sha256 over the final evidence after detection_study(cfg, 0):
+    every channel's arfcn, verdict, zero_count, window_start,
+    last_report_at, last_planned_at and t_verdict, and the detector's
+    evidence floor.  The study artifacts show verdicts and their times
+    only, so a fold that gets the evidence behind them wrong shows here
+    first.  At seed 0 a rotating fold run past the floor leaves every
+    channel as it was, and only the floor shows it."""
+    data = expiry_scenario() if case == "whitespace_expiry" else WRITTEN_SCENARIOS[case]
+    detector, _ = detection_study(check_scenario(data)["whitespace"], 0)
+    evidence = [
+        (
+            state.arfcn,
+            state.verdict.value,
+            state.zero_count,
+            state.window_start,
+            state.last_report_at,
+            state.last_planned_at,
+            state.t_verdict,
+        )
+        for _, state in sorted(detector.states.items())
+    ]
+    return sha256(repr((evidence, detector._evidence_floor)).encode())
+
+
+@pytest.mark.parametrize("case", sorted(EVIDENCE_EXPECTED))
+def test_detector_evidence_matches_pinned_hashes(case):
+    assert evidence_digest(case) == EVIDENCE_EXPECTED[case]
 
 
 LIBRARY_EXPECTED = {

@@ -345,6 +345,12 @@ MALFORMED = [
     ("ngsm-user-counts-empty", "whitespace", _set("whitespace.ngsm.user_counts", [])),
     ("ngsm-ratios-empty", "whitespace", _set("whitespace.ngsm.ratios", [])),
     ("idbench-models-empty", "idbench", _set("identity_bench.models", [])),
+    # More work than one run may ask for (scenario.WORK_BOUND): refused
+    # before a stream's events are counted or a file body is built.
+    ("traffic-interval-tiny", "simulate", _set("traffic.interval_s", 1e-6)),
+    ("failures-interval-tiny", "simulate", _set("failures.interval_s", 1e-6)),
+    ("sell-period-tiny", "simulate", _set("workload.sell_period_s", 1e-9)),
+    ("file-body-huge", "simulate", _set("workload", {"file_count": 1, "file_bytes": 10**12})),
 ]
 
 

@@ -17,7 +17,13 @@ from greenlinks import simcore
 from greenlinks.apps import Workload, choose
 from greenlinks.errors import ScenarioError, UnknownLink
 from greenlinks.identity import ResolverRing, hash32, resolver_for
-from greenlinks.scenario import check_scenario, generate_tree, section
+from greenlinks.scenario import (
+    WORK_BOUND,
+    check_scenario,
+    generate_tree,
+    section,
+    work_estimate,
+)
 from greenlinks.simcore import (
     METRICS,
     SERVICE_INDEX,
@@ -63,6 +69,85 @@ def test_engine_horizon_is_inclusive_and_resumable():
     assert seen == ["x", "y"]
     e.run_until(None)
     assert seen == ["x", "y", "z"]
+
+
+def stream_times(first, period, until):
+    t, times = first, []
+    while t < until:
+        times.append(t)
+        t += period
+    return times
+
+
+def dispatch_record(build, horizons):
+    """(at, seq, kind, payload) of every event an Engine dispatches after
+    build(engine), run to each horizon in turn.  A "one" event with
+    follow=True schedules a "late" event 0.25 s on, and the first "tick"
+    replaces the tick handler, which the stream must outlive."""
+    e = Engine(seed=0)
+    seen = []
+
+    def handler(kind):
+        def handle(**payload):
+            seen.append((*e.key, kind, payload))
+            if payload.get("follow"):
+                e.schedule(e.now + 0.25, "late", tag=payload["tag"])
+            if kind == "tick":
+                e.on("tick", handler("tick"))
+
+        return handle
+
+    for kind in ("one", "late", "tick"):
+        e.on(kind, handler(kind))
+    build(e)
+    for horizon in horizons:
+        e.run_until(horizon)
+    assert not e._heap
+    return seen
+
+
+stream_spec = st.floats(0.0, 50.0).flatmap(
+    lambda first: st.tuples(
+        st.just(first),
+        st.floats(0.5, 20.0),
+        st.one_of(st.just(first), st.floats(0.0, 80.0)),
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(streams=st.lists(stream_spec, min_size=1, max_size=3), data=st.data())
+def test_every_dispatches_what_the_scheduling_loop_does(streams, data):
+    times = [t for spec in streams for t in stream_times(*spec)]
+    at = st.floats(0.0, 100.0)
+    if times:
+        at = st.one_of(st.sampled_from(times), at)
+    before = data.draw(st.lists(at, max_size=5))
+    after = data.draw(st.lists(at, max_size=5))
+    stop = data.draw(at)
+
+    def plan(periodic):
+        def build(e):
+            for k, t in enumerate(before):
+                e.schedule(t, "one", tag=k, follow=k % 2 == 0)
+            for n, spec in enumerate(streams):
+                periodic(e, *spec, n)
+            for k, t in enumerate(after):
+                e.schedule(t, "one", tag=100 + k, follow=k % 2 == 1)
+
+        return build
+
+    def every(e, first, period, until, n):
+        e.every(first, period, until, "tick", stream=n)
+
+    def loop(e, first, period, until, n):
+        for t in stream_times(first, period, until):
+            e.schedule(t, "tick", stream=n)
+
+    for horizons in ([None], [stop, None]):
+        got = dispatch_record(plan(every), horizons)
+        assert got == dispatch_record(plan(loop), horizons)
+        assert sum(kind == "tick" for *_, kind, _ in got) == len(times)
 
 
 # ----------------------------------------------------------- dual scoring
@@ -210,7 +295,7 @@ def test_run_refuses_a_horizon_before_it_schedules_anything(horizon):
     def schedule(*args, **kwargs):
         raise AssertionError("run scheduled an event")
 
-    sim.engine.schedule = schedule
+    sim.engine.schedule = sim.engine.every = schedule
     with pytest.raises(ScenarioError, match="horizon"):
         sim.run(horizon)
 
@@ -845,6 +930,59 @@ def test_monte_carlo_needs_traffic():
     # Without a traffic section a run scores no attempt: it has no ledger.
     runs = list(replicate(check_scenario(generate_tree(1, 0)), 1, 60.0))
     assert [r.ledger for r in runs] == [None]
+
+
+# ------------------------------------------------------------- work bound
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    tree=st.tuples(st.integers(1, 3), st.integers(0, 2)),
+    horizon=st.floats(20.0, 600.0),
+    traffic=st.none() | st.fixed_dictionaries({
+        "interval_s": st.floats(5.0, 120.0),
+        "attempts": st.fixed_dictionaries({s: st.integers(0, 4) for s in SERVICES}),
+    }),
+    failures=st.none() | st.fixed_dictionaries({
+        "interval_s": st.floats(5.0, 120.0),
+        "outage_mean_s": st.floats(1.0, 300.0),
+    }),
+    workload=st.none() | st.fixed_dictionaries({
+        "sellers": st.integers(0, 3),
+        "buyers": st.integers(0, 3),
+        "sell_period_s": st.floats(2.0, 60.0),
+        "buy_period_s": st.floats(2.0, 60.0),
+        "until_s": st.floats(0.0, 600.0),
+        "file_count": st.integers(0, 3),
+        "file_bytes": st.integers(1, 100_000),
+        "file_period_s": st.floats(0.0, 100.0),
+    }),
+    seed=st.integers(0, 50),
+    priority_queue=st.booleans(),
+)
+def test_the_work_estimate_bounds_the_work_a_run_does(
+    tree, horizon, traffic, failures, workload, seed, priority_queue
+):
+    scenario = generate_tree(*tree, backhaul_profile="edge")
+    for name, value in (("traffic", traffic), ("failures", failures), ("workload", workload)):
+        if value is not None:
+            scenario[name] = value
+    loaded = check_scenario(scenario)
+    sim = Simulation(loaded, seed=seed, priority_queue=priority_queue)
+    if workload is not None:
+        Workload(sim).schedule(horizon)
+    sim.run(horizon)
+    attempts = sum(sim.counts.attempted) if sim.counts else 0
+    assert work_estimate(loaded, horizon) >= sim.engine.events_processed + attempts
+
+
+def test_work_above_the_bound_names_the_section_and_the_bound():
+    scenario = generate_tree(1, 1)
+    scenario["failures"] = {"interval_s": 1e-6}
+    loaded = check_scenario(scenario)
+    with pytest.raises(ScenarioError, match=r"^failures .* 7\.2e\+09 .* 1e\+07$"):
+        work_estimate(loaded, 3600.0)
+    assert work_estimate(loaded, 1.0) <= WORK_BOUND
 
 
 def test_confidence_interval_formula():

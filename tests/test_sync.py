@@ -1,5 +1,6 @@
 """Sync primitive tests: fluid queue timing, store semantics, mailbox."""
 
+import json
 import math
 
 import pytest
@@ -75,12 +76,31 @@ def req(request_id, size, at=0.0):
 # ------------------------------------------------------------ wire size
 
 
-json_scalars = st.one_of(st.text(), st.floats(allow_nan=False), st.integers())
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
 
 
-@given(st.dictionaries(st.text(), json_scalars))
+@given(json_values)
 def test_a_value_takes_its_encoded_bytes_on_the_wire(value):
-    assert wire_size(value) == len(encode_sorted(value).encode())
+    text = encode_sorted(value)
+    assert text == json.dumps(value, sort_keys=True) and text.isascii()
+    assert wire_size(value) == len(text.encode()) == len(text)
+
+
+def test_a_value_that_fails_to_encode_leaves_the_encoder_as_it_was():
+    circular = {"a": 1}
+    circular["self"] = circular
+    with pytest.raises(RecursionError):
+        wire_size(circular)
+    with pytest.raises(TypeError):
+        wire_size({"a": [1, object()]})
+    # Nothing of either failed encode is left behind to be read as a cycle.
+    for value in ({"a": 1}, [circular["a"], {"self": {}}], "\x00\u00e9"):
+        assert encode_sorted(value) == json.dumps(value, sort_keys=True)
 
 
 # ------------------------------------------------------------ fluid timing
