@@ -20,6 +20,7 @@ import math
 from pathlib import Path
 
 from .errors import ScenarioError
+from .whitespace import detection_budget, ngsm_budget
 
 SECTIONS = {
     "traffic": {
@@ -115,11 +116,15 @@ MIXES = {
     "traffic": ("dest_mix", "level_share"),
     "failures": ("target_mix",),
 }
-# The most work one simulate run may ask for (work_estimate): about ten
-# times the largest shipped scenario or benchmark workload (market_backlog,
-# 1.05e6, most of it its 1 MB file body).  A run at the bound takes
-# minutes, not hours, and holds at most a few hundred MB.
+# The most work one simulate run or study may ask for (work_estimate):
+# about ten times the largest shipped scenario or benchmark workload
+# (market_backlog, 1.05e6, most of it its 1 MB file body).  A run at the
+# bound takes minutes, not hours, and holds at most a few hundred MB.
 WORK_BOUND = 10**7
+# The sections whose work a simulate run's horizon bounds, and those of
+# the studies, which need no horizon: check_scenario bounds these at load.
+RUN_SECTIONS = ("traffic", "failures", "workload")
+STUDY_SECTIONS = ("identity_bench", "whitespace")
 # World-graph lists: the template each entry is checked against and merged
 # over.  A key in REQUIRED must be given; the template's value only shows
 # its type.  An empty link id or profile means none.
@@ -234,7 +239,8 @@ def check_scenario(scenario: dict) -> dict:
     without a link, a workload without a community node or whose node
     (by default the lowest community node id) is not one or starts cut
     off from the cloud: a link that starts down stays down, so the
-    workload's t = 0 issuance would never go out."""
+    workload's t = 0 issuance would never go out.  It also raises for a
+    STUDY_SECTIONS section that asks for more work than WORK_BOUND."""
     # Imported here because topology imports world() from this module.
     from .topology import Role, Topology, build_topology
 
@@ -261,15 +267,17 @@ def check_scenario(scenario: dict) -> dict:
             raise ScenarioError(f"workload.node {node} is not a community node")
         if Topology(graph).cloud_route(node) is None:
             raise ScenarioError(f"workload.node {node} has no route to the cloud")
+    work_estimate(loaded, None, STUDY_SECTIONS)
     return loaded
 
 
-def work_estimate(loaded: dict, horizon: float | None) -> float:
-    """An upper bound on the work one run of a loaded scenario asks for
-    up to ``horizon`` (None, or finite and above 0): the events its
-    engine dispatches and the traffic attempts it draws, plus the bytes
-    of the one file body its workload builds.  It is worked out from the
-    values alone, so a huge count costs nothing to find.  Per section:
+def work_estimate(
+    loaded: dict, horizon: float | None, sections: tuple = RUN_SECTIONS
+) -> float:
+    """An upper bound on the work that one run of ``sections`` of a loaded
+    scenario asks for, the run going up to ``horizon`` (None, or finite
+    and above 0).  It is worked out from the values alone, so a huge
+    count costs nothing to find.  Per section:
 
     * traffic: each interval is an event, its attempts and the three
       counts per service that the run keeps for it;
@@ -278,12 +286,17 @@ def work_estimate(loaded: dict, horizon: float | None) -> float:
       workload's site;
     * workload: each SELL and file is an event and at most two queue
       wake-ups (the enqueue that finds the queue idle, and the
-      completion), each BUY one event.
+      completion), each BUY one event, plus the bytes of the one file
+      body it builds;
+    * identity_bench: the expected arrivals, load_rps * duration_s, once
+      as drawn and once per model that replays them, plus each model's
+      servers;
+    * whitespace: see whitespace_work.
 
     Raises ScenarioError naming the first section above WORK_BOUND."""
     parts = {}
     traffic, failures, workload = (
-        loaded["traffic"], loaded["failures"], loaded["workload"]
+        loaded[name] if name in sections else None for name in RUN_SECTIONS
     )
     if traffic and horizon is not None:
         attempts = traffic["attempts"]
@@ -299,14 +312,52 @@ def work_estimate(loaded: dict, horizon: float | None) -> float:
         files = workload["file_count"]
         body = workload["file_bytes"] if files else 0
         parts["workload"] = 3 * (sells + files) + buys + body
+    if "identity_bench" in sections:
+        bench = loaded["identity_bench"]
+        models = bench["models"]
+        arrivals = bench["load_rps"] * bench["duration_s"]
+        parts["identity_bench"] = arrivals * (1 + len(models)) + sum(
+            spec["servers"] for spec in models
+        )
+    if "whitespace" in sections:
+        parts["whitespace"] = whitespace_work(loaded["whitespace"])
     for name, work in parts.items():
-        if work > WORK_BOUND:
+        if not work <= WORK_BOUND:  # nan too
             raise ScenarioError(
-                f"{name} asks for about {work:.3g} units of work (events, "
-                f"attempts and file bytes) in one run, above the bound of "
-                f"{WORK_BOUND:.3g}"
+                f"{name} asks for about {work:.3g} units of work in one run, "
+                f"above the bound scenario.WORK_BOUND = {WORK_BOUND:.3g}"
             )
     return sum(parts.values())
+
+
+def whitespace_work(cfg: dict) -> float:
+    """The channels, phones and SMS that the studies of a loaded
+    ``whitespace`` section build: detection_study's band, phones and
+    organic SMS (whitespace.detection_budget), and, for each
+    ngsm.user_counts entry, the band, phones and SMS of compare_ngsm's
+    baseline (whitespace.ngsm_budget) and of each volunteer run.  The
+    counts of channels, phones and organic SMS are exact.  The volunteer
+    SMS run up to the last organic SMS, whose time is drawn, so they are
+    estimated from its expected time, the organic SMS over their rate.
+    A budget too large for a float is infinite work."""
+    users, volunteers = cfg["users"], cfg["volunteers"]
+    organic_s, volunteer_s = cfg["organic_period_s"], cfg["volunteer_period_s"]
+    work = cfg["band"]["last"] - cfg["band"]["first"] + 1 + users + volunteers
+    try:
+        if users + volunteers:
+            count, idle_horizon = detection_budget(cfg)
+            horizon = count * organic_s / users if users else idle_horizon
+            work += count + volunteers * (horizon / volunteer_s + 1)
+        for n in cfg["ngsm"]["user_counts"] if cfg["ngsm"] else ():
+            need = ngsm_budget(n, organic_s)
+            until = need * organic_s / n
+            work += 2 * n + need
+            for ratio in cfg["ngsm"]["ratios"]:
+                if extra := round(ratio * n):
+                    work += 2 * n + extra + need + extra * (until / volunteer_s + 1)
+    except (OverflowError, ValueError):
+        return math.inf
+    return work
 
 
 def load_scenario(path: str | Path) -> dict:

@@ -34,8 +34,8 @@ Any attempt the conventional architecture completes is an attempt the
 virtual operator also completes (src-cloud plus cloud-dst is itself a
 source-destination path), so per-attempt failure containment holds by
 construction; the scorer still counts violations rather than assuming
-them away.  The counts go into flat (interval, service) slots, and
-evaluate_dual() turns them into the run's MetricsLedger at the end.
+them away.  The counts go into flat (interval, service) slots of the
+run's RunCounts, which is the ledger the studies read their rates from.
 
 The event tape (attempt and link-transition records, in order) is kept
 only by a run that asks for it with ``trace=True``: simulate --trace
@@ -136,7 +136,10 @@ class Engine:
         reserved now, one per event, so what is scheduled after this call
         numbers as it would after that loop.  Counting them steps the
         clock as the loop would: a caller bounds until / period first.
-        Every event of the stream hands its handler the same payload."""
+        Every event of the stream hands its handler the same payload.
+        The running sum stays: first + k * period differs from it in the
+        last bit for a non-dyadic period, which reorders events against
+        the one shared random stream (the hash gate's nondyadic cases)."""
         count = 0
         t = first
         while t < until:
@@ -178,50 +181,16 @@ class Engine:
 # ----------------------------------------------------------- run artifacts
 
 
-@dataclass
-class IntervalCounts:
-    attempted: dict[str, int]
-    dropped: dict[tuple[str, str], int]
-
-    def rate(self, service: str, arch: str) -> float:
-        n = self.attempted.get(service, 0)
-        if n == 0:
-            return 0.0
-        return self.dropped.get((service, arch), 0) / n
-
-
-@dataclass
-class MetricsLedger:
-    intervals: list[IntervalCounts]
-    containment_violations: int = 0
-
-    def totals(self) -> tuple[dict[str, int], dict[tuple[str, str], int]]:
-        attempted: dict[str, int] = {}
-        dropped: dict[tuple[str, str], int] = {}
-        for iv in self.intervals:
-            for svc, n in iv.attempted.items():
-                attempted[svc] = attempted.get(svc, 0) + n
-            for key, n in iv.dropped.items():
-                dropped[key] = dropped.get(key, 0) + n
-        return attempted, dropped
-
-    def overall(self, metric: str) -> float:
-        return IntervalCounts(*self.totals()).rate(*METRICS[metric])
-
-
-def interval_means(ledgers: list[MetricsLedger]) -> tuple:
+def interval_means(ledgers: list[RunCounts]) -> tuple:
     """Per-interval drop rates averaged over replications, as columns:
     (range of interval indexes, *one list of means per metric in METRICS
     order)."""
-    n = len(ledgers[0].intervals) if ledgers else 0
+    n = ledgers[0].intervals if ledgers else 0
     return (
         range(n),
         *(
-            [
-                statistics.fmean([lg.intervals[idx].rate(*key) for lg in ledgers])
-                for idx in range(n)
-            ]
-            for key in METRICS.values()
+            [statistics.fmean([lg.rate(metric, idx) for lg in ledgers]) for idx in range(n)]
+            for metric in METRICS
         ),
     )
 
@@ -232,19 +201,28 @@ def interval_count(horizon: float, interval_s: float) -> int:
     return int(horizon / interval_s)
 
 
+@dataclass(init=False)
 class RunCounts:
-    """One run's attempts and drops under both architectures, in flat
-    slots, one per (interval, service): slot
+    """One run's ledger: its attempts and drops under both architectures,
+    in flat slots, one per (interval, service): slot
     interval * len(SERVICES) + SERVICE_INDEX[service].  An attempt at or
-    past the last interval's end counts in the last interval."""
+    past the last interval's end counts in the last interval.  Ledgers
+    compare by their counts."""
+
+    interval_s: float
+    intervals: int
+    attempted: list[int]
+    dropped_vc: list[int]
+    dropped_cell: list[int]
+    containment_violations: int
 
     def __init__(self, interval_s: float, horizon: float):
         self.interval_s = interval_s
-        self.intervals = max(1, interval_count(horizon, interval_s))
+        self.intervals = interval_count(horizon, interval_s)
         self.attempted = [0] * (self.intervals * len(SERVICES))
         self.dropped_vc = self.attempted.copy()
         self.dropped_cell = self.attempted.copy()
-        self.violations = 0
+        self.containment_violations = 0
 
     def score(self, topology: Topology, records) -> None:
         """Count (at, seq, src, dst, service) attempt records against the
@@ -263,7 +241,7 @@ class RunCounts:
             vc_ok = src_c == dst_c
             cell_ok = src_c == cloud and dst_c == cloud
             if cell_ok and not vc_ok:
-                self.violations += 1
+                self.containment_violations += 1
             interval = int(at / interval_s)
             if interval > last:
                 interval = last
@@ -274,23 +252,40 @@ class RunCounts:
             if not cell_ok:
                 dropped_cell[slot] += 1
 
+    def dropped(self, arch: str) -> list[int]:
+        return self.dropped_vc if arch == "vc" else self.dropped_cell
 
-def evaluate_dual(counts: RunCounts) -> MetricsLedger:
-    """One run's MetricsLedger under both architectures: one
-    IntervalCounts per interval from its scored counts."""
-    width = len(SERVICES)
-    intervals = []
-    for base in range(0, counts.intervals * width, width):
-        iv = IntervalCounts(attempted={}, dropped={})
-        for service, slot in zip(SERVICES, range(base, base + width)):
-            if counts.attempted[slot]:
-                iv.attempted[service] = counts.attempted[slot]
-            if counts.dropped_vc[slot]:
-                iv.dropped[(service, "vc")] = counts.dropped_vc[slot]
-            if counts.dropped_cell[slot]:
-                iv.dropped[(service, "cell")] = counts.dropped_cell[slot]
-        intervals.append(iv)
-    return MetricsLedger(intervals=intervals, containment_violations=counts.violations)
+    def rate(self, metric: str, interval: int) -> float:
+        """One interval's drops over its attempts, 0.0 with none."""
+        service, arch = METRICS[metric]
+        slot = interval * len(SERVICES) + SERVICE_INDEX[service]
+        n = self.attempted[slot]
+        return self.dropped(arch)[slot] / n if n else 0.0
+
+    def totals(self) -> tuple[dict[str, int], dict[tuple[str, str], int]]:
+        """(attempted per service, dropped per (service, arch)), no zeros."""
+        width = len(SERVICES)
+        attempted, dropped = {}, {}
+        for i, service in enumerate(SERVICES):
+            if n := sum(self.attempted[i::width]):
+                attempted[service] = n
+            for arch in ("vc", "cell"):
+                if n := sum(self.dropped(arch)[i::width]):
+                    dropped[(service, arch)] = n
+        return attempted, dropped
+
+    def overall(self, metric: str) -> float:
+        service, arch = METRICS[metric]
+        attempted, dropped = self.totals()
+        n = attempted.get(service, 0)
+        return dropped.get((service, arch), 0) / n if n else 0.0
+
+
+def evaluate_dual(counts: RunCounts) -> RunCounts:
+    """The run's ledger, which is its scored counts: returned as they are.
+    Kept as a name because perfbench/tracing.py wraps it and counts a
+    run's attempts from its totals()."""
+    return counts
 
 
 # -------------------------------------------------------------- simulation
@@ -301,7 +296,7 @@ class RunResult:
     """``ledger`` is None for a run that scored no attempt, and ``trace``
     is the event tape of a run made with trace=True, else None."""
 
-    ledger: MetricsLedger | None
+    ledger: RunCounts | None
     latency: list[LatencyRecord]
     trace: list[tuple] | None
 
@@ -555,6 +550,8 @@ class Simulation:
         if tcfg:
             interval = tcfg["interval_s"]
             self.counts = RunCounts(interval, horizon)
+            # Products, not every()'s running sum, which differs in the last
+            # bit for a non-dyadic interval (see Engine.every).
             for i in range(interval_count(horizon, interval)):
                 self.engine.schedule(i * interval, "traffic_interval", config=tcfg)
         if fcfg:
@@ -651,7 +648,7 @@ class MonteCarloResult:
         return 1.96 * self.stdev(metric) / (n ** 0.5) if n > 1 else 0.0
 
 
-def aggregate(ledgers: list[MetricsLedger]) -> MonteCarloResult:
+def aggregate(ledgers: list[RunCounts]) -> MonteCarloResult:
     """Overall drop rates per run and the summed containment violations."""
     return MonteCarloResult(
         per_run={m: [lg.overall(m) for lg in ledgers] for m in METRICS},

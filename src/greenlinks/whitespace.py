@@ -607,13 +607,27 @@ def run_detection(
     return run
 
 
+def detection_budget(cfg: dict) -> tuple[int, float]:
+    """The traffic detection_study budgets for a loaded ``whitespace``
+    section with at least one reporter: twice the batches every scan-plan
+    group needs, plus 400.  Returns (the organic SMS it draws, 0 without
+    users; the volunteers' horizon when there is no organic SMS)."""
+    first, last = cfg["band"]["first"], cfg["band"]["last"]
+    organic_rate = cfg["users"] / cfg["organic_period_s"]
+    rate = organic_rate + cfg["volunteers"] / cfg["volunteer_period_s"]
+    groups = math.ceil((last - first + 1) / SLOTS)
+    batches = groups * (cfg["n_free"] + cfg["t_free_s"] * rate) * 2 + 400
+    count = int(batches * organic_rate / rate) + 50 if cfg["users"] else 0
+    return count, batches / rate
+
+
 def detection_study(cfg: dict, seed: int) -> tuple[Detector, DetectionRun]:
     """The detection study of one loaded ``whitespace`` scenario section:
     the detector, holding the verdicts and switches, and its run.  With
     no reporter nothing is drawn or run.  random.Random(seed) places the
-    interferers, then the phones, then draws the organic trace;
-    random.Random(seed + 1) walks the phones.  The traffic is budgeted
-    at twice the batches every scan-plan group needs, plus 400."""
+    interferers, then the phones, then draws the organic trace (see
+    detection_budget); random.Random(seed + 1) walks the phones.  The
+    volunteers send up to the last organic SMS."""
     first, last = cfg["band"]["first"], cfg["band"]["last"]
     config = DetectorConfig(
         first_arfcn=first, last_arfcn=last, n_free=cfg["n_free"],
@@ -627,15 +641,9 @@ def detection_study(cfg: dict, seed: int) -> tuple[Detector, DetectionRun]:
     rng = random.Random(seed)
     field_model = RadioField.place(truth, rng, radius=cfg["radius"])
     phones = make_phones(users + volunteers, rng)
-    organic_rate = users / cfg["organic_period_s"]
-    rate = organic_rate + volunteers / cfg["volunteer_period_s"]
-    groups = math.ceil((last - first + 1) / SLOTS)
-    batches = groups * (config.n_free + config.t_free_s * rate) * 2 + 400
-    organic = []
-    if users:
-        count = int(batches * organic_rate / rate) + 50
-        organic = organic_traffic(users, cfg["organic_period_s"], count, rng)
-    horizon = organic[-1][0] if organic else batches / rate
+    count, idle_horizon = detection_budget(cfg)
+    organic = organic_traffic(users, cfg["organic_period_s"], count, rng)
+    horizon = organic[-1][0] if organic else idle_horizon
     traffic = with_volunteers(
         organic, users, volunteers, cfg["volunteer_period_s"], horizon
     )
@@ -645,6 +653,24 @@ def detection_study(cfg: dict, seed: int) -> tuple[Detector, DetectionRun]:
         truth_occupied=set(truth),
     )
     return detector, run
+
+
+def ngsm_config(users: int) -> DetectorConfig:
+    """compare_ngsm's fixed estimator for ``users`` phones."""
+    return DetectorConfig(
+        first_arfcn=1, last_arfcn=users, n_free=50, t_free_s=600.0,
+        evidence_ttl_s=86400.0,
+    )
+
+
+def ngsm_budget(users: int, organic_period_s: float) -> int:
+    """The organic SMS compare_ngsm draws for ``users`` phones: each
+    scan-plan group needs n_free zero batches and t_free of elapsed
+    window; budget events for whichever dominates, with slack."""
+    config = ngsm_config(users)
+    groups = math.ceil(users / SLOTS)
+    per_group = config.n_free + math.ceil(config.t_free_s * users / organic_period_s)
+    return groups * (per_group + 10) + 400
 
 
 def compare_ngsm(
@@ -667,17 +693,8 @@ def compare_ngsm(
     """
     organic_period_s = cfg["organic_period_s"]
     volunteer_period_s = cfg["volunteer_period_s"]
-    config = DetectorConfig(
-        first_arfcn=1, last_arfcn=users, n_free=50, t_free_s=600.0,
-        evidence_ttl_s=86400.0,
-    )
-    groups = math.ceil(users / SLOTS)
-    # Each group needs n_free zero batches and t_free of elapsed window;
-    # budget events for whichever dominates, with slack.
-    per_group = config.n_free + math.ceil(
-        config.t_free_s * users / organic_period_s
-    )
-    need = groups * (per_group + 10) + 400
+    config = ngsm_config(users)
+    need = ngsm_budget(users, organic_period_s)
     organic = organic_traffic(users, organic_period_s, need, random.Random(seed))
 
     def classify(trace: list[tuple[float, int]], senders: int) -> float:

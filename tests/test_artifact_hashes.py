@@ -41,7 +41,13 @@ of an edge tree under failures, in FIFO and priority mode, so link flips
 land on long transfers at sites they do not reroute.  The restore cases
 send an SMS-sized write to every site 1 s after each link restore, in
 priority mode, while files parked in the outage are sending, so they pin
-that a positive rate puts a queue's head on the line at once.
+that a positive rate puts a queue's head on the line at once.  The
+`edge_nondyadic` cases, FIFO and priority, give every periodic stream a
+period that is no dyadic fraction (traffic every 0.7 s, failure draws
+every 7.1 s, SELLs, BUYs and files every 3.3, 2.9 and 13.7 s), so they
+pin which streams step a running sum (`Engine.every`) and which are
+scheduled as products: stepping one the other way moves the last bit of
+some event times and reorders events against the one random stream.
 """
 
 import hashlib
@@ -83,6 +89,26 @@ def tree_scenario():
     return scenario
 
 
+def nondyadic_scenario():
+    scenario = generate_tree(2, 1, backhaul_profile="edge")
+    scenario["traffic"] = {
+        "interval_s": 0.7,
+        "attempts": {"call": 3, "sms": 2, "data": 1},
+    }
+    scenario["failures"] = {"interval_s": 7.1, "outage_mean_s": 20.0}
+    scenario["workload"] = {
+        "sellers": 3,
+        "sell_period_s": 3.3,
+        "buyers": 7,
+        "buy_period_s": 2.9,
+        "file_count": 5,
+        "file_bytes": 5000,
+        "file_period_s": 13.7,
+        "until_s": 590.3,
+    }
+    return scenario
+
+
 EXPECTED = {
     "village": {
         "metrics.csv": "cb942f11cbde16c5c65c3a378004309636bd55874eb36d88eccfa374c6075ad5",
@@ -111,6 +137,18 @@ EXPECTED = {
         "metrics.csv": "69dadda72a700ad6f3ff9ab2a5a429688e1ad108fd54ecae88a67c6119070076",
         "latency.csv": "591b217ec16ef6bc5b9844e1d7311e3a575aaeaaaba2292702c6b61e9776b71c",
         "summary.csv": "f40f88b182589202e3ba69b8c72b7bda475268ebd2fa2cfdd0c1033dda543f5b",
+    },
+    "edge_nondyadic": {
+        "metrics.csv": "85cde300479dc57e3c2509ab02c3e8bd2e4851b546966d15ac47a0095acf1242",
+        "latency.csv": "8e5f9a5339a850e4979339e011890dd09af6f5c1bfa51909e0e6a329a0543409",
+        "summary.csv": "3c425e41869db728c5b5916b0fcaae1c38baf25d7dbf61827f188a6db9846106",
+        "trace.log": "23a30723ac911674b941964a23323681d2121a6ea2f44ea44774bfaa06c77c2f",
+    },
+    "edge_nondyadic_priority": {
+        "metrics.csv": "afe662ac2c396dddd134d7b08dcd8e8b03d59c0f1760ffe5d47d18921b2103c3",
+        "latency.csv": "5bfd9c811a6ed153bebea6fb87dec2f17bdb9fb3f49c6cda59397a73e3601cc2",
+        "summary.csv": "710351b29881c9a2bb0122bdfc4f1d4869d9131e3ff4b8f466ac117958861722",
+        "trace.log": "23a30723ac911674b941964a23323681d2121a6ea2f44ea44774bfaa06c77c2f",
     },
 }
 
@@ -260,6 +298,12 @@ def simulate_argv(case, tmp_path):
         extra = ["--runs", "2", "--horizon", "1800", "--seed", "7"]
         if case == "tree_5_3_trace":
             extra.append("--trace")
+    elif case.startswith("edge_nondyadic"):
+        scenario = tmp_path / "nondyadic.json"
+        scenario.write_text(json.dumps(nondyadic_scenario()))
+        extra = ["--runs", "2", "--horizon", "600", "--trace", "--seed", "5"]
+        if case == "edge_nondyadic_priority":
+            extra.append("--priority-queue")
     elif case == "market_edge_priority":
         scenario = SCENARIOS / "market_edge.json"
         extra = ["--priority-queue", "--runs", "2", "--seed", "3"]

@@ -351,6 +351,16 @@ MALFORMED = [
     ("failures-interval-tiny", "simulate", _set("failures.interval_s", 1e-6)),
     ("sell-period-tiny", "simulate", _set("workload.sell_period_s", 1e-9)),
     ("file-body-huge", "simulate", _set("workload", {"file_count": 1, "file_bytes": 10**12})),
+    # The studies need no horizon: their work is bounded at load, before
+    # an arrival, phone, channel or SMS is made.
+    ("idbench-duration-huge", "idbench", _set("identity_bench.duration_s", 1e12)),
+    ("idbench-servers-huge", "idbench", _set(
+        "identity_bench.models", [{"model": "dht", "servers": 10**9}]
+    )),
+    ("organic-period-tiny", "whitespace", _set("whitespace.organic_period_s", 1e-9)),
+    ("ngsm-users-huge", "whitespace", _set("whitespace.ngsm.user_counts", [10**9])),
+    ("band-huge", "whitespace", _set("whitespace.band.last", 10**9)),
+    ("whitespace-users-huge", "whitespace", _set("whitespace.users", 10**9)),
 ]
 
 

@@ -7,6 +7,7 @@ import random
 import statistics
 import tracemalloc
 import weakref
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -29,8 +30,6 @@ from greenlinks.simcore import (
     SERVICE_INDEX,
     SERVICES,
     Engine,
-    IntervalCounts,
-    MetricsLedger,
     MonteCarloResult,
     RunCounts,
     Simulation,
@@ -214,6 +213,101 @@ def test_attempted_totals_are_conserved():
         assert 0 <= n <= attempted[service]
 
 
+# The ledger's earlier shape, kept as an oracle: one IntervalCounts pair
+# of dicts per interval, converted from a run's flat slots.
+@dataclass
+class IntervalCounts:
+    attempted: dict[str, int]
+    dropped: dict[tuple[str, str], int]
+
+    def rate(self, service: str, arch: str) -> float:
+        n = self.attempted.get(service, 0)
+        if n == 0:
+            return 0.0
+        return self.dropped.get((service, arch), 0) / n
+
+
+@dataclass
+class MetricsLedger:
+    intervals: list[IntervalCounts]
+    containment_violations: int = 0
+
+    def totals(self) -> tuple[dict[str, int], dict[tuple[str, str], int]]:
+        attempted: dict[str, int] = {}
+        dropped: dict[tuple[str, str], int] = {}
+        for iv in self.intervals:
+            for svc, n in iv.attempted.items():
+                attempted[svc] = attempted.get(svc, 0) + n
+            for key, n in iv.dropped.items():
+                dropped[key] = dropped.get(key, 0) + n
+        return attempted, dropped
+
+    def overall(self, metric: str) -> float:
+        return IntervalCounts(*self.totals()).rate(*METRICS[metric])
+
+
+def reference_ledger(counts: RunCounts) -> MetricsLedger:
+    width = len(SERVICES)
+    intervals = []
+    for base in range(0, counts.intervals * width, width):
+        iv = IntervalCounts(attempted={}, dropped={})
+        for service, slot in zip(SERVICES, range(base, base + width)):
+            if counts.attempted[slot]:
+                iv.attempted[service] = counts.attempted[slot]
+            if counts.dropped_vc[slot]:
+                iv.dropped[(service, "vc")] = counts.dropped_vc[slot]
+            if counts.dropped_cell[slot]:
+                iv.dropped[(service, "cell")] = counts.dropped_cell[slot]
+        intervals.append(iv)
+    return MetricsLedger(intervals, counts.containment_violations)
+
+
+def reference_interval_means(ledgers: list[MetricsLedger]) -> tuple:
+    n = len(ledgers[0].intervals) if ledgers else 0
+    return (
+        range(n),
+        *(
+            [
+                statistics.fmean([lg.intervals[idx].rate(*key) for lg in ledgers])
+                for idx in range(n)
+            ]
+            for key in METRICS.values()
+        ),
+    )
+
+
+@st.composite
+def flat_table(draw, intervals):
+    """A RunCounts over ``intervals`` intervals with drawn slots: zero
+    attempts included, each drop count at most its slot's attempts."""
+    counts = RunCounts(1.0, float(intervals))
+    slots = intervals * len(SERVICES)
+    counts.attempted = draw(
+        st.lists(st.just(0) | st.integers(1, 40), min_size=slots, max_size=slots)
+    )
+    counts.dropped_vc = [draw(st.integers(0, n)) for n in counts.attempted]
+    counts.dropped_cell = [draw(st.integers(0, n)) for n in counts.attempted]
+    counts.containment_violations = draw(st.integers(0, 5))
+    return counts
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    ledgers=st.integers(1, 20).flatmap(
+        lambda n: st.lists(flat_table(n), min_size=1, max_size=3)
+    )
+)
+def test_the_ledger_reads_what_the_interval_dicts_read(ledgers):
+    references = [reference_ledger(lg) for lg in ledgers]
+    for lg, ref in zip(ledgers, references):
+        for metric, key in METRICS.items():
+            assert lg.overall(metric) == ref.overall(metric)
+            for idx in range(lg.intervals):
+                assert lg.rate(metric, idx) == ref.intervals[idx].rate(*key)
+        assert lg.totals() == ref.totals()
+    assert interval_means(ledgers) == reference_interval_means(references)
+
+
 def test_scoring_starts_from_the_links_initial_state():
     cfg = generate_tree(1, 0)
     cfg["links"][0]["state"] = "down"
@@ -273,8 +367,10 @@ def test_interval_counts_match_the_traffic_section():
         attempted, dropped = result.ledger.totals()
         assert attempted == {"call": 4 * n, "sms": 2 * n}
         assert dropped == {}  # nothing ever failed
-        assert len(result.ledger.intervals) == n
-        assert all(iv.attempted for iv in result.ledger.intervals)
+        assert result.ledger.intervals == n
+        width = len(SERVICES)
+        slots = result.ledger.attempted
+        assert all(sum(slots[i * width:(i + 1) * width]) for i in range(n))
 
 
 def test_traffic_needs_a_finite_horizon():
@@ -328,7 +424,7 @@ class ReferenceReplay:
         graph = self.graph
         up = {lid: link.up for lid, link in graph.links.items()}
         interval_s = self.interval_s
-        intervals = max(1, interval_count(self.horizon, interval_s))
+        intervals = interval_count(self.horizon, interval_s)
         last = intervals - 1
         width = len(SERVICES)
         attempted = [0] * (intervals * width)
@@ -362,18 +458,12 @@ class ReferenceReplay:
                     dropped_vc[slot] += 1
                 if not cell_ok:
                     dropped_cell[slot] += 1
-        counts = []
-        for base in range(0, intervals * width, width):
-            iv = IntervalCounts(attempted={}, dropped={})
-            for service, slot in zip(SERVICES, range(base, base + width)):
-                if attempted[slot]:
-                    iv.attempted[service] = attempted[slot]
-                if dropped_vc[slot]:
-                    iv.dropped[(service, "vc")] = dropped_vc[slot]
-                if dropped_cell[slot]:
-                    iv.dropped[(service, "cell")] = dropped_cell[slot]
-            counts.append(iv)
-        return MetricsLedger(intervals=counts, containment_violations=violations)
+        counts = RunCounts(interval_s, self.horizon)
+        counts.attempted, counts.dropped_vc, counts.dropped_cell = (
+            attempted, dropped_vc, dropped_cell
+        )
+        counts.containment_violations = violations
+        return counts
 
 
 @settings(max_examples=40, deadline=None)

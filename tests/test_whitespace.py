@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from greenlinks import whitespace
 from greenlinks.errors import NoFreeChannel, UnplannedChannel
-from greenlinks.scenario import check_scenario, section
+from greenlinks.scenario import check_scenario, section, work_estimate
 from greenlinks.whitespace import (
     DetectionRun,
     Detector,
@@ -749,3 +749,58 @@ def test_no_ngsm_time_beats_one_evidence_window_per_plan_group():
             t_ngsm, t_vols = compare_ngsm(WS, users, ngsm["ratios"], seed)
             bound = 600.0 * math.ceil(users / whitespace.SLOTS)
             assert min(t_ngsm, *t_vols) >= bound, (seed, users)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    users=st.integers(0, 6),
+    volunteers=st.integers(0, 3),
+    organic_period_s=st.floats(30.0, 600.0),
+    volunteer_period_s=st.floats(30.0, 300.0),
+    first=st.integers(1, 10),
+    width=st.integers(0, 20),
+    n_free=st.integers(1, 10),
+    t_free_s=st.floats(0.0, 300.0),
+    ngsm=st.none() | st.fixed_dictionaries({
+        "user_counts": st.lists(st.integers(1, 8), min_size=1, max_size=2),
+        "ratios": st.lists(st.floats(0.0, 1.0), min_size=1, max_size=2),
+    }),
+    seed=st.integers(0, 50),
+)
+def test_the_work_estimate_bounds_what_the_studies_build(
+    users, volunteers, organic_period_s, volunteer_period_s, first, width,
+    n_free, t_free_s, ngsm, seed,
+):
+    # Channels, phones and organic SMS are fixed by the section, so the
+    # estimate bounds them; only the volunteer SMS depend on a draw.
+    loaded = check_scenario({"whitespace": {
+        "users": users, "volunteers": volunteers,
+        "organic_period_s": organic_period_s,
+        "volunteer_period_s": volunteer_period_s,
+        "band": {"first": first, "last": first + width},
+        "n_free": n_free, "t_free_s": t_free_s, "ngsm": ngsm,
+    }})
+    cfg = loaded["whitespace"]
+    built = []
+
+    class Counted(Detector):
+        def __init__(self, config):
+            super().__init__(config)
+            built.append(len(self.states))
+
+    def phones(count, rng):
+        built.append(count)
+        return make_phones(count, rng)
+
+    def organic(*args):
+        trace = organic_traffic(*args)
+        built.append(len(trace))
+        return trace
+
+    with mock.patch.object(whitespace, "Detector", Counted), \
+            mock.patch.object(whitespace, "make_phones", phones), \
+            mock.patch.object(whitespace, "organic_traffic", organic):
+        detection_study(cfg, seed)
+        for n in ngsm["user_counts"] if ngsm else ():
+            compare_ngsm(cfg, n, ngsm["ratios"], seed)
+    assert work_estimate(loaded, None, ("whitespace",)) >= sum(built)
