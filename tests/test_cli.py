@@ -182,8 +182,16 @@ def test_bad_inputs_exit_2(tmp_path, monkeypatch, capsys):
     missing = str(tmp_path / "nope.json")
     assert cli.main(["simulate", "--scenario", missing]) == 2
     broken = tmp_path / "broken.json"
-    broken.write_text("{not json")
-    assert cli.main(["simulate", "--scenario", str(broken)]) == 2
+    # Not JSON, an integer longer than Python converts, not UTF-8, nested
+    # deeper than the decoder recurses.
+    for text in (
+        b"{not json",
+        b'{"seed": 1' + b"0" * 5000 + b"}",
+        b'{"seed": "\xff"}',
+        b'{"seed": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+    ):
+        broken.write_bytes(text)
+        assert cli.main(["simulate", "--scenario", str(broken)]) == 2
     monkeypatch.setenv("GREENLINKS_SEED", "twelve")
     assert (
         cli.main(
@@ -361,6 +369,10 @@ MALFORMED = [
     ("ngsm-users-huge", "whitespace", _set("whitespace.ngsm.user_counts", [10**9])),
     ("band-huge", "whitespace", _set("whitespace.band.last", 10**9)),
     ("whitespace-users-huge", "whitespace", _set("whitespace.users", 10**9)),
+    # Integers too large for a float (400 digits).
+    ("whitespace-users-overflow", "whitespace", _set("whitespace.users", 10**400)),
+    ("call-attempts-overflow", "simulate", _set("traffic.attempts.call", 10**400)),
+    ("idbench-load-overflow", "idbench", _set("identity_bench.load_rps", 10**400)),
 ]
 
 

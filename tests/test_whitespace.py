@@ -1,6 +1,5 @@
 """Whitespace detector tests: verdicts, scan plans, serving channel."""
 
-import heapq
 import itertools
 import math
 import random
@@ -409,13 +408,14 @@ def test_organic_traffic_is_sorted_and_deterministic():
 # -------------------------------------------------------------- detection
 
 
+@mock.patch.object(whitespace, "WALK_STEP", 0.0)
 def test_detection_run_classifies_a_tiny_band():
     det = Detector(
         DetectorConfig(
             first_arfcn=1, last_arfcn=6, n_free=3, t_free_s=0.0, evidence_ttl_s=86400.0
         )
     )
-    field_model = RadioField({3: (0.5, 0.5)}, radius=0.25, step=0.0)
+    field_model = RadioField({3: (0.5, 0.5)}, radius=0.25)
     phones = make_phones(1, random.Random(0))
     phones[0].x = phones[0].y = 0.5  # parked on the interferer
     traffic = [(float(t), 0) for t in range(1, 10)]
@@ -499,19 +499,6 @@ def test_empty_field_leaves_phones_and_rng_untouched():
     assert run == expected
     assert det.occupancy_rows() == walked.occupancy_rows()
     assert det.switches == walked.switches
-
-
-class FreeScanDetector(Detector):
-    """Takes the stalest free channels by scanning every free channel on
-    each pick, as the detector did before it kept them in a heap."""
-
-    def _stalest_free(self, count):
-        keyed = [
-            (-1.0 if (t := self.states[a].last_report_at) is None else t, a)
-            for a in self._holding[Verdict.FREE]
-            if a != self.serving
-        ]
-        return [a for _, a in heapq.nsmallest(count, keyed)]
 
 
 def per_sms_detection(
@@ -615,11 +602,14 @@ def test_folded_detection_matches_one_call_per_sms(
         "interferers": set(spots),
         "odd": set(range(1, last + 1, 2)),
     }[truth]
-    got, want = Detector(config), FreeScanDetector(config)
-    with mock.patch.object(whitespace, "SLOTS", slots):
+    got, want = Detector(config), Detector(config)
+    with (
+        mock.patch.object(whitespace, "SLOTS", slots),
+        mock.patch.object(whitespace, "WALK_STEP", 0.2),
+    ):
         runs = [
             drive(
-                traffic, det, RadioField(spots, radius=0.4, step=0.2),
+                traffic, det, RadioField(spots, radius=0.4),
                 make_phones(3, random.Random(1)), random.Random(2),
                 truth_occupied=truth_occupied, manage_serving=manage_serving,
             )
