@@ -1,16 +1,12 @@
-"""Edge applications riding the sync primitives.
+"""The SMS marketplace, an edge application riding the sync primitives,
+and the scripted workload that drives it.
 
-Each app maps onto exactly one primitive per user action, so its
-tolerance to backhaul loss is the primitive's:
+Each user action maps onto exactly one primitive, so its tolerance to
+backhaul loss is the primitive's:
 
 * marketplace SELL  -> slowput   (works offline, receipt arrives later)
 * marketplace BUY   -> fastget   (needs the backhaul; fails honestly)
 * marketplace SEARCH-> fastsearch
-* voice record      -> slowput; playback of a message recorded on the
-  same node within the session window is served from the local spool
-  with zero cloud traffic, otherwise search + fetch (two round trips)
-* farm-boundary upload -> slowput (no download path at the edge)
-* user-to-user text -> store_and_forward
 
 The SMS grammar is the whole UI: ``SELL <item> <qty> <price>``,
 ``BUY <listing id>``, ``SEARCH <item>``.  Search results are folded into
@@ -25,9 +21,7 @@ from dataclasses import dataclass
 from .errors import (
     GreenLinksError,
     InvalidListing,
-    InvalidTrace,
     ListingNotFound,
-    NoMessages,
     ScenarioError,
     SoldOut,
     UnknownIdentity,
@@ -35,8 +29,6 @@ from .errors import (
 from .sync import LocalServer
 
 SMS_LIMIT = 140
-# A recording plays from the local spool for this long after it was made.
-SESSION_WINDOW_S = 600.0
 # A workload SELL offers a quantity drawn from this range.
 QTY_RANGE = range(1, 50)
 
@@ -134,17 +126,6 @@ def market_handler(store, app_type, key, body, request_id, at):
     raise ScenarioError(f"unknown market op {op!r}")
 
 
-def voice_handler(store, app_type, key, body, request_id, at):
-    if body["op"] == "record":
-        return store._upsert(app_type, key, body, request_id, at)
-    if body["op"] == "fetch":
-        rec = store.get(app_type, body["key"])
-        if rec is None:
-            raise NoMessages(f"no voice message under {body['key']!r}")
-        return rec.value
-    raise ScenarioError(f"unknown voice op {body['op']!r}")
-
-
 class Marketplace:
     """Node-local face of the SMS marketplace."""
 
@@ -226,112 +207,6 @@ class Marketplace:
         ]
         chunks = chunk_sms("\n".join(lines)) if lines else []
         return listings, chunks, response.at
-
-
-# ------------------------------------------------------------------ voice
-
-
-@dataclass
-class Playback:
-    source: str  # "local" or "cloud"
-    author: str
-    language: str
-    recorded_at: float
-    audio: bytes
-    at: float
-
-
-class VoiceBoard:
-    """Community voice messages with a short-lived local session spool."""
-
-    def __init__(self, local: LocalServer):
-        self.local = local
-        self._session: list[dict] = []
-        self._seq = 0
-        local.store.handlers.setdefault("voice", voice_handler)
-
-    def record_message(self, author: str, audio: bytes, language: str = "tw"):
-        if not audio:
-            raise InvalidTrace("empty recording")
-        now = self.local.clock()
-        self._seq += 1
-        msg_id = f"v{self.local.node_id}-{self._seq}"
-        body = {
-            "op": "record",
-            "key": msg_id,
-            "author": author,
-            "language": language,
-            "recorded_at": now,
-            "audio": audio.decode("latin1"),
-        }
-        ack = self.local.slowput("voice", body, key=msg_id)
-        self._session.append(body)
-        return msg_id, ack
-
-    def fetch_latest(self) -> Playback:
-        """Newest message.  Same-node recordings inside the session window
-        play from the local spool with zero cloud traffic; otherwise one
-        search plus one fetch against the cloud."""
-        now = self.local.clock()
-        self._session = [
-            m for m in self._session if now - m["recorded_at"] <= SESSION_WINDOW_S
-        ]
-        if self._session:
-            latest = max(self._session, key=lambda m: m["recorded_at"])
-            return Playback(
-                source="local",
-                author=latest["author"],
-                language=latest["language"],
-                recorded_at=latest["recorded_at"],
-                audio=latest["audio"].encode("latin1"),
-                at=now,
-            )
-        found = self.local.fastsearch("voice", lambda k, r: True)
-        if not found.value:
-            raise NoMessages("nobody has recorded anything yet")
-        newest_key, newest = max(
-            found.value,
-            key=lambda kv: kv[1].value["recorded_at"],
-        )
-        fetch = self.local.fastget(
-            "voice", newest_key, {"op": "fetch", "key": newest_key}
-        )
-        body = fetch.value
-        return Playback(
-            source="cloud",
-            author=body["author"],
-            language=body["language"],
-            recorded_at=body["recorded_at"],
-            audio=body["audio"].encode("latin1"),
-            at=fetch.at,
-        )
-
-
-# ------------------------------------------------------------------- farm
-
-
-def farm_payload(waypoints: list[tuple[float, float]]) -> bytes:
-    lines = [f"{lat:.6f},{lon:.6f}" for lat, lon in waypoints]
-    return ("\n".join(lines) + "\n").encode()
-
-
-class FarmMapper:
-    """Upload-only GPS boundary traces for land records."""
-
-    def __init__(self, local: LocalServer):
-        self.local = local
-        self._seq = 0
-
-    def upload_farm(self, waypoints):
-        if len(waypoints) < 3:
-            raise InvalidTrace("a boundary needs at least three waypoints")
-        for point in waypoints:
-            if len(point) != 2:
-                raise InvalidTrace(f"bad waypoint {point!r}")
-        self._seq += 1
-        farm_id = f"F{self.local.node_id}-{self._seq}"
-        ack = self.local.slowput("farm", farm_payload(waypoints), key=farm_id)
-        return farm_id, ack
 
 
 # --------------------------------------------------------------- workload

@@ -72,7 +72,7 @@ def write_csv(path: Path, header: list[str], blocks) -> None:
     # id(column) -> its cells.  The blocks list holds every column, and
     # so its id, for the whole call.
     formatted: dict[int, object] = {}
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for block in blocks:
@@ -206,7 +206,7 @@ def cmd_simulate(args) -> int:
     write_csv(outdir / "summary.csv", ["metric", "mean", "stdev", "ci95"], [summary])
 
     if args.trace:
-        with open(outdir / "trace.log", "w") as fh:
+        with open(outdir / "trace.log", "w", encoding="utf-8") as fh:
             for event in trace_events:
                 if event[0] == "link":
                     _, at, link_id, state = event

@@ -44,10 +44,6 @@ class BackhaulDown(GreenLinksError):
     """The operation needs the backhaul and it is currently down."""
 
 
-class CloudUnreachable(GreenLinksError):
-    """No live path from the origin node to the cloud."""
-
-
 class DuplicateName(GreenLinksError):
     pass
 
@@ -62,10 +58,6 @@ class EmptyRing(GreenLinksError):
 
 class UnknownIdentity(GreenLinksError):
     pass
-
-
-class NameNotFound(GreenLinksError):
-    """Lookup missed every stage: caches, cloud directory and egress."""
 
 
 # ---------------------------------------------------------------- sync
@@ -102,12 +94,4 @@ class ListingNotFound(GreenLinksError):
 
 
 class SoldOut(GreenLinksError):
-    pass
-
-
-class NoMessages(GreenLinksError):
-    pass
-
-
-class InvalidTrace(GreenLinksError):
     pass

@@ -1,14 +1,7 @@
 """Identity management: issuance, resolution, caching and re-homing.
 
 The cloud registry is the single authority for user identities.  Every
-community node keeps a local cache of identities it has seen; lookups
-resolve through three stages, cheapest first:
-
-  1. intra-zone: the origin node's cache, then caches of zone mates that
-     are reachable without leaving the zone (no cloud traffic),
-  2. inter-zone: the cloud directory (one round trip, result cached),
-  3. external: numbers that belong to no member route out through the
-     egress gateway.
+community node keeps a local cache of the identities issued there.
 
 Invalidation is lazy: issuing a known IMSI at another node re-homes it,
 which updates the cloud binding immediately, and stale cache entries are
@@ -28,11 +21,9 @@ from functools import cached_property
 
 from .errors import (
     BackhaulDown,
-    CloudUnreachable,
     DuplicateName,
     EmptyRing,
     ExternalAllocFailed,
-    NameNotFound,
     UnknownIdentity,
 )
 from .topology import Topology
@@ -157,15 +148,6 @@ class EgressAllocator:
         return self._free.pop(0)
 
 
-@dataclass
-class LookupResult:
-    identity: UserIdentity | None
-    address: NetworkAddress | None
-    stage: str  # "intra_zone", "inter_zone" or "external"
-    external: str | None = None
-    rtt_s: float = 0.0
-
-
 class CloudRegistry:
     """Authoritative identity directory living on the cloud controller."""
 
@@ -228,11 +210,6 @@ class CloudRegistry:
         return self.identities[imsi], self.bindings[imsi]
 
 
-def _looks_external(name: str) -> bool:
-    digits = name[1:] if name.startswith("+") else name
-    return digits.isdigit() and len(digits) >= 7
-
-
 @dataclass
 class _Pending:
     node: int
@@ -253,7 +230,7 @@ class IdentityService:
         graph = topology.graph
         prefixes = {z.zone_id: z.prefix for z in graph.zones.values()}
         self.registry = CloudRegistry(prefixes, EgressAllocator())
-        self.counters = {"cloud_messages": 0, "external_routes": 0}
+        self.counters = {"cloud_messages": 0}
         self.pending: list[_Pending] = []
         self.caches = {nid: IdentityCache() for nid in graph.community}
 
@@ -303,54 +280,6 @@ class IdentityService:
                 remaining.append(req)
         self.pending = remaining
         return done
-
-    # ------------------------------------------------------------ lookup
-
-    def lookup(self, origin_node: int, name: str) -> LookupResult:
-        graph = self.topology.graph
-        zone = graph.nodes[origin_node].zone
-        # Stage 1: caches inside the zone, origin first, without touching
-        # the backhaul.  Only zone mates reachable through live in-zone
-        # links count.
-        candidates = [origin_node]
-        if zone is not None:
-            for nid in graph.zones[zone].node_ids:
-                if nid != origin_node and self.topology.reachable(
-                    origin_node, nid, within_zone=zone
-                ):
-                    candidates.append(nid)
-        for nid in candidates:
-            entry = self.caches[nid].get(name)
-            if entry is not None:
-                return LookupResult(
-                    identity=entry.identity,
-                    address=entry.address,
-                    stage="intra_zone",
-                )
-        # Stage 2: cloud directory.
-        route = self.topology.cloud_route(origin_node)
-        if route is None:
-            raise CloudUnreachable(f"node {origin_node} cannot reach the directory")
-        self.counters["cloud_messages"] += 1
-        rtt = 2.0 * route[1]
-        found = self.registry.find(name)
-        if found is not None:
-            identity, address = found
-            self.caches[origin_node].put(CacheEntry(identity=identity, address=address))
-            return LookupResult(
-                identity=identity, address=address, stage="inter_zone", rtt_s=rtt
-            )
-        # Stage 3: egress for numbers that belong to no member.
-        if _looks_external(name):
-            self.counters["external_routes"] += 1
-            return LookupResult(
-                identity=None,
-                address=None,
-                stage="external",
-                external=name,
-                rtt_s=rtt,
-            )
-        raise NameNotFound(f"{name!r} matched no cache, directory entry or egress rule")
 
     # -------------------------------------------------------------- sync
 

@@ -371,7 +371,7 @@ def load_scenario(path: str | Path) -> dict:
     ScenarioError with a file (and, for JSON syntax, line) anchor."""
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ScenarioError(f"{path}: {exc.strerror or exc}")
     except UnicodeDecodeError as exc:

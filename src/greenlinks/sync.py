@@ -22,15 +22,15 @@ check who may act (the marketplace checks registration before every
 SELL, BUY and SEARCH).
 
 Every write carries a value, and the store applies that value: a JSON
-app hands over the dict it would send, a raw write (a file, a farm
-trace, a kv blob) its bytes.  Bytes matter only for time and size:
-wire_size() is what the value takes on the wire, its sorted-key JSON
-text or the raw bytes themselves, and that count sets the transfer
-time and fills the ``bytes`` column.  A JSON value is encoded only to
-count it, once per write, by one encoder the module builds at import:
-json.dumps would build a new one on each call.  Nothing on the store
-side parses JSON; a stored value is never changed in place, and a write
-replaces it with a new one.
+app hands over the dict it would send, a raw write (a file, a kv blob)
+its bytes.  Bytes matter only for time and size: wire_size() is what
+the value takes on the wire, its sorted-key JSON text or the raw bytes
+themselves, and that count sets the transfer time and fills the
+``bytes`` column.  A JSON value is encoded only to count it, once per
+write, by one encoder the module builds at import: json.dumps would
+build a new one on each call.  Nothing on the store side parses JSON; a
+stored value is never changed in place, and a write replaces it with a
+new one.
 
 Transmission is modeled as a fluid queue: the head request drains at the
 uplink's byte rate, completions land mid-interval at exact times, and a

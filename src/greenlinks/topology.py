@@ -203,25 +203,11 @@ class Topology:
             self._fresh += 1
             self._cloud_routes.clear()
 
-    def reachable(self, a: int, b: int, *, within_zone: str | None = None) -> bool:
-        return self.path(a, b, within_zone=within_zone) is not None
-
-    def path(
-        self, a: int, b: int, *, within_zone: str | None = None
-    ) -> list[Link] | None:
-        """Shortest-hop path over live links, or None.
-
-        ``within_zone`` restricts the search to that zone's members, which
-        models resolution that must not leave the operator's island.
-        """
+    def path(self, a: int, b: int) -> list[Link] | None:
+        """Shortest-hop path over live links, or None."""
         if a == b:
             return []
         graph = self.graph
-        allowed = None
-        if within_zone is not None:
-            allowed = set(graph.zones[within_zone].node_ids)
-            if a not in allowed or b not in allowed:
-                return None
         links, up = graph.links, self.up
         seen = {a}
         frontier: deque[tuple[int, list[Link]]] = deque([(a, [])])
@@ -229,8 +215,6 @@ class Topology:
             node, trail = frontier.popleft()
             for lid, nxt in graph.nbrs[node]:
                 if not up[lid] or nxt in seen:
-                    continue
-                if allowed is not None and nxt not in allowed:
                     continue
                 hop = trail + [links[lid]]
                 if nxt == b:

@@ -1,4 +1,4 @@
-"""SMS marketplace, voice board, farm mapper, scripted workload."""
+"""SMS marketplace and scripted workload."""
 
 import json
 import tracemalloc
@@ -9,21 +9,16 @@ from hypothesis import given, settings, strategies as st
 
 from greenlinks.apps import (
     SMS_LIMIT,
-    FarmMapper,
     Marketplace,
-    VoiceBoard,
     Workload,
     chunk_sms,
-    farm_payload,
     parse_command,
 )
 from greenlinks.errors import (
     BackhaulDown,
     GreenLinksError,
     InvalidListing,
-    InvalidTrace,
     ListingNotFound,
-    NoMessages,
     ScenarioError,
     SoldOut,
     UnknownIdentity,
@@ -206,109 +201,6 @@ def test_each_action_maps_to_one_primitive(market_sim):
     assert server.counters["slowput"] == 2
     assert server.counters["fastget"] == 1
     assert server.counters["fastsearch"] == 2
-
-
-# ------------------------------------------------------------------- voice
-
-
-@pytest.fixture
-def voice_sim():
-    sim = Simulation(check_scenario(generate_tree(1, 1)), seed=4)
-    sim.identity.issue_identity(1, "233200000001")
-    sim.identity.issue_identity(2, "233200000002")
-    return sim
-
-
-def test_same_node_playback_stays_local(voice_sim):
-    sim = voice_sim
-    board = VoiceBoard(sim.local(1))
-    audio = bytes(range(256))
-    board.record_message("233200000001", audio, language="tw")
-    play = board.fetch_latest()
-    assert play.source == "local"
-    assert play.audio == audio
-    assert sim.local(1).counters["fastsearch"] == 0
-    assert sim.local(1).counters["fastget"] == 0
-
-
-def test_remote_playback_costs_a_search_and_a_fetch(voice_sim):
-    sim = voice_sim
-    speaker = VoiceBoard(sim.local(1))
-    speaker.record_message("233200000001", b"akwaaba")
-    sim.poke(1)
-    sim.engine.run_until(None)
-    listener = VoiceBoard(sim.local(2))
-    play = listener.fetch_latest()
-    assert play.source == "cloud"
-    assert play.audio == b"akwaaba"
-    assert play.author == "233200000001"
-    assert play.at > sim.engine.now
-    assert sim.local(2).counters["fastsearch"] == 1
-    assert sim.local(2).counters["fastget"] == 1
-
-
-def test_newest_message_wins(voice_sim):
-    sim = voice_sim
-    speaker = VoiceBoard(sim.local(1))
-    speaker.record_message("233200000001", b"first")
-    sim.engine.now = 5.0
-    speaker.record_message("233200000001", b"second")
-    sim.poke(1)
-    sim.engine.run_until(None)
-    assert speaker.fetch_latest().audio == b"second"
-    listener = VoiceBoard(sim.local(2))
-    assert listener.fetch_latest().audio == b"second"
-
-
-def test_session_window_expiry_falls_back_to_the_cloud(voice_sim):
-    sim = voice_sim
-    board = VoiceBoard(sim.local(1))
-    board.record_message("233200000001", b"hello")
-    sim.poke(1)
-    sim.engine.run_until(None)
-    sim.engine.now = 700.0  # past the 600 s session window
-    play = board.fetch_latest()
-    assert play.source == "cloud"
-    assert play.audio == b"hello"
-    assert sim.local(1).counters["fastsearch"] == 1
-
-
-def test_voice_edge_cases(voice_sim):
-    sim = voice_sim
-    board = VoiceBoard(sim.local(2))
-    with pytest.raises(InvalidTrace):
-        board.record_message("233200000002", b"")
-    with pytest.raises(NoMessages):
-        board.fetch_latest()
-
-
-# -------------------------------------------------------------------- farm
-
-
-def test_farm_payload_format():
-    points = [(6.5, -1.25), (6.500001, -1.25), (6.5, -1.249999)]
-    assert farm_payload(points) == (
-        b"6.500000,-1.250000\n6.500001,-1.250000\n6.500000,-1.249999\n"
-    )
-
-
-def test_farm_upload_round_trip(voice_sim):
-    sim = voice_sim
-    mapper = FarmMapper(sim.local(1))
-    points = [(6.0, -1.0), (6.1, -1.0), (6.1, -1.1), (6.0, -1.1)]
-    farm_id, ack = mapper.upload_farm(points)
-    assert farm_id == "F1-1" and ack.request_id
-    sim.poke(1)
-    sim.engine.run_until(None)
-    assert sim.store.get("farm", "F1-1").value == farm_payload(points)
-
-
-def test_farm_trace_validation(voice_sim):
-    mapper = FarmMapper(voice_sim.local(1))
-    with pytest.raises(InvalidTrace):
-        mapper.upload_farm([(0.0, 0.0), (1.0, 1.0)])
-    with pytest.raises(InvalidTrace):
-        mapper.upload_farm([(0.0, 0.0), (1.0,), (2.0, 2.0)])
 
 
 # ---------------------------------------------------------------- workload

@@ -18,8 +18,8 @@ A dataclass field, or an attribute a method sets as ``self.<name>``,
 passes when ``.<name>`` is read somewhere in the code of src/ or
 perfbench/.  An augmented assignment such as ``self.n += 1`` is no
 read.  The check matches by name, not by owner, so a field whose name
-is read on another class still passes: ``.at`` is read on a
-FastResponse, so Playback.at passes too.
+is read on another class still passes: ``.zone`` is read on a Node,
+so NetworkAddress.zone passes too.
 """
 
 import ast
@@ -34,26 +34,12 @@ READERS = (SRC, ROOT / "perfbench")
 
 # Kept without a reader, each for a reason.
 ALLOWED = {
-    # The paper's voice social media primitive; waits to become a
-    # workload event kind on the shared sync queue.
-    "VoiceBoard",
-    # VoiceBoard's recording path (slowput), same reason.
-    "record_message",
-    # VoiceBoard's playback path (local spool or search + fetch), same reason.
-    "fetch_latest",
-    # The paper's distributed sensing primitive; waits like VoiceBoard.
-    "FarmMapper",
-    # FarmMapper's one action, same reason.
-    "upload_farm",
     # The store's exactly-once invariant, which the sync and acceptance
     # tests assert after faulty runs.
     "applied_once",
-    # The paper's user-to-user messaging primitive; waits to be wired into
-    # a workload like VoiceBoard.
+    # The paper's user-to-user messaging primitive.  Acceptance
+    # criterion 9 and the library hash case run it; no CLI study does.
     "store_and_forward",
-    # The paper's three-stage identity resolution (zone caches, cloud
-    # directory, egress); waits to be wired into a workload like VoiceBoard.
-    "lookup",
 }
 
 
@@ -72,17 +58,6 @@ ALLOWED_PARAMETERS = {
 
 # Stored values kept without a reader, each for a reason.
 ALLOWED_FIELDS = {
-    # The result of VoiceBoard.fetch_latest, which waits to be wired into
-    # a workload (see ALLOWED).
-    "Playback.audio",
-    "Playback.author",
-    "Playback.language",
-    "Playback.recorded_at",
-    "Playback.source",
-    # The result of IdentityService.lookup, which waits the same way.
-    "LookupResult.external",
-    "LookupResult.rtt_s",
-    "LookupResult.stage",
     # Counters that wait to move into one stats object.
     "Workload.buy_errors",
     "Detector.dropped_unplanned",

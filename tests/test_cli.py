@@ -4,8 +4,11 @@ import contextlib
 import csv
 import io
 import json
+import os
 import re
 import resource
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -166,6 +169,58 @@ def test_reruns_are_byte_identical_and_seeds_matter(tmp_path):
     assert first == second
     other = run_simulate(tmp_path, "c", ["--seed", "6"])
     assert other["metrics.csv"] != first["metrics.csv"]
+
+
+# Python's text I/O defaults to the locale's encoding.  Under the first
+# setting that is ASCII: no coercion to C.UTF-8 and no UTF-8 mode.
+LOCALES = {
+    "c": {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"},
+    "c_utf8": {"LC_ALL": "C.UTF-8"},
+}
+
+
+def item_scenario():
+    """UTF-8 text: the workload sells an item with a non-ASCII letter."""
+    scenario = generate_tree(1, 1)
+    scenario["workload"] = {"sellers": 1, "until_s": 100.0, "items": ["maïs", "yam"]}
+    return json.dumps(scenario, ensure_ascii=False)
+
+
+def link_scenario():
+    """ASCII text (the id is a JSON escape) naming a link that fails, so
+    trace.log spells its non-ASCII id."""
+    scenario = generate_tree(1, 0)
+    scenario["links"][0]["id"] = "bé"
+    scenario["failures"] = {"interval_s": 60.0, "outage_mean_s": 30.0}
+    return json.dumps(scenario)
+
+
+@pytest.mark.parametrize(
+    "text", [item_scenario(), link_scenario()], ids=["item", "link"]
+)
+def test_artifacts_do_not_depend_on_the_locale(tmp_path, text):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(text.encode("utf-8"))
+    env = {
+        key: value
+        for key, value in os.environ.items()
+        if not key.startswith(("LC_", "LANG"))
+        and key not in ("PYTHONUTF8", "PYTHONCOERCECLOCALE", "PYTHONIOENCODING")
+    }
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    artifacts = []
+    for name, setting in LOCALES.items():
+        out = tmp_path / name
+        argv = ["simulate", "--scenario", str(path), "--horizon", "300", "--trace"]
+        done = subprocess.run(
+            [sys.executable, "-m", "greenlinks.cli", *argv, "--out", str(out)],
+            env={**env, **setting},
+            capture_output=True,
+        )
+        assert done.returncode == 0, (name, done.stderr.decode(errors="replace"))
+        artifacts.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    assert artifacts[0] == artifacts[1]
+    assert "trace.log" in artifacts[0]
 
 
 def test_seed_env_var_and_flag_precedence(tmp_path, monkeypatch):
@@ -646,7 +701,7 @@ def test_idbench_artifacts(tmp_path, capsys):
 
 def write_csv_three_way(path, header, rows):
     """write_csv as it was: every cell converted to a string first."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(
@@ -736,7 +791,7 @@ def test_write_csv_rejects_a_block_without_one_length(tmp_path, block):
 
 def write_samples_row_by_row(path, benches):
     """idbench_samples.csv one row at a time through csv.writer."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["model", "servers", "index", "arrival", "server", "sojourn"])
         for bench in benches:

@@ -8,11 +8,9 @@ import pytest
 import greenlinks.identity as identity_mod
 from greenlinks.errors import (
     BackhaulDown,
-    CloudUnreachable,
     DuplicateName,
     EmptyRing,
     ExternalAllocFailed,
-    NameNotFound,
     UnknownIdentity,
 )
 from greenlinks.identity import (
@@ -174,57 +172,6 @@ def test_issue_validates_inputs():
         svc.issue_identity(1, "123", chosen_name="two words")
 
 
-def test_lookup_stages_and_message_accounting():
-    svc, topo = service_on(generate_tree(2, 1))  # z0={1,2}, z1={3,4}
-    svc.issue_identity(2, "1111")
-    svc.issue_identity(3, "2222")
-    base = svc.counters["cloud_messages"]  # 2 issuance messages
-
-    # registered on the same node: pure cache hit
-    hit = svc.lookup(2, "1111")
-    assert hit.stage == "intra_zone"
-    # zone mate's cache over the in-zone link, still no cloud traffic
-    hit = svc.lookup(1, "1111")
-    assert hit.stage == "intra_zone"
-    assert svc.counters["cloud_messages"] == base
-
-    # cross-zone goes to the directory once, then caches
-    hit = svc.lookup(1, "2222")
-    assert hit.stage == "inter_zone"
-    assert hit.rtt_s == pytest.approx(0.2)  # one hsdpa hop each way
-    assert svc.counters["cloud_messages"] == base + 1
-    hit = svc.lookup(1, "2222")
-    assert hit.stage == "intra_zone"
-    assert svc.counters["cloud_messages"] == base + 1
-    # a level3 origin pays for both hops
-    assert svc.lookup(4, "1111").rtt_s == pytest.approx(0.4)
-
-
-def test_lookup_external_and_not_found():
-    svc, _ = service_on(generate_tree(1, 0))
-    svc.issue_identity(1, "1111")
-    hit = svc.lookup(1, "+15550001234")
-    assert hit.stage == "external" and hit.external == "+15550001234"
-    assert hit.identity is None
-    assert svc.counters["external_routes"] == 1
-    with pytest.raises(NameNotFound):
-        svc.lookup(1, "幽ghost")  # not digits, not registered
-    with pytest.raises(NameNotFound):
-        svc.lookup(1, "123456")  # six digits: too short for egress
-
-
-def test_lookup_falls_back_when_zone_path_is_cut():
-    svc, topo = service_on(generate_tree(1, 1))  # z0={1,2}
-    svc.issue_identity(2, "1111")
-    topo.set_link_state("z0n0", False)
-    # node 1 cannot see node 2's cache but still has the cloud
-    hit = svc.lookup(1, "1111")
-    assert hit.stage == "inter_zone"
-    # node 2 lost everything upstream
-    with pytest.raises(CloudUnreachable):
-        svc.lookup(2, "9999")
-
-
 def test_deferred_issuance_queues_and_replays():
     svc, topo = service_on(generate_tree(1, 0))
     topo.set_link_state("b0", False)
@@ -235,7 +182,8 @@ def test_deferred_issuance_queues_and_replays():
     topo.set_link_state("b0", True)
     assert svc.flush_pending() == 1
     assert svc.pending == []
-    assert svc.lookup(1, "ama").stage == "intra_zone"
+    replayed = svc.caches[1].get("ama")
+    assert replayed is not None and replayed.identity.imsi == "1234"
     # replayed issuance is indistinguishable from an always-up one
     control, _ = service_on(generate_tree(1, 0))
     control.issue_identity(1, "1234", chosen_name="ama")
@@ -263,13 +211,14 @@ def test_migration_costs_and_stale_cache_sync():
     assert stale is not None and stale.address.node == 2
     assert svc.sync_node(2) >= 1
     assert svc.caches[2].get("1111") is None
-    # invalidation is lazy: mate 1 serves its own stale binding until
-    # it syncs too, then the directory answers with the new home
-    hit = svc.lookup(2, "1111")
-    assert hit.stage == "intra_zone" and hit.address.node == 1
+    # invalidation is lazy: mate 1 keeps its own stale binding until
+    # it syncs too, then only the directory answers, with the new home
+    mate = svc.caches[1].get("1111")
+    assert mate is not None and mate.address.node == 1
     svc.sync_node(1)
-    hit = svc.lookup(2, "1111")
-    assert hit.stage == "inter_zone" and hit.address.node == 3
+    assert svc.caches[1].get("1111") is None
+    _, home = svc.registry.find("1111")
+    assert home.node == 3
 
 
 def test_sync_is_free_while_down_and_idempotent():

@@ -37,18 +37,8 @@ APPS = [
 
 # Kept without a study, each for a reason.
 ALLOWED = {
-    # The paper's voice social media primitive; waits to become a
-    # workload event kind on the shared sync queue.
-    "apps.VoiceBoard.__init__",
-    "apps.VoiceBoard.record_message",
-    "apps.VoiceBoard.fetch_latest",
-    "apps.voice_handler",
-    # The paper's distributed sensing primitive; waits like VoiceBoard.
-    "apps.FarmMapper.__init__",
-    "apps.FarmMapper.upload_farm",
-    "apps.farm_payload",
-    # The paper's user-to-user messaging primitive; waits to be wired
-    # into a workload like VoiceBoard.
+    # The paper's user-to-user messaging primitive.  Acceptance
+    # criterion 9 and the library hash case run it; no CLI study does.
     "sync.LocalServer.store_and_forward",
     "sync.MessageBoard.handler",
     "sync.MessageBoard.deposit",
@@ -56,13 +46,12 @@ ALLOWED = {
     "sync.MessageBoard.pull",
     "simcore.Simulation._resolve_dest_node",
     "simcore.Simulation.local.<locals>.resolve_local",
-    "topology.Topology.reachable",
-    # The paper's three-stage identity resolution (zone caches, cloud
-    # directory, egress); waits to be wired in like VoiceBoard.
-    "identity.IdentityService.lookup",
     "identity.CloudRegistry.find",
-    "identity._looks_external",
+    # Global issuance: a "global" identity takes an external number
+    # from the egress pool.  No study issues one.
     "identity.EgressAllocator.allocate",
+    # Lazy invalidation: sync_node drops the cache entries whose binding
+    # moved.  No study re-homes an identity.
     "identity.IdentityCache.drop",
     # The store's exactly-once invariant, which the sync and acceptance
     # tests assert after faulty runs.

@@ -1247,3 +1247,48 @@ def test_central_bench_matches_the_md1_mean_sojourn(rho):
     expected = 2 * latency_s + service_s + rho * service_s / (2 * (1 - rho))
     half_width = T_975_2 * statistics.stdev(means) / math.sqrt(len(means))
     assert abs(statistics.fmean(means) - expected) <= half_width
+
+
+# Student's t quantile t(0.975) with 39 degrees of freedom: a 95% interval
+# over forty seeds.
+T_975_39 = 2.023
+
+
+@pytest.mark.parametrize(
+    "n, period_s, outage_mean_s", [(4, 300.0, 600.0), (8, 60.0, 120.0)]
+)
+def test_star_availability_matches_the_alternating_renewal_oracle(
+    n, period_s, outage_mean_s
+):
+    # On a star of n backhauls, a draw every T s takes one of them down
+    # for an exponential outage D of mean m, so each link alternates
+    # between up and down.  A link comes back D mod T after a draw tick,
+    # and the next draw that picks it comes n T after that tick on
+    # average, so it stays up n T - E[D mod T], where E[D mod T] =
+    # m - T q / (1 - q) with q = e^(-T/m).  Local calls never need the
+    # cloud, so the cell architecture drops the time-down share
+    # m / (m + n T - E[D mod T]) of them and the virtual one none.
+    scenario = generate_tree(n, 0)
+    scenario["traffic"] = {
+        "interval_s": 60.0,
+        "attempts": {"call": 4, "sms": 0, "data": 0},
+        "dest_mix": {"local": 1.0, "zone": 0.0, "cross": 0.0},
+    }
+    scenario["failures"] = {
+        "interval_s": period_s,
+        "outage_mean_s": outage_mean_s,
+        "target_mix": {"cloud": 1.0, "zone": 0.0},
+    }
+    ledgers = [run.ledger for run in replicate(check_scenario(scenario), 40, 200_000.0)]
+    assert all(ledger.overall("vce") == 0 for ledger in ledgers)
+    cce = [ledger.overall("cce") for ledger in ledgers]
+    mean = statistics.fmean(cce)
+    half_width = T_975_39 * statistics.stdev(cce) / math.sqrt(len(cce))
+    q = math.exp(-period_s / outage_mean_s)
+    residue = outage_mean_s - period_s * q / (1 - q)
+    expected = outage_mean_s / (outage_mean_s + n * period_s - residue)
+    assert abs(mean - expected) <= half_width
+    # The naive guess, a link up for n T on average, lies outside: the
+    # interval is narrow enough to tell the two models apart.
+    naive = outage_mean_s / (outage_mean_s + n * period_s)
+    assert abs(mean - naive) > half_width

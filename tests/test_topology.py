@@ -225,17 +225,6 @@ def test_a_link_can_start_down_and_runs_do_not_move_it():
     assert Topology(topo.graph).up["b0"] is False
 
 
-def test_within_zone_excludes_detours_through_the_cloud():
-    cfg = generate_tree(2, 1)  # zones z0={1,2}, z1={3,4}
-    topo = view(cfg)
-    assert topo.reachable(1, 3)  # via the cloud
-    assert not topo.reachable(1, 3, within_zone="z0")
-    topo.set_link_state("z0n0", False)
-    # the tree has no second route into node 2
-    assert topo.path(1, 2, within_zone="z0") is None
-    assert topo.path(1, 2) is None
-
-
 def test_parallel_backhauls_fail_over():
     # Two plain links between the same pair are a redundant backhaul.
     cfg = generate_tree(1, 0, backhaul_profile="edge")
@@ -266,7 +255,7 @@ def test_reachability_matches_closure_oracle_under_random_outages():
         for a in ids:
             for b in ids:
                 expect = reach[idx[a]][idx[b]]
-                assert topo.reachable(a, b) is expect
+                assert (topo.path(a, b) is not None) is expect
                 assert (comp[a] == comp[b]) is expect
                 assert (topo.labels[a] == topo.labels[b]) is expect
         # Cloud routes, cached since the previous round's transitions,
