@@ -274,10 +274,10 @@ class Workload:
         engine = self.sim.engine
         until = cfg["until_s"] if horizon is None else min(cfg["until_s"], horizon)
         for i, seller in enumerate(self.sellers):
-            first = cfg["sell_period_s"] * i / max(1, len(self.sellers))
+            first = cfg["sell_period_s"] * i / len(self.sellers)
             engine.every(first, cfg["sell_period_s"], until, "wl_sell", seller=seller)
         for i, buyer in enumerate(self.buyers):
-            first = cfg["buy_period_s"] * (0.5 + i) / max(1, len(self.buyers))
+            first = cfg["buy_period_s"] * (0.5 + i) / len(self.buyers)
             engine.every(first, cfg["buy_period_s"], until, "wl_buy", buyer=buyer)
         for k in range(cfg["file_count"]):
             if horizon is None or k * cfg["file_period_s"] < horizon:

@@ -48,30 +48,18 @@ CONSTANT = (str, int, float)
 
 
 def write_csv(path: Path, header: list[str], blocks) -> None:
-    """Write a table given as blocks of columns.
+    """Write a table given as blocks of columns, in one pass over ``blocks``.
 
-    ``blocks`` is an iterable of blocks, each a tuple with one column per
-    header field.  A column is a sequence (a list, tuple or range) or a
-    str, int or float constant repeated down its block; every sequence of
-    a block has the block's length, and a block has at least one.  An
-    empty list writes the header alone.
+    ``blocks`` is an iterable of blocks (a generator will do), each a
+    tuple with one column per header field.  A column is a sequence (a
+    list, tuple or range) or a str, int or float constant repeated down
+    its block; every sequence of a block has the block's length, and a
+    block has at least one.  No blocks write the header alone.
 
     Cells: floats as 6 significant digits; csv.writer writes None as an
-    empty cell and the rest through str().  Each column object is
-    formatted once per call.  A column held by one block is formatted
-    lazily as its rows are written; one held more often (every idbench
-    model's block holds the one arrivals list) is formatted into a list
-    that is dropped after the last block that holds it.
+    empty cell and the rest through str().  Each sequence is formatted
+    lazily as its block's rows are written.
     """
-    blocks = list(blocks)
-    uses: dict[int, int] = {}
-    for block in blocks:
-        for column in block:
-            if not isinstance(column, CONSTANT):
-                uses[id(column)] = uses.get(id(column), 0) + 1
-    # id(column) -> its cells.  The blocks list holds every column, and
-    # so its id, for the whole call.
-    formatted: dict[int, object] = {}
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -86,15 +74,8 @@ def write_csv(path: Path, header: list[str], blocks) -> None:
                     if isinstance(column, float):
                         column = f"{column:.6g}"
                     cells.append(repeat(column, n))
-                    continue
-                key = id(column)
-                if key not in formatted:
-                    once = _cells(column)
-                    formatted[key] = once if uses[key] == 1 else list(once)
-                cells.append(formatted[key])
-                uses[key] -= 1
-                if not uses[key]:
-                    del formatted[key]
+                else:
+                    cells.append(_cells(column))
             writer.writerows(zip(*cells))
 
 
@@ -285,13 +266,14 @@ def cmd_idbench(args) -> int:
             f"p50={p50:.6g}s p95={p95:.6g}s"
         )
     outdir = out_dir(args)
-    # One block per model; they share one arrivals list, formatted once.
+    # Every model replays one arrival stream (one list object), so its
+    # cells are formatted here once, not once per model's block.
+    arrivals = [f"{t:.6g}" for t in benches[0].arrivals]
     write_csv(
         outdir / "idbench_samples.csv",
         ["model", "servers", "index", "arrival", "server", "sojourn"],
         [
-            (b.model, b.servers, range(len(b.arrivals)), b.arrivals, b.routed,
-             b.sojourns)
+            (b.model, b.servers, range(len(arrivals)), arrivals, b.routed, b.sojourns)
             for b in benches
         ],
     )

@@ -357,11 +357,9 @@ class Simulation:
         if server is None:
             cache = self.identity.caches[node_id]
 
+            # Only _issue_now(node_id, ...) fills it, with addresses on node_id.
             def resolve_local(name, _cache=cache, _nid=node_id):
-                entry = _cache.get(name)
-                if entry is not None and entry.address.node == _nid:
-                    return _nid
-                return None
+                return _nid if _cache.get(name) is not None else None
 
             server = LocalServer(
                 node_id,
